@@ -266,7 +266,7 @@ func BenchmarkTimingSimulator(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := pipeline.DefaultConfig()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {

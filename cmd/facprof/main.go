@@ -71,7 +71,7 @@ func main() {
 	// Timing pass: the FAC machine with a site collector on the event
 	// stream, attributing each speculative access to its static site.
 	cfg := pipeline.DefaultConfig()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	cfg.SpeculateRegReg = true // attribute R+R failures too
 	cfg.DCache.BlockSize = *block
 	sites := obs.NewSiteCollector()

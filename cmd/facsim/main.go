@@ -8,10 +8,10 @@
 //
 // Usage:
 //
-//	facsim [-fac] [-rr] [-falign] [-block 32] [-functional] input.c
-//	facsim -fac -falign -benchmark qsortst
-//	facsim -fac -benchmark compress -json run.json   # RunRecord export
-//	facsim -fac -trace 40 -benchmark qsortst         # annotated issue trace
+//	facsim [-predictor fac] [-rr] [-falign] [-block 32] [-functional] input.c
+//	facsim -predictor fac -falign -benchmark qsortst
+//	facsim -predictor fac -benchmark compress -json run.json   # RunRecord export
+//	facsim -predictor fac -trace 40 -benchmark qsortst         # annotated trace of issued instructions
 //
 // -trace consumes the simulator's observability event stream
 // (internal/obs): each line is one issued instruction; memory operations
@@ -41,8 +41,7 @@ import (
 
 func main() {
 	var (
-		facOn      = flag.Bool("fac", false, "enable fast address calculation")
-		predName   = flag.String("predictor", "", "address-prediction machine (fac, pcax, stride, selective); -fac is shorthand for -predictor fac")
+		predName   = flag.String("predictor", "", "address-prediction machine (fac, pcax, stride, selective)")
 		rr         = flag.Bool("rr", false, "speculate register+register accesses")
 		falign     = flag.Bool("falign", false, "compile with software support (alignment optimizations)")
 		block      = flag.Int("block", 32, "data cache block size (16 or 32)")
@@ -62,7 +61,6 @@ func main() {
 	}
 
 	cfg := pipeline.DefaultConfig()
-	cfg.FAC = *facOn
 	cfg.Predictor = *predName
 	cfg.SpeculateRegReg = *rr
 	cfg.DCache.BlockSize = *block
@@ -122,7 +120,7 @@ mem footprint     %d KB
 	if *hist {
 		fmt.Printf("load latency (issue to use, cycles):\n%s", stats.FormatHist(st.LoadLatency, "cyc"))
 	}
-	if name := cfg.PredictorName(); name != "" {
+	if name := cfg.Predictor; name != "" {
 		fmt.Printf(`address prediction (%s):
   loads speculated   %d (%.1f%% failed)
   stores speculated  %d (%.1f%% failed)
@@ -161,8 +159,8 @@ mem footprint     %d KB
 // machineName summarizes the CLI-configured machine for the RunRecord.
 func machineName(cfg pipeline.Config) string {
 	name := "base"
-	if p := cfg.PredictorName(); p != "" {
-		name = p
+	if cfg.Predictor != "" {
+		name = cfg.Predictor
 	}
 	name += fmt.Sprintf("%d", cfg.DCache.BlockSize)
 	if cfg.SpeculateRegReg {
@@ -243,23 +241,26 @@ type limitedSource struct {
 	sink *traceSink
 }
 
-func (s *limitedSource) Next() (emu.Trace, bool, error) {
-	if s.n <= 0 || s.e.Halted {
-		return emu.Trace{}, false, nil
+func (s *limitedSource) NextBatch(buf []emu.Trace) (int, error) {
+	if len(buf) > s.n {
+		buf = buf[:s.n]
 	}
-	tr, err := s.e.Step()
-	if err != nil {
-		return emu.Trace{}, false, err
+	n := 0
+	for n < len(buf) && !s.e.Halted {
+		if err := s.e.StepInto(&buf[n]); err != nil {
+			return 0, err
+		}
+		n++
 	}
-	s.n--
-	s.sink.traces = append(s.sink.traces, tr)
-	return tr, true, nil
+	s.n -= n
+	s.sink.traces = append(s.sink.traces, buf[:n]...)
+	return n, nil
 }
 
 // printTrace simulates the first n instructions on the configured
 // machine, printing each issue with its observability annotations.
 func printTrace(p *prog.Program, cfg pipeline.Config, n int) error {
-	name := cfg.PredictorName()
+	name := cfg.Predictor
 	sink := &traceSink{predName: name, signals: predict.SignalNamesFor(name)}
 	if name == "selective" && cfg.StaticTable == nil {
 		cfg.StaticTable = predict.BuildStaticTable(p, cfg.FACGeometry())

@@ -52,18 +52,18 @@ main:
 	li   $v0, 10
 	syscall
 `
-	run := func(facOn bool) uint64 {
+	run := func(predictor string) uint64 {
 		cfg := pipeline.DefaultConfig()
 		cfg.PerfectICache = true
 		cfg.PerfectDCache = true
-		cfg.FAC = facOn
+		cfg.Predictor = predictor
 		res, err := core.BuildAndRun(src, prog.DefaultConfig(), cfg, 1000)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return res.Stats.Cycles
 	}
-	base, fast := run(false), run(true)
+	base, fast := run(""), run("fac")
 	fmt.Printf("\nFigure 1 — load-use sequence: %d cycles with 2-cycle loads, %d with fast address calculation (the load-use stall is gone)\n",
 		base, fast)
 }

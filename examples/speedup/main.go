@@ -33,7 +33,7 @@ func main() {
 
 	baseCfg := pipeline.DefaultConfig()
 	facCfg := baseCfg
-	facCfg.FAC = true
+	facCfg.Predictor = "fac"
 
 	baseline, err := core.Run(baseProg, baseCfg, 0)
 	if err != nil {

@@ -39,23 +39,10 @@ type Result struct {
 // IPC returns instructions per cycle.
 func (r Result) IPC() float64 { return r.Stats.IPC() }
 
-// traceSource adapts the emulator to the pipeline's Source interface. It
-// also implements pipeline.BatchSource so the cycle loop can pull traces
-// in bulk, amortizing the per-instruction interface call and letting the
-// emulator write each trace in place.
+// traceSource adapts the emulator to the pipeline's Source interface,
+// writing each trace in place into the pipeline's batch buffer.
 type traceSource struct {
 	e *emu.Emulator
-}
-
-func (t *traceSource) Next() (emu.Trace, bool, error) {
-	if t.e.Halted {
-		return emu.Trace{}, false, nil
-	}
-	tr, err := t.e.Step()
-	if err != nil {
-		return emu.Trace{}, false, err
-	}
-	return tr, true, nil
 }
 
 func (t *traceSource) NextBatch(buf []emu.Trace) (int, error) {
@@ -91,7 +78,7 @@ func RunCtx(ctx context.Context, p *prog.Program, machine pipeline.Config, maxIn
 	// The selective machine consults staticfac verdicts baked per linked
 	// program; this is the layer that has the program in hand, so the bake
 	// happens here unless the caller supplied a table already.
-	if machine.PredictorName() == "selective" && machine.StaticTable == nil {
+	if machine.Predictor == "selective" && machine.StaticTable == nil {
 		machine.StaticTable = predict.BuildStaticTable(p, machine.FACGeometry())
 	}
 	e := emu.New(p)

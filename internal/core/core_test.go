@@ -84,9 +84,15 @@ func TestBadMachineConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.DefaultConfig()
-	cfg.FetchWidth = 0
-	if _, err := Run(p, cfg, 0); err == nil {
-		t.Error("invalid machine config accepted")
+	for i, mut := range []func(*pipeline.Config){
+		func(c *pipeline.Config) { c.FetchWidth = 0 },
+		func(c *pipeline.Config) { c.Predictor = "pcax"; c.PredictorEntries = 1000 },
+		func(c *pipeline.Config) { c.Predictor = "stride"; c.PredictorTagBits = 31 },
+	} {
+		cfg := pipeline.DefaultConfig()
+		mut(&cfg)
+		if _, err := Run(p, cfg, 0); err == nil {
+			t.Errorf("invalid machine config %d accepted", i)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func newChecker(m Machine) *checker {
 		issueCycles: make(map[uint64]bool),
 		stallCycles: make(map[uint64]bool),
 	}
-	if names := predict.SignalNamesFor(m.Cfg.PredictorName()); names != nil {
+	if names := predict.SignalNamesFor(m.Cfg.Predictor); names != nil {
 		c.sigMask = fac.Failure(1)<<len(names) - 1
 	}
 	return c
@@ -241,7 +241,7 @@ func (c *checker) verify(st pipeline.Stats, want streamCounts) error {
 		return fmt.Errorf("event stream saw %d/%d declined loads/stores, stats say %d/%d",
 			c.loadNoPred, c.storeNoPred, st.LoadsNoPredict, st.StoresNoPredict)
 	}
-	pred := c.cfg.PredictorName()
+	pred := c.cfg.Predictor
 	if pred == "" && c.loadSpec+c.storeSpec+c.replays+c.loadNoPred+c.storeNoPred != 0 {
 		return fmt.Errorf("machine without a predictor speculated (%d loads, %d stores, %d replays, %d/%d declined)",
 			c.loadSpec, c.storeSpec, c.replays, c.loadNoPred, c.storeNoPred)

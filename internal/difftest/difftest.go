@@ -65,7 +65,7 @@ func Machines() []Machine {
 	base := shrink(pipeline.DefaultConfig())
 
 	fac32 := base
-	fac32.FAC = true
+	fac32.Predictor = "fac"
 
 	fac16 := fac32
 	fac16.FACGeom = fac.Config{BlockBits: 4, SetBits: 10}
@@ -190,18 +190,19 @@ func CheckImage(p *prog.Program) error {
 	return nil
 }
 
-// emuSource feeds a live emulator to the pipeline, like a production run.
+// emuSource feeds a live emulator to the pipeline the way core's
+// unexported adapter does in a production run.
 type emuSource struct{ e *emu.Emulator }
 
-func (s emuSource) Next() (emu.Trace, bool, error) {
-	if s.e.Halted {
-		return emu.Trace{}, false, nil
+func (s emuSource) NextBatch(buf []emu.Trace) (int, error) {
+	n := 0
+	for n < len(buf) && !s.e.Halted {
+		if err := s.e.StepInto(&buf[n]); err != nil {
+			return 0, err
+		}
+		n++
 	}
-	tr, err := s.e.Step()
-	if err != nil {
-		return emu.Trace{}, false, err
-	}
-	return tr, true, nil
+	return n, nil
 }
 
 // Run executes the program on the functional emulator and replays it
@@ -226,7 +227,7 @@ func RunMachines(p *prog.Program, maxInsts uint64, machines []Machine) error {
 	for _, m := range machines {
 		e := emu.New(p)
 		e.MaxInsts = maxInsts
-		if m.Cfg.PredictorName() == "selective" && m.Cfg.StaticTable == nil {
+		if m.Cfg.Predictor == "selective" && m.Cfg.StaticTable == nil {
 			m.Cfg.StaticTable = predict.BuildStaticTable(p, m.Cfg.FACGeometry())
 		}
 		ck := newChecker(m)
@@ -235,7 +236,7 @@ func RunMachines(p *prog.Program, maxInsts uint64, machines []Machine) error {
 		// The static oracle cross-checks per-site outcomes against the
 		// operand-based FAC algebra; history machines (pcax, stride) guess
 		// from past addresses, so only fac-shaped machines are checked.
-		if name := m.Cfg.PredictorName(); name == "fac" || name == "selective" {
+		if name := m.Cfg.Predictor; name == "fac" || name == "selective" {
 			sites = obs.NewSiteCollector()
 			sink = obs.Tee{ck, sites}
 		}

@@ -105,7 +105,7 @@ func TestOracleDetectsCorruption(t *testing.T) {
 	}
 	var facMachines []Machine
 	for _, m := range Machines() {
-		if m.Cfg.FAC {
+		if m.Cfg.Predictor == "fac" {
 			facMachines = append(facMachines, m)
 		}
 	}

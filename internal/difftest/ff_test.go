@@ -66,7 +66,7 @@ func runBoth(t *testing.T, name string, cfg pipeline.Config, stream func() pipel
 // across every oracle machine, replaying the same stream with and without
 // fast-forwarding must produce identical timing, stall accounting, and
 // event streams. Generated traces exercise the trace-replay path; a MiniC
-// program exercises the emulator-backed (batched) path end to end.
+// program exercises the emulator-backed path end to end.
 func TestFastForwardExact(t *testing.T) {
 	seeds := []int64{1, 5, 11}
 	if testing.Short() {
@@ -76,14 +76,14 @@ func TestFastForwardExact(t *testing.T) {
 		for _, seed := range seeds {
 			trs := RandomTrace(rand.New(rand.NewSource(seed)), 3000)
 			runBoth(t, m.Name, m.Cfg, func() pipeline.Source {
-				return &sliceSource{trs: trs}
+				return NewSliceSource(trs)
 			})
 		}
 	}
 }
 
 // TestFastForwardExactProgram runs the whole stack (assembler, emulator,
-// batched trace source) under one generated MiniC program per machine.
+// trace source) under one generated MiniC program per machine.
 func TestFastForwardExactProgram(t *testing.T) {
 	src := RandomMiniC(rand.New(rand.NewSource(42)))
 	p := buildMiniC(t, src, minic.BaseOptions(), prog.DefaultConfig())
@@ -91,50 +91,7 @@ func TestFastForwardExactProgram(t *testing.T) {
 		runBoth(t, m.Name, m.Cfg, func() pipeline.Source {
 			e := emu.New(p)
 			e.MaxInsts = 500_000
-			return emuBatchSource{e}
+			return emuSource{e}
 		})
 	}
-}
-
-// sliceSource replays a recorded trace slice.
-type sliceSource struct {
-	trs []emu.Trace
-	i   int
-}
-
-func (s *sliceSource) Next() (emu.Trace, bool, error) {
-	if s.i >= len(s.trs) {
-		return emu.Trace{}, false, nil
-	}
-	tr := s.trs[s.i]
-	s.i++
-	return tr, true, nil
-}
-
-// emuBatchSource mirrors core's emulator adapter, including the batched
-// path, without importing core (which would cycle).
-type emuBatchSource struct {
-	e *emu.Emulator
-}
-
-func (s emuBatchSource) Next() (emu.Trace, bool, error) {
-	if s.e.Halted {
-		return emu.Trace{}, false, nil
-	}
-	tr, err := s.e.Step()
-	if err != nil {
-		return emu.Trace{}, false, err
-	}
-	return tr, true, nil
-}
-
-func (s emuBatchSource) NextBatch(buf []emu.Trace) (int, error) {
-	n := 0
-	for n < len(buf) && !s.e.Halted {
-		if err := s.e.StepInto(&buf[n]); err != nil {
-			return 0, err
-		}
-		n++
-	}
-	return n, nil
 }

@@ -19,14 +19,11 @@ type SliceSource struct {
 // NewSliceSource returns a pipeline.Source over trs.
 func NewSliceSource(trs []emu.Trace) *SliceSource { return &SliceSource{trs: trs} }
 
-// Next implements pipeline.Source.
-func (s *SliceSource) Next() (emu.Trace, bool, error) {
-	if s.i >= len(s.trs) {
-		return emu.Trace{}, false, nil
-	}
-	tr := s.trs[s.i]
-	s.i++
-	return tr, true, nil
+// NextBatch implements pipeline.Source.
+func (s *SliceSource) NextBatch(buf []emu.Trace) (int, error) {
+	n := copy(buf, s.trs[s.i:])
+	s.i += n
+	return n, nil
 }
 
 // RandomTrace generates a well-formed dynamic instruction stream of n

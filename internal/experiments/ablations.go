@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/fac"
-	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -47,22 +45,19 @@ func (s *Suite) Ablations() (*AblationResult, error) {
 	if err := s.Prefetch(pairs); err != nil {
 		return nil, err
 	}
-
-	geoTag := fac.Config{BlockBits: 5, SetBits: 14, TagAdder: true}
-	geo64 := fac.Config{BlockBits: 6, SetBits: 14}
+	if err := s.PrefetchFunctional(); err != nil {
+		return nil, err
+	}
 
 	res := &AblationResult{}
 	for _, w := range workload.All() {
 		row := AblationRow{Name: w.Name, Class: w.Class}
 
-		p, err := s.Program(w, "base")
+		fr, err := s.Functional(w, "base")
 		if err != nil {
 			return nil, err
 		}
-		prof, _, err := profile.Run(p, s.MaxInsts, Geo16, Geo32, geoTag, geo64)
-		if err != nil {
-			return nil, err
-		}
+		prof := fr.Profile
 		row.LoadFail16 = prof.LoadFailRate(0)
 		row.LoadFail32 = prof.LoadFailRate(1)
 		row.LoadFailOR = prof.LoadFailRate(1)

@@ -31,15 +31,15 @@ func TestMachineConfigsValid(t *testing.T) {
 
 func TestMachineConfigKnobs(t *testing.T) {
 	c, _ := MachineConfig(MFAC16)
-	if !c.FAC || c.DCache.BlockSize != 16 || c.SpeculateRegReg {
+	if c.Predictor != "fac" || c.DCache.BlockSize != 16 || c.SpeculateRegReg {
 		t.Errorf("MFAC16 = %+v", c)
 	}
 	c, _ = MachineConfig(MFAC32RR)
-	if !c.FAC || !c.SpeculateRegReg {
+	if c.Predictor != "fac" || !c.SpeculateRegReg {
 		t.Errorf("MFAC32RR = %+v", c)
 	}
 	c, _ = MachineConfig(MOneCycle)
-	if c.LoadLatency != 1 || c.FAC {
+	if c.LoadLatency != 1 || c.Predictor != "" {
 		t.Errorf("MOneCycle = %+v", c)
 	}
 	c, _ = MachineConfig(MFAC32Tag)
@@ -102,9 +102,11 @@ func TestHeadlineResult(t *testing.T) {
 		if hwsw.Cycles >= base.Cycles {
 			t.Errorf("%s: FAC+software did not speed up (%d vs %d)", name, hwsw.Cycles, base.Cycles)
 		}
-		if hwsw.LoadFailRate() > hw.LoadFailRate() {
+		swFail := safeDiv(hwsw.FAC.LoadFails, hwsw.FAC.LoadsSpeculated)
+		hwFail := safeDiv(hw.FAC.LoadFails, hw.FAC.LoadsSpeculated)
+		if swFail > hwFail {
 			t.Errorf("%s: software support increased load failure rate (%.3f vs %.3f)",
-				name, hwsw.LoadFailRate(), hw.LoadFailRate())
+				name, swFail, hwFail)
 		}
 	}
 }
@@ -143,7 +145,7 @@ func TestFigure2Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.IPC()
+		return st.IPC
 	}
 	base, one, perf, both := get(MBase32), get(MOneCycle), get(MPerfect), get(MOnePerfect)
 	if one <= base || perf < base {

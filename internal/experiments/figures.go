@@ -44,7 +44,7 @@ func (s *Suite) Figure2() (*Figure2Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			ipc[i] = st.IPC()
+			ipc[i] = st.IPC
 			if m == MBase32 {
 				weight = float64(st.Cycles)
 			}

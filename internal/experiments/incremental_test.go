@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/depslog"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/simsvc"
 )
@@ -16,7 +17,7 @@ import (
 // runPass runs a fixed two-run grid through a fresh Suite wired to the
 // given cache directory and deps log, and returns the counts plus the
 // encoded report.
-func runPass(t *testing.T, cacheDir, depsPath string) (RunCounts, []byte, pipeline.Stats) {
+func runPass(t *testing.T, cacheDir, depsPath string) (RunCounts, []byte, obs.RunRecord) {
 	t.Helper()
 	c, err := simsvc.OpenDiskCache(cacheDir, 0)
 	if err != nil {
@@ -68,7 +69,7 @@ func TestSuiteIncrementalDeps(t *testing.T) {
 		t.Fatalf("unchanged re-run counts = %+v, want 0 simulated / 2 clean", c2)
 	}
 	if !reflect.DeepEqual(st1, st2) {
-		t.Fatalf("rehydrated stats differ:\n%+v\nvs\n%+v", st1, st2)
+		t.Fatalf("cache-served record differs:\n%+v\nvs\n%+v", st1, st2)
 	}
 	if !bytes.Equal(rep1, rep2) {
 		t.Fatalf("incremental re-run changed report bytes:\n%s\nvs\n%s", rep1, rep2)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/emu"
-	"repro/internal/ltb"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -41,35 +39,14 @@ func (s *Suite) CompareLTB() (*LTBResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := LTBRow{
+		res.Rows = append(res.Rows, LTBRow{
 			Name: w.Name, Class: w.Class,
 			// Geometry index 1 is the 32-byte-block predictor.
-			FACHW: 1 - base.Profile.LoadFailRate(1),
-			FACSW: 1 - opt.Profile.LoadFailRate(1),
-		}
-
-		// Replay the baseline binary through the two LTB variants.
-		p, err := s.Program(w, "base")
-		if err != nil {
-			return nil, err
-		}
-		last := ltb.New(ltb.Config{Entries: 1024})
-		stride := ltb.New(ltb.Config{Entries: 1024, Stride: true})
-		e := emu.New(p)
-		e.MaxInsts = s.MaxInsts
-		for !e.Halted {
-			tr, err := e.Step()
-			if err != nil {
-				return nil, err
-			}
-			if tr.Inst.Op.IsLoad() {
-				last.Access(tr.PC, tr.EffAddr)
-				stride.Access(tr.PC, tr.EffAddr)
-			}
-		}
-		row.LTBLast = last.Accuracy()
-		row.LTBStride = stride.Accuracy()
-		res.Rows = append(res.Rows, row)
+			FACHW:     1 - base.Profile.LoadFailRate(1),
+			FACSW:     1 - opt.Profile.LoadFailRate(1),
+			LTBLast:   base.LTBLast,
+			LTBStride: base.LTBStride,
+		})
 	}
 	return res, nil
 }

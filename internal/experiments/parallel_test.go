@@ -87,7 +87,7 @@ func TestRunParallelAllSucceed(t *testing.T) {
 }
 
 // TestSuiteDiskCache: a second Suite over the same cache directory
-// rehydrates the timing run from disk — identical Stats, byte-identical
+// serves the timing run from disk — identical record, byte-identical
 // report — without re-simulating.
 func TestSuiteDiskCache(t *testing.T) {
 	dir := t.TempDir()
@@ -125,7 +125,7 @@ func TestSuiteDiskCache(t *testing.T) {
 		t.Fatalf("second suite did not hit the disk cache: %+v", st)
 	}
 	if !reflect.DeepEqual(st1, st2) {
-		t.Fatalf("rehydrated stats differ:\n%+v\nvs\n%+v", st1, st2)
+		t.Fatalf("cache-served record differs:\n%+v\nvs\n%+v", st1, st2)
 	}
 	rep2, err := s2.Report("test").Encode()
 	if err != nil {

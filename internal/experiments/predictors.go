@@ -80,9 +80,10 @@ func (s *Suite) ComparePredictors() (*PredictorsResult, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Every grid machine speculates, so the FAC section is present.
 			refs := st.Loads + st.Stores
-			spec := st.LoadsSpeculated + st.StoresSpeculated
-			fails := st.LoadSpecFailed + st.StoreSpecFailed
+			spec := st.FAC.LoadsSpeculated + st.FAC.StoresSpeculated
+			fails := st.FAC.LoadFails + st.FAC.StoreFails
 			row.Cells = append(row.Cells, PredictorCell{
 				Speedup:  float64(base.Cycles) / float64(st.Cycles),
 				Coverage: safeDiv(spec, refs),

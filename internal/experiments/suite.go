@@ -20,7 +20,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/depslog"
+	"repro/internal/emu"
 	"repro/internal/fac"
+	"repro/internal/ltb"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -34,6 +36,11 @@ import (
 var (
 	Geo16 = fac.Config{BlockBits: 4, SetBits: 14}
 	Geo32 = fac.Config{BlockBits: 5, SetBits: 14}
+
+	// The ablations' geometries: Geo32 with the optional tag adder (paper
+	// Section 3.1), and 64-byte blocks.
+	geoTag = fac.Config{BlockBits: 5, SetBits: 14, TagAdder: true}
+	geo64  = fac.Config{BlockBits: 6, SetBits: 14}
 )
 
 // Machine names every simulator configuration used by the experiments.
@@ -76,28 +83,28 @@ func MachineConfig(m Machine) (pipeline.Config, error) {
 		cfg.LoadLatency = 1
 		cfg.PerfectDCache = true
 	case MFAC16:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.DCache.BlockSize = 16
 	case MFAC32:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 	case MFAC16RR:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.DCache.BlockSize = 16
 		cfg.SpeculateRegReg = true
 	case MFAC32RR:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.SpeculateRegReg = true
 	case MFAC32Tag:
-		cfg.FAC = true
-		cfg.FACGeom = fac.Config{BlockBits: 5, SetBits: 14, TagAdder: true}
+		cfg.Predictor = "fac"
+		cfg.FACGeom = geoTag
 	case MFAC32SB4:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.StoreBufferEntries = 4
 	case MFAC32SB64:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.StoreBufferEntries = 64
 	case MFAC32MSHR1:
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		cfg.DCache.MSHRs = 1
 	case MAGI:
 		cfg.AGI = true
@@ -116,10 +123,17 @@ func MachineConfig(m Machine) (pipeline.Config, error) {
 
 // FuncResult caches one functional (profiling) run.
 type FuncResult struct {
+	// Profile measures the geometries Geo16, Geo32, geoTag and geo64, at
+	// indices 0 to 3.
 	Profile *profile.Profile
 	Insts   uint64
 	MemUse  uint64
 	Output  string
+	// LTBLast and LTBStride are the load-address prediction accuracies of
+	// the 1K-entry load target buffer (Golden & Mudge) with the
+	// last-address and stride policies, over the same stream.
+	LTBLast   float64
+	LTBStride float64
 }
 
 // Suite memoizes program builds, functional profiles, and timing runs
@@ -138,12 +152,19 @@ type Suite struct {
 	mu       sync.Mutex
 	programs map[string]*prog.Program
 	funcs    map[string]*FuncResult
-	timings  map[string]pipeline.Stats
-	records  map[string]obs.RunRecord
+	runs     map[string]timingRun
 	disk     *simsvc.DiskCache
 	deps     *depslog.Log
 	remote   *simsvc.Client
 	counts   RunCounts
+}
+
+// timingRun is one memoized timing result. exported reports whether it
+// joins the suite's Report: named machines do, ad-hoc sweep
+// configurations do not.
+type timingRun struct {
+	rec      obs.RunRecord
+	exported bool
 }
 
 // RunCounts is the suite's execution accounting for one process: where
@@ -155,7 +176,7 @@ type RunCounts struct {
 	Simulated int `json:"simulated"`
 	// Remote counts runs served by a remote daemon or fleet coordinator.
 	Remote int `json:"remote"`
-	// CacheHits counts runs rehydrated from the persistent disk cache.
+	// CacheHits counts runs served by the persistent disk cache.
 	CacheHits int `json:"cache_hits"`
 	// DepsClean counts cache hits the deps log had already proven clean.
 	DepsClean int `json:"deps_clean"`
@@ -167,14 +188,13 @@ func NewSuite() *Suite {
 		MaxInsts: simsvc.DefaultMaxInsts,
 		programs: make(map[string]*prog.Program),
 		funcs:    make(map[string]*FuncResult),
-		timings:  make(map[string]pipeline.Stats),
-		records:  make(map[string]obs.RunRecord),
+		runs:     make(map[string]timingRun),
 	}
 }
 
 // SetCache attaches a persistent result cache: timing runs whose
 // content-addressed key (workload, toolchain, machine config, simulator
-// version) is present are rehydrated from disk instead of simulated, and
+// version) is present are served from disk instead of simulated, and
 // fresh runs are written back. The same directory format is shared with
 // the facd daemon.
 func (s *Suite) SetCache(c *simsvc.DiskCache) {
@@ -271,8 +291,10 @@ func (s *Suite) Program(w workload.Workload, tc string) (*prog.Program, error) {
 	return v.(*prog.Program), nil
 }
 
-// Functional profiles a workload (measuring both block geometries) and
-// validates its output. Concurrent callers for the same key share one run.
+// Functional runs a workload once on the emulator and validates its
+// output. The one trace stream feeds every functional measurement: the
+// reference profile over the FuncResult geometries and both load target
+// buffers. Concurrent callers for the same key share one run.
 func (s *Suite) Functional(w workload.Workload, tc string) (*FuncResult, error) {
 	key := w.Name + "|" + tc
 	s.mu.Lock()
@@ -292,14 +314,29 @@ func (s *Suite) Functional(w workload.Workload, tc string) (*FuncResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		prof, e, err := profile.Run(p, s.MaxInsts, Geo16, Geo32)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, tc, err)
+		e := emu.New(p)
+		e.MaxInsts = s.MaxInsts
+		prof := profile.New(Geo16, Geo32, geoTag, geo64)
+		last := ltb.New(ltb.Config{Entries: 1024})
+		stride := ltb.New(ltb.Config{Entries: 1024, Stride: true})
+		var tr emu.Trace
+		for !e.Halted {
+			if err := e.StepInto(&tr); err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", w.Name, tc, err)
+			}
+			prof.Note(tr)
+			if tr.Inst.Op.IsLoad() {
+				last.Access(tr.PC, tr.EffAddr)
+				stride.Access(tr.PC, tr.EffAddr)
+			}
 		}
 		if e.Out.String() != w.Expected {
 			return nil, fmt.Errorf("%s/%s: output %q != expected %q", w.Name, tc, e.Out.String(), w.Expected)
 		}
-		r := &FuncResult{Profile: prof, Insts: e.InstCount, MemUse: e.Mem.Footprint(), Output: e.Out.String()}
+		r := &FuncResult{
+			Profile: &prof.P, Insts: e.InstCount, MemUse: e.Mem.Footprint(), Output: e.Out.String(),
+			LTBLast: last.Accuracy(), LTBStride: stride.Accuracy(),
+		}
 		s.mu.Lock()
 		s.funcs[key] = r
 		s.mu.Unlock()
@@ -311,11 +348,12 @@ func (s *Suite) Functional(w workload.Workload, tc string) (*FuncResult, error) 
 	return v.(*FuncResult), nil
 }
 
-// Timing runs a workload on a machine (with caching and output validation).
-func (s *Suite) Timing(w workload.Workload, tc string, m Machine) (pipeline.Stats, error) {
+// Timing runs a workload on a machine (with caching and output validation)
+// and returns the run's canonical record.
+func (s *Suite) Timing(w workload.Workload, tc string, m Machine) (obs.RunRecord, error) {
 	cfg, err := MachineConfig(m)
 	if err != nil {
-		return pipeline.Stats{}, err
+		return obs.RunRecord{}, err
 	}
 	return s.timing(nil, w, tc, m, cfg, true)
 }
@@ -326,12 +364,12 @@ func (s *Suite) Timing(w workload.Workload, tc string, m Machine) (pipeline.Stat
 // nil ctx disables the checks). record controls whether the run joins the
 // suite's exportable report — named machines do, ad-hoc sweep
 // configurations do not, matching the pre-existing report contents.
-func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Machine, cfg pipeline.Config, record bool) (pipeline.Stats, error) {
+func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Machine, cfg pipeline.Config, record bool) (obs.RunRecord, error) {
 	key := w.Name + "|" + tc + "|" + string(m)
 	s.mu.Lock()
-	if st, ok := s.timings[key]; ok {
+	if r, ok := s.runs[key]; ok {
 		s.mu.Unlock()
-		return st, nil
+		return r.rec, nil
 	}
 	disk := s.disk
 	deps := s.deps
@@ -340,9 +378,9 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 
 	v, shared, err := s.flight.Do("timing|"+key, func() (any, error) {
 		s.mu.Lock()
-		if st, ok := s.timings[key]; ok {
+		if r, ok := s.runs[key]; ok {
 			s.mu.Unlock()
-			return st, nil
+			return r.rec, nil
 		}
 		s.mu.Unlock()
 
@@ -365,9 +403,12 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 				clean = true
 			}
 		}
-		finish := func(st pipeline.Stats, rec obs.RunRecord, bump func(*RunCounts)) {
-			s.memoize(key, st, rec, record)
+		// finish memoizes a finished run. Disk and remote records are
+		// stored verbatim, so a cache hit and a fresh simulation export
+		// the same bytes.
+		finish := func(rec obs.RunRecord, bump func(*RunCounts)) {
 			s.mu.Lock()
+			s.runs[key] = timingRun{rec: rec, exported: record}
 			bump(&s.counts)
 			s.mu.Unlock()
 			if deps != nil && diskKey != "" {
@@ -381,14 +422,13 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		// may have already simulated this exact configuration.
 		if disk != nil && diskKey != "" {
 			if rec, ok := disk.Get(diskKey); ok {
-				st := pipeline.StatsFromRecord(rec)
-				finish(st, rec, func(c *RunCounts) {
+				finish(rec, func(c *RunCounts) {
 					c.CacheHits++
 					if clean {
 						c.DepsClean++
 					}
 				})
-				return st, nil
+				return rec, nil
 			}
 		}
 
@@ -405,12 +445,11 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s/%s: remote: %w", w.Name, tc, m, err)
 			}
-			st := pipeline.StatsFromRecord(rec)
 			if disk != nil && diskKey != "" {
 				disk.Put(diskKey, rec) // share the fetch with future local passes
 			}
-			finish(st, rec, func(c *RunCounts) { c.Remote++ })
-			return st, nil
+			finish(rec, func(c *RunCounts) { c.Remote++ })
+			return rec, nil
 		}
 
 		p, err := s.Program(w, tc)
@@ -428,18 +467,18 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		if disk != nil && diskKey != "" {
 			disk.Put(diskKey, rec) // best effort; a write failure only costs a future re-run
 		}
-		finish(res.Stats, rec, func(c *RunCounts) { c.Simulated++ })
-		return res.Stats, nil
+		finish(rec, func(c *RunCounts) { c.Simulated++ })
+		return rec, nil
 	})
 	if err != nil {
 		// A follower that inherited the leader's cancellation while its own
 		// context is still live can safely retry; here we just surface it.
 		if shared && ctx != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) {
-			return pipeline.Stats{}, fmt.Errorf("%s/%s/%s: deduplicated onto a canceled identical run: %w", w.Name, tc, m, err)
+			return obs.RunRecord{}, fmt.Errorf("%s/%s/%s: deduplicated onto a canceled identical run: %w", w.Name, tc, m, err)
 		}
-		return pipeline.Stats{}, err
+		return obs.RunRecord{}, err
 	}
-	return v.(pipeline.Stats), nil
+	return v.(obs.RunRecord), nil
 }
 
 // runInputs hashes every input a timing run consumes, for the deps log.
@@ -465,18 +504,6 @@ func shaHex(s string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// memoize records a finished timing run. The disk-sourced RunRecord is
-// stored verbatim so a cache hit and a fresh simulation export the same
-// bytes.
-func (s *Suite) memoize(key string, st pipeline.Stats, rec obs.RunRecord, record bool) {
-	s.mu.Lock()
-	s.timings[key] = st
-	if record {
-		s.records[key] = rec
-	}
-	s.mu.Unlock()
-}
-
 // Report collects every timing run performed so far into a sorted,
 // deterministically encodable report. Identical experiment sequences
 // produce byte-identical Report.Encode output regardless of worker
@@ -484,8 +511,10 @@ func (s *Suite) memoize(key string, st pipeline.Stats, rec obs.RunRecord, record
 func (s *Suite) Report(tool string) *obs.Report {
 	rep := obs.NewReport(tool, runtime.Version())
 	s.mu.Lock()
-	for _, r := range s.records {
-		rep.Add(r)
+	for _, r := range s.runs {
+		if r.exported {
+			rep.Add(r.rec)
+		}
 	}
 	s.mu.Unlock()
 	rep.Sort()

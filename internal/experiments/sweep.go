@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -34,7 +35,9 @@ type SweepResult struct {
 func sweepConfig(size int, facOn bool) pipeline.Config {
 	cfg := pipeline.DefaultConfig()
 	cfg.DCache = cache.Config{Size: size, BlockSize: 32, Assoc: 1, MissLatency: 16, MSHRs: 8}
-	cfg.FAC = facOn
+	if facOn {
+		cfg.Predictor = "fac"
+	}
 	return cfg
 }
 
@@ -49,7 +52,7 @@ func sweepMachine(size int, facOn bool) Machine {
 // timingWithConfig is Timing for ad-hoc configurations outside the named
 // machine table. These runs are memoized and disk-cached like named runs
 // but stay out of the exportable report.
-func (s *Suite) timingWithConfig(ctx context.Context, w workload.Workload, tc string, m Machine, cfg pipeline.Config) (pipeline.Stats, error) {
+func (s *Suite) timingWithConfig(ctx context.Context, w workload.Workload, tc string, m Machine, cfg pipeline.Config) (obs.RunRecord, error) {
 	return s.timing(ctx, w, tc, m, cfg, false)
 }
 
@@ -91,7 +94,7 @@ func (s *Suite) CacheSweep() (*SweepResult, error) {
 				return nil, err
 			}
 			row.Speedups = append(row.Speedups, float64(base.Cycles)/float64(facS.Cycles))
-			row.DMiss = append(row.DMiss, base.DCache.MissRatio())
+			row.DMiss = append(row.DMiss, missRatio(base.DCache))
 		}
 		res.Rows = append(res.Rows, row)
 	}

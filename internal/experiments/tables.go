@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -55,6 +56,15 @@ func safeDiv(a, b uint64) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
+}
+
+// missRatio is a run record cache section's miss ratio; a perfect cache
+// has no section and no misses.
+func missRatio(c *obs.CacheRecord) float64 {
+	if c == nil {
+		return 0
+	}
+	return safeDiv(c.Misses, c.Accesses)
 }
 
 // Table renders Table 1 as text.
@@ -120,7 +130,7 @@ func (s *Suite) Table3() (*Table3Result, error) {
 			Name: w.Name, Class: w.Class,
 			Insts: p.Insts, Cycles: tm.Cycles,
 			Loads: p.Loads, Stores: p.Stores,
-			IMiss: tm.ICache.MissRatio(), DMiss: tm.DCache.MissRatio(),
+			IMiss: missRatio(tm.ICache), DMiss: missRatio(tm.DCache),
 			MemUse:     fr.MemUse,
 			LoadFail16: p.LoadFailRate(0), StoreFail16: p.StoreFailRate(0),
 			LoadFail32: p.LoadFailRate(1), StoreFail32: p.StoreFailRate(1),
@@ -205,8 +215,8 @@ func (s *Suite) Table4() (*Table4Result, error) {
 			CyclesChg: rel(optT.Cycles, baseT.Cycles),
 			LoadsChg:  rel(p.Loads, base.Profile.Loads),
 			StoresChg: rel(p.Stores, base.Profile.Stores),
-			IMissChg:  optT.ICache.MissRatio() - baseT.ICache.MissRatio(),
-			DMissChg:  optT.DCache.MissRatio() - baseT.DCache.MissRatio(),
+			IMissChg:  missRatio(optT.ICache) - missRatio(baseT.ICache),
+			DMissChg:  missRatio(optT.DCache) - missRatio(baseT.DCache),
 			DTLBChg:   p.DTLBMissRatio() - base.Profile.DTLBMissRatio(),
 			MemChg:    rel(opt.MemUse, base.MemUse),
 			// Geometry index 1 is the 32-byte-block predictor.
@@ -274,11 +284,13 @@ func (s *Suite) Table6() (*Table6Result, error) {
 	for _, w := range workload.All() {
 		row := Table6Row{Name: w.Name, Class: w.Class}
 		get := func(tc string, m Machine) (float64, error) {
-			st, err := s.Timing(w, tc, m)
+			rec, err := s.Timing(w, tc, m)
 			if err != nil {
 				return 0, err
 			}
-			return st.BandwidthOverhead(), nil
+			// Every Table 6 machine speculates, so the FAC section is
+			// present.
+			return safeDiv(rec.FAC.ExtraAccesses, rec.Loads+rec.Stores), nil
 		}
 		var err error
 		if row.HWRR, err = get("base", MFAC32RR); err != nil {

@@ -74,17 +74,6 @@ func (b *StallBreakdown) FromCounts(c [NumStallCauses]uint64) {
 	b.Drain = c[StallDrain]
 }
 
-// ToCounts inverts FromCounts, rebuilding the pipeline's per-cause
-// counter array (used when rehydrating Stats from a cached RunRecord).
-func (b StallBreakdown) ToCounts(c *[NumStallCauses]uint64) {
-	c[StallFrontend] = b.Frontend
-	c[StallOperand] = b.Operand
-	c[StallUnit] = b.Unit
-	c[StallMemPort] = b.MemPort
-	c[StallStoreBuffer] = b.StoreBuffer
-	c[StallDrain] = b.Drain
-}
-
 // Total sums the categories.
 func (b StallBreakdown) Total() uint64 {
 	return b.Frontend + b.Operand + b.Unit + b.MemPort + b.StoreBuffer + b.Drain
@@ -107,14 +96,6 @@ func (b *FailureBreakdown) FromCounts(c [fac.NumFailureSignals]uint64) {
 	b.GenCarry = c[1]
 	b.LargeNegConst = c[2]
 	b.NegIndexReg = c[3]
-}
-
-// ToCounts inverts FromCounts.
-func (b FailureBreakdown) ToCounts(c *[fac.NumFailureSignals]uint64) {
-	c[0] = b.Overflow
-	c[1] = b.GenCarry
-	c[2] = b.LargeNegConst
-	c[3] = b.NegIndexReg
 }
 
 // FACRecord is the predictor section of a RunRecord, present only when

@@ -92,7 +92,7 @@ func TestAGIAddressUseHazard(t *testing.T) {
 func TestAGIAndFACExclusive(t *testing.T) {
 	cfg := fastCfg()
 	cfg.AGI = true
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	if err := cfg.Validate(); err == nil {
 		t.Error("FAC+AGI config validated")
 	}

@@ -32,13 +32,14 @@ func newLoopSource(iters int) *loopSource {
 	return s
 }
 
-func (s *loopSource) Next() (emu.Trace, bool, error) {
-	if s.i >= 4*s.iters {
-		return emu.Trace{}, false, nil
+func (s *loopSource) NextBatch(buf []emu.Trace) (int, error) {
+	n := 0
+	for n < len(buf) && s.i < 4*s.iters {
+		buf[n] = s.body[s.i&3]
+		s.i++
+		n++
 	}
-	tr := s.body[s.i&3]
-	s.i++
-	return tr, true, nil
+	return n, nil
 }
 
 // TestSteadyStateZeroAllocs gates the hot loop at zero allocations per
@@ -49,7 +50,7 @@ func (s *loopSource) Next() (emu.Trace, bool, error) {
 // heap traffic (queue growth, event boxing, trace copies) fails here.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FAC = true // cover the predictor path too
+	cfg.Predictor = "fac" // cover the predictor path too
 
 	run := func(iters int) float64 {
 		return testing.AllocsPerRun(10, func() {
@@ -76,7 +77,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 func BenchmarkDetachedSink(b *testing.B) {
 	b.ReportAllocs()
 	cfg := DefaultConfig()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(cfg, newLoopSource(2000)); err != nil {
 			b.Fatal(err)
@@ -87,7 +88,7 @@ func BenchmarkDetachedSink(b *testing.B) {
 func BenchmarkAttachedSink(b *testing.B) {
 	b.ReportAllocs()
 	cfg := DefaultConfig()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	var c obs.Counter
 	for i := 0; i < b.N; i++ {
 		if _, err := RunObserved(cfg, newLoopSource(2000), &c); err != nil {

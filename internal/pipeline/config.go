@@ -62,18 +62,15 @@ type Config struct {
 	StoreBufferEntries int
 
 	// Fast address calculation.
-	FAC             bool       // deprecated alias for Predictor: "fac" (kept so existing configs stay byte-identical)
 	FACGeom         fac.Config // predictor geometry (derived from DCache if zero)
 	SpeculateRegReg bool       // speculate register+register-mode accesses (operand-based machines)
 	SpeculateStores bool       // speculate stores (enter buffer in EX)
 
 	// Predictor selects an address-prediction machine from internal/predict
-	// ("fac", "pcax", "stride", "selective"); empty disables speculation
-	// unless the deprecated FAC alias above is set. PredictorEntries and
-	// PredictorTagBits size the table machines (zero selects the package
-	// defaults; PredictorTagBits may be predict.FullTags). The new fields
-	// are omitempty so configs predating the zoo marshal — and therefore
-	// cache-key and deps-log hash — exactly as before.
+	// ("fac" for the paper's machine, "pcax", "stride", "selective"); empty
+	// disables speculation. PredictorEntries and PredictorTagBits size the
+	// table machines (zero selects the package defaults; PredictorTagBits
+	// may be predict.FullTags).
 	Predictor        string `json:",omitempty"`
 	PredictorEntries int    `json:",omitempty"`
 	PredictorTagBits int    `json:",omitempty"`
@@ -97,7 +94,7 @@ type Config struct {
 	// introduces an address-use hazard (an ALU result feeding a base
 	// register costs a bubble) and lengthens the branch resolution path;
 	// callers should also raise MispredictPenalty by one (MachineConfig's
-	// "agi" machine does). Mutually exclusive with FAC.
+	// "agi" machine does). Mutually exclusive with address prediction.
 	AGI bool
 }
 
@@ -130,19 +127,6 @@ func DefaultConfig() Config {
 
 		SpeculateStores: true,
 	}
-}
-
-// PredictorName resolves the configured address-prediction machine:
-// Predictor when set, "fac" under the deprecated FAC alias, "" when the
-// machine does not speculate.
-func (c Config) PredictorName() string {
-	if c.Predictor != "" {
-		return c.Predictor
-	}
-	if c.FAC {
-		return "fac"
-	}
-	return ""
 }
 
 // FACGeometry returns the predictor geometry the simulator will use:
@@ -194,30 +178,34 @@ func (c Config) Validate() error {
 	if c.StoreBufferEntries <= 0 {
 		return fmt.Errorf("pipeline: StoreBufferEntries must be positive")
 	}
-	if c.FAC && c.Predictor != "" && c.Predictor != "fac" {
-		return fmt.Errorf("pipeline: deprecated FAC alias conflicts with Predictor %q", c.Predictor)
-	}
-	if name := c.PredictorName(); name != "" {
-		known := false
-		for _, n := range predict.Names() {
-			if n == name {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("pipeline: unknown predictor %q (have %v)", name, predict.Names())
-		}
-		if name == "fac" || name == "selective" {
-			if err := c.FACGeometry().Validate(); err != nil {
-				return err
-			}
-		}
+	if c.Predictor != "" {
 		if c.AGI {
 			return fmt.Errorf("pipeline: address prediction and AGI are mutually exclusive")
 		}
+		// Constructing the machine checks its name, geometry and table
+		// size exactly as the run will.
+		if _, err := c.newPredictor(); err != nil {
+			return fmt.Errorf("pipeline: %w", err)
+		}
 	}
 	return nil
+}
+
+// newPredictor constructs the configured address-prediction machine.
+func (c Config) newPredictor() (predict.Predictor, error) {
+	static := c.StaticTable
+	if c.Predictor == "selective" && static == nil {
+		// No verdicts supplied (a raw-trace replay with no program
+		// behind it): every site is unknown, so selective degrades to
+		// plain FAC. core.RunCtx bakes the real table from the program.
+		static = &predict.StaticTable{}
+	}
+	return predict.New(c.Predictor, predict.Options{
+		Geom:    c.FACGeometry(),
+		Entries: c.PredictorEntries,
+		TagBits: c.PredictorTagBits,
+		Static:  static,
+	})
 }
 
 // Stats is the result of a timing run.
@@ -264,11 +252,9 @@ type Stats struct {
 	LoadFailKinds  [fac.NumFailureSignals]uint64
 	StoreFailKinds [fac.NumFailureSignals]uint64
 
-	// FACEnabled records whether the run speculated (an address-prediction
-	// machine was active); Predictor names it ("fac" for the paper's
-	// machine, including runs configured through the deprecated alias).
-	FACEnabled bool
-	Predictor  string
+	// Predictor names the address-prediction machine the run speculated
+	// with ("fac" for the paper's machine); empty when it did not.
+	Predictor string
 
 	ICache cache.Stats
 	DCache cache.Stats
@@ -310,7 +296,7 @@ func (s Stats) Record(benchmark, class, toolchain, machine string) obs.RunRecord
 		LoadLatency: s.LoadLatency,
 	}
 	r.Stalls.FromCounts(s.StallCycles)
-	if s.FACEnabled {
+	if s.Predictor != "" {
 		f := &obs.FACRecord{
 			LoadsSpeculated:  s.LoadsSpeculated,
 			LoadFails:        s.LoadSpecFailed,
@@ -318,7 +304,7 @@ func (s Stats) Record(benchmark, class, toolchain, machine string) obs.RunRecord
 			StoreFails:       s.StoreSpecFailed,
 			ExtraAccesses:    s.ExtraAccesses,
 		}
-		if s.Predictor == "" || s.Predictor == "fac" {
+		if s.Predictor == "fac" {
 			// The paper's machine keeps its original encoding — the four
 			// named failure-breakdown fields and nothing else — so records
 			// produced before the predictor zoo stay byte-identical.
@@ -350,68 +336,6 @@ func (s Stats) Record(benchmark, class, toolchain, machine string) obs.RunRecord
 	r.ICache = cacheRec(s.ICache)
 	r.DCache = cacheRec(s.DCache)
 	return r
-}
-
-// StatsFromRecord inverts Stats.Record, rebuilding the timing statistics
-// of a run from its canonical RunRecord. The persistent result cache
-// (internal/simsvc) stores RunRecords on disk; this is how a cache hit
-// rehydrates into the Stats the experiment tables consume. The round trip
-// is exact: StatsFromRecord(s.Record(b, c, t, m)).Record(b, c, t, m)
-// equals s.Record(b, c, t, m) field for field.
-func StatsFromRecord(r obs.RunRecord) Stats {
-	s := Stats{
-		Cycles: r.Cycles,
-		Insts:  r.Insts,
-		Loads:  r.Loads,
-		Stores: r.Stores,
-
-		BranchLookups:     r.BranchLookups,
-		BranchMispredicts: r.BranchMispredicts,
-
-		StoreBufferFullStalls: r.StoreBufFull,
-
-		IssueActiveCycles: r.IssueActiveCycles,
-		LoadLatency:       r.LoadLatency,
-	}
-	r.Stalls.ToCounts(&s.StallCycles)
-	if r.FAC != nil {
-		s.FACEnabled = true
-		s.LoadsSpeculated = r.FAC.LoadsSpeculated
-		s.LoadSpecFailed = r.FAC.LoadFails
-		s.StoresSpeculated = r.FAC.StoresSpeculated
-		s.StoreSpecFailed = r.FAC.StoreFails
-		s.ExtraAccesses = r.FAC.ExtraAccesses
-		if r.FAC.Predictor == "" || r.FAC.Predictor == "fac" {
-			s.Predictor = "fac"
-			r.FAC.LoadFailKinds.ToCounts(&s.LoadFailKinds)
-			r.FAC.StoreFailKinds.ToCounts(&s.StoreFailKinds)
-		} else {
-			s.Predictor = r.FAC.Predictor
-			s.LoadsNoPredict = r.FAC.LoadsNoPredict
-			s.StoresNoPredict = r.FAC.StoresNoPredict
-			names := predict.SignalNamesFor(r.FAC.Predictor)
-			for i, n := range names {
-				s.LoadFailKinds[i] = r.FAC.LoadFailCauses[n]
-				s.StoreFailKinds[i] = r.FAC.StoreFailCauses[n]
-			}
-		}
-	}
-	fromCacheRec := func(cr *obs.CacheRecord) cache.Stats {
-		if cr == nil {
-			return cache.Stats{}
-		}
-		return cache.Stats{
-			Accesses:    cr.Accesses,
-			Misses:      cr.Misses,
-			DelayedHits: cr.DelayedHits,
-			Evictions:   cr.Evictions,
-			Writebacks:  cr.Writebacks,
-			MSHROcc:     cr.MSHROcc,
-		}
-	}
-	s.ICache = fromCacheRec(r.ICache)
-	s.DCache = fromCacheRec(r.DCache)
-	return s
 }
 
 // IPC returns instructions per cycle.

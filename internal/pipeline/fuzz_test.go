@@ -35,10 +35,10 @@ func TestRandomTraceInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	configs := []func() pipeline.Config{
 		fastConfig,
-		func() pipeline.Config { c := fastConfig(); c.FAC = true; return c },
-		func() pipeline.Config { c := fastConfig(); c.FAC = true; c.SpeculateRegReg = true; return c },
+		func() pipeline.Config { c := fastConfig(); c.Predictor = "fac"; return c },
+		func() pipeline.Config { c := fastConfig(); c.Predictor = "fac"; c.SpeculateRegReg = true; return c },
 		pipeline.DefaultConfig,
-		func() pipeline.Config { c := pipeline.DefaultConfig(); c.FAC = true; return c },
+		func() pipeline.Config { c := pipeline.DefaultConfig(); c.Predictor = "fac"; return c },
 		func() pipeline.Config { c := fastConfig(); c.AGI = true; return c },
 		func() pipeline.Config { c := fastConfig(); c.LoadLatency = 1; return c },
 	}
@@ -68,7 +68,7 @@ func TestRandomTraceInvariants(t *testing.T) {
 				t.Fatalf("trial %d config %d: extra accesses %d != failed speculations %d+%d",
 					trial, ci, st.ExtraAccesses, st.LoadSpecFailed, st.StoreSpecFailed)
 			}
-			if !cfg.FAC && (st.LoadsSpeculated != 0 || st.StoresSpeculated != 0) {
+			if cfg.Predictor == "" && (st.LoadsSpeculated != 0 || st.StoresSpeculated != 0) {
 				t.Fatalf("trial %d config %d: speculation without FAC", trial, ci)
 			}
 		}
@@ -101,7 +101,7 @@ func TestFACNeverCatastrophic(t *testing.T) {
 		trs := difftest.RandomTrace(r, 400)
 		base := mustRunExt(t, fastConfig(), trs)
 		cfg := fastConfig()
-		cfg.FAC = true
+		cfg.Predictor = "fac"
 		facStats := mustRunExt(t, cfg, trs)
 		if float64(facStats.Cycles) > 1.20*float64(base.Cycles)+4 {
 			t.Fatalf("trial %d: FAC %d cycles vs baseline %d (degradation beyond bound)",

@@ -43,9 +43,9 @@ func obsTraces() []emu.Trace {
 // TestObservationDoesNotPerturbTiming: attaching a sink must leave every
 // statistic identical to an unobserved run.
 func TestObservationDoesNotPerturbTiming(t *testing.T) {
-	for _, fac := range []bool{false, true} {
+	for _, pred := range []string{"", "fac"} {
 		cfg := DefaultConfig()
-		cfg.FAC = fac
+		cfg.Predictor = pred
 		plain, err := Run(cfg, &sliceSource{trs: obsTraces()})
 		if err != nil {
 			t.Fatal(err)
@@ -56,10 +56,10 @@ func TestObservationDoesNotPerturbTiming(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain, observed) {
-			t.Fatalf("fac=%v: observed run differs:\n%+v\nvs\n%+v", fac, plain, observed)
+			t.Fatalf("predictor %q: observed run differs:\n%+v\nvs\n%+v", pred, plain, observed)
 		}
 		if sink.Total() == 0 {
-			t.Fatalf("fac=%v: sink received no events", fac)
+			t.Fatalf("predictor %q: sink received no events", pred)
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestObservationDoesNotPerturbTiming(t *testing.T) {
 // aggregate statistics of the same run.
 func TestEventStreamMatchesStats(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	sink := &countSink{}
 	st, err := RunObserved(cfg, &sliceSource{trs: obsTraces()}, sink)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestLoadLatencyHistogram(t *testing.T) {
 // record export carries the breakdown.
 func TestFailureKindCounters(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	st, err := Run(cfg, &sliceSource{trs: obsTraces()})
 	if err != nil {
 		t.Fatal(err)

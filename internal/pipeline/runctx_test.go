@@ -18,14 +18,16 @@ type endlessSource struct {
 	pc uint32
 }
 
-func (s *endlessSource) Next() (emu.Trace, bool, error) {
-	tr := emu.Trace{
-		PC:     s.pc,
-		Inst:   isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs: isa.T1, Rt: isa.T2},
-		NextPC: s.pc + isa.InstBytes,
+func (s *endlessSource) NextBatch(buf []emu.Trace) (int, error) {
+	for i := range buf {
+		buf[i] = emu.Trace{
+			PC:     s.pc,
+			Inst:   isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs: isa.T1, Rt: isa.T2},
+			NextPC: s.pc + isa.InstBytes,
+		}
+		s.pc += isa.InstBytes
 	}
-	s.pc += isa.InstBytes
-	return tr, true, nil
+	return len(buf), nil
 }
 
 // TestRunCtxNilMatchesRun: a background-style nil context changes nothing
@@ -92,102 +94,81 @@ func TestRunCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestStatsRecordRoundtrip: StatsFromRecord is an exact inverse of
-// Stats.Record over a fully populated Stats, including FAC and cache
-// sections — the invariant the persistent result cache depends on.
-func TestStatsRecordRoundtrip(t *testing.T) {
+// TestStatsRecordEncoding: Record keeps the paper's machine on the legacy
+// encoding (the four named failure-breakdown fields, no predictor name),
+// copies the cache sections, and gives a plain run no FAC or cache
+// sections at all.
+func TestStatsRecordEncoding(t *testing.T) {
 	var s Stats
 	s.Cycles, s.Insts, s.Loads, s.Stores = 1000, 900, 200, 100
 	s.LoadsSpeculated, s.StoresSpeculated = 150, 80
 	s.LoadSpecFailed, s.StoreSpecFailed = 12, 5
 	s.ExtraAccesses = 17
-	s.BranchLookups, s.BranchMispredicts = 60, 7
-	s.StoreBufferFullStalls = 3
-	s.IssueActiveCycles = 700
 	for i := range s.StallCycles {
 		s.StallCycles[i] = uint64(10 + i)
-	}
-	for i := 0; i < 40; i++ {
-		s.LoadLatency.Add(uint64(i % 37))
 	}
 	for i := range s.LoadFailKinds {
 		s.LoadFailKinds[i] = uint64(2 + i)
 		s.StoreFailKinds[i] = uint64(5 + i)
 	}
-	s.FACEnabled = true
-	s.Predictor = "fac" // the simulator's resolved name for FAC runs
+	s.Predictor = "fac"
 	s.ICache.Accesses, s.ICache.Misses = 500, 20
-	s.ICache.DelayedHits, s.ICache.Evictions, s.ICache.Writebacks = 4, 19, 6
 	s.DCache.Accesses, s.DCache.Misses = 300, 30
-	s.DCache.DelayedHits, s.DCache.Evictions, s.DCache.Writebacks = 8, 29, 11
 	for i := 0; i < 10; i++ {
 		s.DCache.MSHROcc.Add(uint64(i % 4))
 	}
 
 	rec := s.Record("bench", "int", "fac", "fac32")
-	back := StatsFromRecord(rec)
-	if !reflect.DeepEqual(s, back) {
-		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", back, s)
+	want := &obs.FACRecord{
+		LoadsSpeculated: 150, LoadFails: 12, StoresSpeculated: 80, StoreFails: 5, ExtraAccesses: 17,
+		LoadFailKinds:  obs.FailureBreakdown{Overflow: 2, GenCarry: 3, LargeNegConst: 4, NegIndexReg: 5},
+		StoreFailKinds: obs.FailureBreakdown{Overflow: 5, GenCarry: 6, LargeNegConst: 7, NegIndexReg: 8},
 	}
-	rec2 := back.Record("bench", "int", "fac", "fac32")
-	if !reflect.DeepEqual(rec, rec2) {
-		t.Fatalf("record re-encode mismatch:\n got %+v\nwant %+v", rec2, rec)
+	if !reflect.DeepEqual(rec.FAC, want) {
+		t.Fatalf("fac section:\n got %+v\nwant %+v", rec.FAC, want)
+	}
+	if rec.StallCyclesTotal != s.StallTotal() || rec.Stalls.Total() != s.StallTotal() {
+		t.Fatalf("stall total %d, breakdown %d, want %d", rec.StallCyclesTotal, rec.Stalls.Total(), s.StallTotal())
+	}
+	if rec.ICache == nil || rec.ICache.Misses != 20 || rec.DCache == nil || rec.DCache.MSHROcc != s.DCache.MSHROcc {
+		t.Fatalf("cache sections: %+v %+v", rec.ICache, rec.DCache)
 	}
 
-	// A run without FAC or caches roundtrips to zero-valued sections.
 	var plain Stats
 	plain.Cycles, plain.Insts = 10, 5
 	prec := plain.Record("b", "int", "base", "base32")
 	if prec.FAC != nil || prec.ICache != nil || prec.DCache != nil {
 		t.Fatalf("plain record grew sections: %+v", prec)
 	}
-	if got := StatsFromRecord(prec); !reflect.DeepEqual(plain, got) {
-		t.Fatalf("plain roundtrip mismatch: %+v", got)
-	}
-
-	// Records that crossed the disk (JSON) roundtrip identically too —
-	// obs.Hist trims trailing buckets in its encoding.
-	if obs.RunRecordSchema == "" {
-		t.Fatal("schema constant empty")
-	}
 }
 
-// TestStatsRecordRoundtripPredictor: a run under a zoo machine (named
-// failure causes instead of the legacy fixed-slot breakdown, no-predict
-// counters) survives Record → StatsFromRecord → Record unchanged.
-func TestStatsRecordRoundtripPredictor(t *testing.T) {
+// TestStatsRecordEncodingPredictor: a zoo machine's record names the
+// machine, carries the no-predict counters and name-keyed failure causes,
+// and leaves the legacy fixed-slot breakdown empty.
+func TestStatsRecordEncodingPredictor(t *testing.T) {
 	var s Stats
 	s.Cycles, s.Insts, s.Loads, s.Stores = 500, 400, 100, 50
 	s.LoadsSpeculated, s.StoresSpeculated = 60, 20
 	s.LoadSpecFailed, s.StoreSpecFailed = 30, 4
 	s.LoadsNoPredict, s.StoresNoPredict = 12, 7
-	s.ExtraAccesses = 34
-	s.IssueActiveCycles = 300
-	s.FACEnabled = true
 	s.Predictor = "stride"
 	s.LoadFailKinds[0] = 25 // lastaddr
 	s.LoadFailKinds[1] = 5  // stridebreak
 	s.StoreFailKinds[0] = 4
-	for i := 0; i < 20; i++ {
-		s.LoadLatency.Add(uint64(i % 5))
-	}
 
 	rec := s.Record("bench", "int", "stride", "stride")
 	if rec.FAC == nil || rec.FAC.Predictor != "stride" {
 		t.Fatalf("zoo record lacks predictor name: %+v", rec.FAC)
 	}
-	if rec.FAC.LoadFailCauses["lastaddr"] != 25 || rec.FAC.LoadFailCauses["stridebreak"] != 5 {
-		t.Fatalf("named failure causes wrong: %+v", rec.FAC.LoadFailCauses)
+	if rec.FAC.LoadsNoPredict != 12 || rec.FAC.StoresNoPredict != 7 {
+		t.Fatalf("no-predict counters wrong: %+v", rec.FAC)
+	}
+	wantLoad := map[string]uint64{"lastaddr": 25, "stridebreak": 5}
+	wantStore := map[string]uint64{"lastaddr": 4}
+	if !reflect.DeepEqual(rec.FAC.LoadFailCauses, wantLoad) || !reflect.DeepEqual(rec.FAC.StoreFailCauses, wantStore) {
+		t.Fatalf("named failure causes wrong: %+v / %+v", rec.FAC.LoadFailCauses, rec.FAC.StoreFailCauses)
 	}
 	if rec.FAC.LoadFailKinds != (obs.FailureBreakdown{}) || rec.FAC.StoreFailKinds != (obs.FailureBreakdown{}) {
 		t.Fatalf("zoo record must not use the legacy fixed-slot breakdown: %+v", rec.FAC)
-	}
-	back := StatsFromRecord(rec)
-	if !reflect.DeepEqual(s, back) {
-		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", back, s)
-	}
-	rec2 := back.Record("bench", "int", "stride", "stride")
-	if !reflect.DeepEqual(rec, rec2) {
-		t.Fatalf("record re-encode mismatch:\n got %+v\nwant %+v", rec2, rec)
 	}
 }

@@ -14,23 +14,17 @@ import (
 	"repro/internal/predict"
 )
 
-// Source supplies the dynamic instruction stream in program order. Next
-// returns false when the program has finished.
-type Source interface {
-	Next() (emu.Trace, bool, error)
-}
-
-// BatchSource is an optional refinement of Source: NextBatch fills buf
-// with as many traces as remain (up to len(buf)) and returns the count,
-// 0 at end of stream. Sources that implement it (core's emulator
-// adapter) are pulled in bulk, amortizing the per-instruction interface
-// call; the producer may run up to one batch ahead of the timing model,
+// Source supplies the dynamic instruction stream in program order.
+// NextBatch fills buf with as many traces as remain (up to len(buf)) and
+// returns the count, 0 at end of stream. Pulling in bulk amortizes the
+// per-instruction interface call and lets an emulator write each trace in
+// place; the producer may run up to one batch ahead of the timing model,
 // which is safe because the stream is trace-driven and replayed as-is.
-type BatchSource interface {
+type Source interface {
 	NextBatch(buf []emu.Trace) (int, error)
 }
 
-// batchSize is the trace buffer length used with a BatchSource.
+// batchSize is the trace buffer length.
 const batchSize = 256
 
 // ringBits sizes the per-cycle cache-port reservation ring. Reservations
@@ -42,7 +36,6 @@ type sim struct {
 	pred    predict.Predictor // nil = no address prediction
 	opBased bool              // pred.OperandBased() (hoisted off the hot path)
 	src     Source
-	bsrc    BatchSource     // non-nil when src implements BatchSource
 	ctx     context.Context // nil = cancellation disabled
 
 	icache *cache.Cache
@@ -185,33 +178,15 @@ func RunCtx(ctx context.Context, cfg Config, src Source, sink obs.Sink) (Stats, 
 	s := &sim{cfg: cfg, src: src, ctx: ctx, btb: bpred.New(cfg.BTBEntries), sink: sink}
 	s.pending = make([]qent, 2*cfg.FetchWidth+cfg.IssueWidth)
 	s.storeBuf = make([]storeEnt, cfg.StoreBufferEntries)
-	if bs, ok := src.(BatchSource); ok {
-		s.bsrc = bs
-		s.batch = make([]emu.Trace, batchSize)
-	} else {
-		s.batch = make([]emu.Trace, 1)
-	}
-	if name := cfg.PredictorName(); name != "" {
-		static := cfg.StaticTable
-		if name == "selective" && static == nil {
-			// No verdicts supplied (a raw-trace replay with no program
-			// behind it): every site is unknown, so selective degrades to
-			// plain FAC. core.RunCtx bakes the real table from the program.
-			static = &predict.StaticTable{}
-		}
-		p, err := predict.New(name, predict.Options{
-			Geom:    cfg.FACGeometry(),
-			Entries: cfg.PredictorEntries,
-			TagBits: cfg.PredictorTagBits,
-			Static:  static,
-		})
+	s.batch = make([]emu.Trace, batchSize)
+	if cfg.Predictor != "" {
+		p, err := cfg.newPredictor()
 		if err != nil {
 			return Stats{}, fmt.Errorf("pipeline: %w", err)
 		}
 		s.pred = p
 		s.opBased = p.OperandBased()
-		s.stats.FACEnabled = true
-		s.stats.Predictor = name
+		s.stats.Predictor = cfg.Predictor
 	}
 	if !cfg.PerfectICache {
 		s.icache = cache.New(cfg.ICache)
@@ -396,28 +371,15 @@ func (s *sim) peekTrace() (*emu.Trace, error) {
 	if s.srcDone {
 		return nil, nil
 	}
-	if s.bsrc != nil {
-		n, err := s.bsrc.NextBatch(s.batch)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			s.srcDone = true
-			return nil, nil
-		}
-		s.batchPos, s.batchLen = 0, n
-		return &s.batch[0], nil
-	}
-	tr, ok, err := s.src.Next()
+	n, err := s.src.NextBatch(s.batch)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
+	if n == 0 {
 		s.srcDone = true
 		return nil, nil
 	}
-	s.batch[0] = tr
-	s.batchPos, s.batchLen = 0, 1
+	s.batchPos, s.batchLen = 0, n
 	return &s.batch[0], nil
 }
 

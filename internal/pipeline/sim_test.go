@@ -12,13 +12,10 @@ type sliceSource struct {
 	i   int
 }
 
-func (s *sliceSource) Next() (emu.Trace, bool, error) {
-	if s.i >= len(s.trs) {
-		return emu.Trace{}, false, nil
-	}
-	tr := s.trs[s.i]
-	s.i++
-	return tr, true, nil
+func (s *sliceSource) NextBatch(buf []emu.Trace) (int, error) {
+	n := copy(buf, s.trs[s.i:])
+	s.i += n
+	return n, nil
 }
 
 // seq builds a contiguous straight-line trace starting at pc 0x400000.
@@ -74,7 +71,7 @@ func TestFigure1LoadUseStall(t *testing.T) {
 	base := mustRun(t, fastCfg(), mk())
 
 	cfgFAC := fastCfg()
-	cfgFAC.FAC = true
+	cfgFAC.Predictor = "fac"
 	// PerfectDCache drops the cache model but the predictor still runs.
 	withFAC := mustRun(t, cfgFAC, mk())
 
@@ -189,7 +186,7 @@ func TestFACMispredictReplay(t *testing.T) {
 		return trs
 	}
 	cfg := fastCfg()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	st := mustRun(t, cfg, mk())
 	if st.LoadSpecFailed != 1 || st.ExtraAccesses != 1 {
 		t.Errorf("stats = %+v, want 1 failed speculation", st)
@@ -219,7 +216,7 @@ func TestPostMispredictRule(t *testing.T) {
 		return trs
 	}
 	cfg := fastCfg()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 
 	// The load mispredicts at its issue cycle n. The dependent add issues
 	// at n+2 (replay latency), and the second access at n+2 as well — past
@@ -410,7 +407,7 @@ func TestRegRegSpeculationSwitch(t *testing.T) {
 		return trs
 	}
 	cfg := fastCfg()
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	st := mustRun(t, cfg, mk())
 	if st.LoadsSpeculated != 0 {
 		t.Error("reg+reg speculated despite SpeculateRegReg=false")
@@ -427,7 +424,7 @@ func TestRegRegSpeculationSwitch(t *testing.T) {
 func TestFACStoreMispredictKeepsCorrectAddress(t *testing.T) {
 	cfg := fastCfg()
 	cfg.PerfectDCache = false
-	cfg.FAC = true
+	cfg.Predictor = "fac"
 	trs := seq(isa.Inst{Op: isa.SW, Rt: isa.T0, Rs: isa.T1, Imm: 364})
 	setMem(&trs[0], 0x7fff5b84, 364, false) // mispredicts
 	st := mustRun(t, cfg, trs)
@@ -449,6 +446,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.DCacheReadsPerCycle = 0 },
 		func(c *Config) { c.StoreBufferEntries = 0 },
 		func(c *Config) { c.ICache.BlockSize = 33 },
+		func(c *Config) { c.Predictor = "pcax"; c.PredictorEntries = 1000 },
+		func(c *Config) { c.Predictor = "stride"; c.PredictorTagBits = 31 },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig()

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"repro/internal/fac"
+	"repro/internal/ltb"
 )
 
 // Result is one prediction, made at issue time.
@@ -114,6 +115,16 @@ func (o Options) tagBits() uint {
 	}
 }
 
+// table builds a table machine's storage, rejecting sizes internal/ltb
+// cannot index.
+func (o Options) table(stride bool) (*ltb.Predictor, error) {
+	cfg := ltb.Config{Entries: o.entries(), Stride: stride, TagBits: o.tagBits()}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return ltb.New(cfg), nil
+}
+
 // Names lists the registered machines in presentation order.
 func Names() []string {
 	return []string{"fac", "pcax", "stride", "selective"}
@@ -146,9 +157,17 @@ func New(name string, o Options) (Predictor, error) {
 		}
 		return &facMachine{geom: o.Geom}, nil
 	case "pcax":
-		return newPCAX(o), nil
+		tbl, err := o.table(false)
+		if err != nil {
+			return nil, err
+		}
+		return &pcaxMachine{tbl: tbl}, nil
 	case "stride":
-		return newStride(o), nil
+		tbl, err := o.table(true)
+		if err != nil {
+			return nil, err
+		}
+		return &strideMachine{tbl: tbl}, nil
 	case "selective":
 		if err := o.Geom.Validate(); err != nil {
 			return nil, err

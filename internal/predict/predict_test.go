@@ -221,3 +221,19 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("unknown machine must have nil signal names")
 	}
 }
+
+// TestTableSizeRejected: a table size internal/ltb cannot index is an
+// error from New, not a panic.
+func TestTableSizeRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		o    Options
+	}{
+		{"pcax", Options{Entries: 1000}},
+		{"stride", Options{TagBits: 31}},
+	} {
+		if _, err := New(c.name, c.o); err == nil {
+			t.Errorf("New(%q, %+v) accepted", c.name, c.o)
+		}
+	}
+}

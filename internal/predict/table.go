@@ -21,10 +21,6 @@ type pcaxMachine struct {
 	tbl *ltb.Predictor
 }
 
-func newPCAX(o Options) *pcaxMachine {
-	return &pcaxMachine{tbl: ltb.New(ltb.Config{Entries: o.entries(), TagBits: o.tagBits()})}
-}
-
 // pcaxSignals: slot 0 is charged whenever verification finds the
 // last-address guess wrong.
 var pcaxSignals = []string{"wrongaddr"}
@@ -49,10 +45,6 @@ func (m *pcaxMachine) Train(pc, actual uint32) { m.tbl.Update(pc, actual) }
 // separates "the stride broke" from "the cold last-address guess missed".
 type strideMachine struct {
 	tbl *ltb.Predictor
-}
-
-func newStride(o Options) *strideMachine {
-	return &strideMachine{tbl: ltb.New(ltb.Config{Entries: o.entries(), Stride: true, TagBits: o.tagBits()})}
 }
 
 var strideSignals = []string{"lastaddr", "stridebreak"}

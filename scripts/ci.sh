@@ -7,6 +7,12 @@
 #                                    scripts/lint: map-iteration-order
 #                                    determinism in the emitting packages)
 #   go test ./...             ~60s  (dominated by internal/experiments)
+#   perfbench                  ~6s  (go vet + go test in the nested
+#                                    perfbench module, which the root
+#                                    ./... patterns skip: keeps the APIs it
+#                                    calls compiling, and its non-short tests
+#                                    check sim and service RunRecord digests
+#                                    against perfbench/goldens.json)
 #   go test -race -short      ~4m   (full suite under the race detector;
 #                                    -short trims the experiment sweeps and
 #                                    difftest seed counts, which -race would
@@ -72,6 +78,9 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== perfbench =="
+(cd perfbench && go vet ./... && go test -count=1 ./...)
 
 echo "== go test -race (short) =="
 go test -race -short ./...
