@@ -14,9 +14,9 @@
 //	experiments -diff old.json new.json  # compare two exported reports and
 //	                                 #   print cycle/IPC regressions
 //	experiments -cache ~/.fac-cache  # reuse (and extend) a persistent result
-//	                                 #   cache shared with the facd daemon
-//	experiments -cache d -deps d/deps.jsonl  # incremental: a re-run with
-//	                                 #   unchanged inputs re-simulates nothing
+//	                                 #   cache shared with the facd daemon; a
+//	                                 #   re-run with unchanged inputs
+//	                                 #   re-simulates nothing
 //	experiments -remote http://host:8080     # run the grid on a daemon or
 //	                                 #   fleet coordinator instead of locally
 package main
@@ -27,7 +27,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/depslog"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/simsvc"
@@ -52,7 +51,6 @@ func main() {
 		tol      = flag.Float64("tolerance", 0.005, "relative change reported by -diff")
 		cacheDir = flag.String("cache", "", "persistent result cache directory (shared with the facd daemon)")
 		cacheMax = flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries beyond this size (0 = unbounded)")
-		depsPath = flag.String("deps", "", "ninja-style dependency log for incremental re-runs (records input hashes; reports the clean/dirty split)")
 		remote   = flag.String("remote", "", "run named-machine simulations on this facd daemon or fleet coordinator URL instead of locally")
 		token    = flag.String("token", "", "bearer token for -remote")
 	)
@@ -75,15 +73,6 @@ func main() {
 			os.Exit(1)
 		}
 		s.SetCache(dc)
-	}
-	if *depsPath != "" {
-		dl, err := depslog.Open(*depsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "deps log open failed:", err)
-			os.Exit(1)
-		}
-		defer dl.Close()
-		s.SetDeps(dl)
 	}
 	if *remote != "" {
 		s.SetRemote(&simsvc.Client{Base: *remote, Token: *token})
@@ -210,11 +199,10 @@ func main() {
 		fmt.Printf("[result cache %s: %d entries, %d hits / %d misses (%.0f%% hit rate)]\n",
 			st.Dir, st.Entries, st.Hits, st.Misses, 100*st.HitRate())
 	}
-	// The incremental-rebuild proof line: an unchanged re-run with -deps
-	// prints simulated=0 with every run deps-clean.
-	if c := s.Counts(); *depsPath != "" || *remote != "" {
-		fmt.Printf("[runs: simulated=%d remote=%d cache-hits=%d deps-clean=%d]\n",
-			c.Simulated, c.Remote, c.CacheHits, c.DepsClean)
+	// The incremental-rebuild proof line: an unchanged re-run with -cache
+	// prints simulated=0 with every run a cache hit.
+	if c := s.Counts(); *cacheDir != "" || *remote != "" {
+		fmt.Printf("[runs: simulated=%d remote=%d cache-hits=%d]\n", c.Simulated, c.Remote, c.CacheHits)
 	}
 }
 

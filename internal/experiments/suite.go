@@ -9,17 +9,12 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/depslog"
 	"repro/internal/emu"
 	"repro/internal/fac"
 	"repro/internal/ltb"
@@ -154,7 +149,6 @@ type Suite struct {
 	funcs    map[string]*FuncResult
 	runs     map[string]timingRun
 	disk     *simsvc.DiskCache
-	deps     *depslog.Log
 	remote   *simsvc.Client
 	counts   RunCounts
 }
@@ -168,9 +162,9 @@ type timingRun struct {
 }
 
 // RunCounts is the suite's execution accounting for one process: where
-// each timing run's result actually came from. DepsClean counts runs the
-// deps log proved unchanged (and the cache then served) — an unchanged
-// grid re-run reports Simulated == 0 with DepsClean == everything.
+// each timing run's result actually came from. An unchanged grid re-run
+// over a persistent cache reports Simulated == 0 with every run a cache
+// hit.
 type RunCounts struct {
 	// Simulated counts fresh local simulations.
 	Simulated int `json:"simulated"`
@@ -178,8 +172,6 @@ type RunCounts struct {
 	Remote int `json:"remote"`
 	// CacheHits counts runs served by the persistent disk cache.
 	CacheHits int `json:"cache_hits"`
-	// DepsClean counts cache hits the deps log had already proven clean.
-	DepsClean int `json:"deps_clean"`
 }
 
 // NewSuite creates an experiment suite.
@@ -200,17 +192,6 @@ func NewSuite() *Suite {
 func (s *Suite) SetCache(c *simsvc.DiskCache) {
 	s.mu.Lock()
 	s.disk = c
-	s.mu.Unlock()
-}
-
-// SetDeps attaches a dependency log: every build and timing run records
-// its input hashes, and a run whose recorded inputs are unchanged is
-// counted clean instead of dirty when the cache serves it. The log is
-// what turns "the cache happened to hit" into "nothing needed to run":
-// cmd/experiments -deps reports the clean/dirty split after each pass.
-func (s *Suite) SetDeps(l *depslog.Log) {
-	s.mu.Lock()
-	s.deps = l
 	s.mu.Unlock()
 }
 
@@ -274,15 +255,7 @@ func (s *Suite) Program(w workload.Workload, tc string) (*prog.Program, error) {
 		}
 		s.mu.Lock()
 		s.programs[key] = p
-		deps := s.deps
 		s.mu.Unlock()
-		if deps != nil {
-			// Build nodes complete the source → binary → run chain in the
-			// log. The build is a pure function of its inputs, so the
-			// output id is content-derived too.
-			in := map[string]string{"source": shaHex(w.Source), "toolchain": tc}
-			_ = deps.Record("build|"+key, in, shaHex(w.Source+"|"+tc))
-		}
 		return p, nil
 	})
 	if err != nil {
@@ -372,7 +345,6 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		return r.rec, nil
 	}
 	disk := s.disk
-	deps := s.deps
 	remote := s.remote
 	s.mu.Unlock()
 
@@ -385,22 +357,9 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		s.mu.Unlock()
 
 		var diskKey string
-		if disk != nil || deps != nil {
+		if disk != nil {
 			if k, err := simsvc.CacheKey(w, tc, string(m), cfg, s.MaxInsts); err == nil {
 				diskKey = k
-			}
-		}
-		node := "run|" + key
-		var inputs map[string]string
-		clean := false
-		if deps != nil && diskKey != "" {
-			inputs = runInputs(w, tc, m, cfg, s.MaxInsts)
-			// Clean means: this node last ran with exactly these input
-			// hashes and produced exactly this cache key. The result still
-			// has to come from the cache — a clean node whose entry was
-			// evicted is re-executed (and the accounting shows it).
-			if out, ok := deps.Clean(node, inputs); ok && out == diskKey {
-				clean = true
 			}
 		}
 		// finish memoizes a finished run. Disk and remote records are
@@ -411,23 +370,13 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 			s.runs[key] = timingRun{rec: rec, exported: record}
 			bump(&s.counts)
 			s.mu.Unlock()
-			if deps != nil && diskKey != "" {
-				// Best effort: a lost deps entry only costs a "dirty" verdict
-				// (and a cache probe) next run.
-				_ = deps.Record(node, inputs, diskKey)
-			}
 		}
 
 		// Persistent cache: a prior process (this tool or the facd daemon)
 		// may have already simulated this exact configuration.
-		if disk != nil && diskKey != "" {
+		if diskKey != "" {
 			if rec, ok := disk.Get(diskKey); ok {
-				finish(rec, func(c *RunCounts) {
-					c.CacheHits++
-					if clean {
-						c.DepsClean++
-					}
-				})
+				finish(rec, func(c *RunCounts) { c.CacheHits++ })
 				return rec, nil
 			}
 		}
@@ -445,7 +394,7 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s/%s: remote: %w", w.Name, tc, m, err)
 			}
-			if disk != nil && diskKey != "" {
+			if diskKey != "" {
 				disk.Put(diskKey, rec) // share the fetch with future local passes
 			}
 			finish(rec, func(c *RunCounts) { c.Remote++ })
@@ -464,7 +413,7 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 			return nil, fmt.Errorf("%s/%s/%s: output %q != expected %q", w.Name, tc, m, res.Output, w.Expected)
 		}
 		rec := res.Stats.Record(w.Name, w.Class.String(), tc, string(m))
-		if disk != nil && diskKey != "" {
+		if diskKey != "" {
 			disk.Put(diskKey, rec) // best effort; a write failure only costs a future re-run
 		}
 		finish(rec, func(c *RunCounts) { c.Simulated++ })
@@ -479,29 +428,6 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		return obs.RunRecord{}, err
 	}
 	return v.(obs.RunRecord), nil
-}
-
-// runInputs hashes every input a timing run consumes, for the deps log.
-// The set mirrors simsvc's cacheKeyDoc: if any hash here changes, the
-// run's cache key changes too, so clean verdicts and cache hits can
-// never disagree about what "unchanged" means.
-func runInputs(w workload.Workload, tc string, m Machine, cfg pipeline.Config, maxInsts uint64) map[string]string {
-	cfgJSON, _ := json.Marshal(cfg)
-	return map[string]string{
-		"source":    shaHex(w.Source),
-		"expected":  shaHex(w.Expected),
-		"toolchain": tc,
-		"machine":   string(m),
-		"config":    shaHex(string(cfgJSON)),
-		"max_insts": strconv.FormatUint(maxInsts, 10),
-		"simulator": simsvc.Version,
-		"schema":    obs.RunRecordSchema,
-	}
-}
-
-func shaHex(s string) string {
-	h := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(h[:])
 }
 
 // Report collects every timing run performed so far into a sorted,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -143,72 +142,34 @@ func e2eJobs(t *testing.T, workers []string) []simsvc.JobSpec {
 
 func submitBatch(t *testing.T, base string, jobs []simsvc.JobSpec) (batch string, jobIDs []string) {
 	t.Helper()
-	body, _ := json.Marshal(map[string]any{"jobs": jobs})
-	resp, err := http.Post(base+"/v1/batches", "application/json", bytes.NewReader(body))
+	batch, jobIDs, err := (&simsvc.Client{Base: base}).Submit(context.Background(), jobs)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("submit: %v", err)
 	}
-	var sub struct {
-		Batch string   `json:"batch"`
-		Jobs  []string `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-	return sub.Batch, sub.Jobs
+	return batch, jobIDs
 }
 
-// waitBatchDone polls to terminal and fails the test if any job failed
-// or was lost.
+// waitBatchDone waits for the batch to end and fails the test if any job
+// failed or was lost.
 func waitBatchDone(t *testing.T, base, batch string, total int) {
 	t.Helper()
-	deadline := time.Now().Add(3 * time.Minute)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("batch never finished")
-		}
-		resp, err := http.Get(base + "/v1/batches/" + batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st struct {
-			Terminal  bool `json:"terminal"`
-			Done      int  `json:"done"`
-			Failed    int  `json:"failed"`
-			Cancelled int  `json:"cancelled"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if st.Terminal {
-			if st.Done != total || st.Failed != 0 || st.Cancelled != 0 {
-				t.Fatalf("batch finished done=%d failed=%d cancelled=%d, want %d done",
-					st.Done, st.Failed, st.Cancelled, total)
-			}
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	st, err := (&simsvc.Client{Base: base}).WaitBatch(ctx, batch, 20*time.Millisecond)
+	if err != nil {
+		t.Fatalf("batch never finished: %v", err)
+	}
+	if st.Done != total || st.Failed != 0 || st.Cancelled != 0 {
+		t.Fatalf("batch finished done=%d failed=%d cancelled=%d, want %d done",
+			st.Done, st.Failed, st.Cancelled, total)
 	}
 }
 
 func fetchReport(t *testing.T, base, batch string) []byte {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/batches/" + batch + "/report")
+	data, err := (&simsvc.Client{Base: base}).Report(context.Background(), batch)
 	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("report status %d: %s", resp.StatusCode, data)
+		t.Fatalf("report: %v", err)
 	}
 	return data
 }

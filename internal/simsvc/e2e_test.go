@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -48,62 +47,24 @@ func newDaemon(t *testing.T, cache *simsvc.DiskCache, cfg simsvc.ServerConfig) (
 
 func submitAndWait(t *testing.T, base string, jobs []simsvc.JobSpec) (batchID string, report []byte) {
 	t.Helper()
-	body, _ := json.Marshal(map[string]any{"jobs": jobs})
-	resp, err := http.Post(base+"/v1/batches", "application/json", bytes.NewReader(body))
+	c := &simsvc.Client{Base: base}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	batchID, _, err := c.Submit(ctx, jobs)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("submit: %v", err)
 	}
-	var sub struct {
-		Batch string   `json:"batch"`
-		Jobs  []string `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-
-	deadline := time.Now().Add(3 * time.Minute)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("batch never finished")
-		}
-		br, err := http.Get(base + "/v1/batches/" + sub.Batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st struct {
-			Terminal bool    `json:"terminal"`
-			Failed   float64 `json:"failed"`
-		}
-		if err := json.NewDecoder(br.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		br.Body.Close()
-		if st.Terminal {
-			if st.Failed != 0 {
-				t.Fatalf("batch finished with %v failed jobs", st.Failed)
-			}
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	rr, err := http.Get(base + "/v1/batches/" + sub.Batch + "/report")
+	st, err := c.WaitBatch(ctx, batchID, 20*time.Millisecond)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("batch never finished: %v", err)
 	}
-	data, err := io.ReadAll(rr.Body)
-	rr.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	if st.Failed != 0 {
+		t.Fatalf("batch finished with %d failed jobs", st.Failed)
 	}
-	if rr.StatusCode != http.StatusOK {
-		t.Fatalf("report status %d: %s", rr.StatusCode, data)
+	if report, err = c.Report(ctx, batchID); err != nil {
+		t.Fatalf("report: %v", err)
 	}
-	return sub.Batch, data
+	return batchID, report
 }
 
 // TestE2EDaemonMatchesInProcess: a daemon-served batch produces a report

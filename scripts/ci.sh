@@ -29,22 +29,20 @@
 #                                    zoo machine; the exported RunRecord
 #                                    report must be byte-identical to the
 #                                    committed golden)
-#   facd smoke                ~15s  (boot the simulation daemon on an
-#                                    ephemeral port, run a tiny batch, verify
-#                                    the RunRecord report and the cache-served
-#                                    resubmission, probe the multi-tenant
-#                                    hardening surface — 401/429/413/404 —
-#                                    SIGTERM, assert clean drain)
-#   facload smoke             ~15s  (cmd/facload: 3-tenant overload soak with
-#                                    a mid-soak SIGTERM; asserts weighted-fair
-#                                    scheduling, bounded p99 queue wait, and
-#                                    the drop-free drain accounting identity)
-#   fleet smoke               ~20s  (cmd/facload -fleet: coordinator + 2
-#                                    worker daemons, one SIGKILLed mid-batch;
-#                                    asserts zero lost jobs, work on every
-#                                    shard, report bytes identical to a
-#                                    stand-alone daemon, and the coordinator's
-#                                    own SIGTERM drain identity)
+#   facd scenarios             ~8s  (cmd/facload builds facd once and runs
+#                                    three scenarios: smoke — the batch API,
+#                                    cache-served resubmission, SSE progress,
+#                                    the 401/429/413/404 hardening probes and
+#                                    a SIGHUP token rotation; tenants — a
+#                                    5s 3-tenant overload soak ended by
+#                                    SIGTERM, asserting weighted-fair
+#                                    scheduling and bounded p99 queue wait;
+#                                    fleet — coordinator + 2 workers, one
+#                                    SIGKILLed mid-batch, asserting zero lost
+#                                    jobs, work on every shard and report
+#                                    bytes identical to a stand-alone daemon.
+#                                    Every daemon's SIGTERM drain must keep
+#                                    the drop-free accounting identity)
 #   bench smoke               ~20s  (one BenchmarkPipeline iteration with
 #                                    BENCH_OUT redirected to a scratch file;
 #                                    scripts/benchsmoke checks the report
@@ -110,14 +108,8 @@ esac
 echo "== predictor grid smoke =="
 go run ./scripts/predsmoke
 
-echo "== facd smoke =="
-go run ./scripts/facdsmoke
-
-echo "== facload smoke =="
-go run ./cmd/facload -tenants 3 -duration 5s
-
-echo "== fleet smoke =="
-go run ./cmd/facload -fleet
+echo "== facd scenarios =="
+go run ./cmd/facload -duration 5s
 
 echo "== bench smoke =="
 bench_out=$(mktemp)
