@@ -190,8 +190,10 @@ func CheckImage(p *prog.Program) error {
 	return nil
 }
 
-// emuSource feeds a live emulator to the pipeline the way core's
-// unexported adapter does in a production run.
+// emuSource feeds a live emulator to the pipeline sequentially, stepping
+// it on the pipeline's goroutine. Production runs (core.RunCtx) emulate
+// ahead on a second goroutine; core's TestEmulateAheadExact holds the two
+// equal.
 type emuSource struct{ e *emu.Emulator }
 
 func (s emuSource) NextBatch(buf []emu.Trace) (int, error) {

@@ -119,9 +119,12 @@ func (e *Emulator) StepInto(tr *Trace) error {
 	if !ok {
 		return fmt.Errorf("emu: bad pc %#x", e.PC)
 	}
+	// Zeroing the slot and assigning fields writes the trace in place; a
+	// composite literal would be built in a stack temporary and copied.
 	// InstAt validated the PC, so the text index is in range.
-	*tr = Trace{PC: e.PC, Inst: in, NextPC: e.PC + isa.InstBytes,
-		Pre: &e.pre[(e.PC-e.Prog.TextBase)/isa.InstBytes]}
+	*tr = Trace{}
+	tr.PC, tr.Inst, tr.NextPC = e.PC, in, e.PC+isa.InstBytes
+	tr.Pre = &e.pre[(e.PC-e.Prog.TextBase)/isa.InstBytes]
 	if err := e.exec(in, tr); err != nil {
 		return fmt.Errorf("emu: pc %#x (%v in %s): %w", tr.PC, in, e.Prog.FuncName(tr.PC), err)
 	}

@@ -17,9 +17,9 @@ import (
 // Source supplies the dynamic instruction stream in program order.
 // NextBatch fills buf with as many traces as remain (up to len(buf)) and
 // returns the count, 0 at end of stream. Pulling in bulk amortizes the
-// per-instruction interface call and lets an emulator write each trace in
-// place; the producer may run up to one batch ahead of the timing model,
-// which is safe because the stream is trace-driven and replayed as-is.
+// per-instruction interface call. The stream is trace-driven and replayed
+// as-is, so its producer may run ahead of the timing model: core's runs
+// the emulator on its own goroutine.
 type Source interface {
 	NextBatch(buf []emu.Trace) (int, error)
 }

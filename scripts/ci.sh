@@ -2,7 +2,7 @@
 # ci.sh — the repo's tier-1 verification gate (see ROADMAP.md).
 # Run from anywhere; exits non-zero on the first failure.
 #
-# Expected runtime on a stock 4-core container: ~7 minutes total —
+# Expected runtime on a stock 4-core container: ~8 minutes total —
 #   gofmt/lint/vet/build      ~30s  (lint is the repo's own analyzer,
 #                                    scripts/lint: map-iteration-order
 #                                    determinism in the emitting packages)
@@ -17,6 +17,12 @@
 #                                    -short trims the experiment sweeps and
 #                                    difftest seed counts, which -race would
 #                                    otherwise stretch past 15 minutes)
+#   emulate-ahead race        ~45s  (core's tests of the emulator goroutine
+#                                    that runs ahead of the timing model —
+#                                    exact results, the producer joined on
+#                                    every early exit, nothing allocated per
+#                                    chunk — repeated 10 times under the race
+#                                    detector; measured 43s on 2 vCPUs)
 #   fuzz smoke                ~40s  (4 targets x 5s plus instrumented builds)
 #   faclint smoke             ~10s  (static FAC-predictability analysis over
 #                                    the 19-benchmark suite must classify at
@@ -82,6 +88,11 @@ echo "== perfbench =="
 
 echo "== go test -race (short) =="
 go test -race -short ./...
+
+echo "== emulate-ahead race =="
+go test -race -count=10 \
+    -run '^(TestEmulateAheadExact|TestRunJoinsProducer|TestBadMachineConfig|TestRunFaultPropagates|TestRunSteadyStateZeroAllocs)$' \
+    ./internal/core
 
 echo "== fuzz smoke =="
 for target in FuzzFACPredict FuzzEncodeDecode FuzzAsmRoundtrip FuzzEmuVsPipeline; do
