@@ -41,10 +41,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/asm"
-	"repro/internal/core"
 	"repro/internal/fac"
-	"repro/internal/minic"
 	"repro/internal/prog"
 	"repro/internal/staticfac"
 	"repro/internal/workload"
@@ -88,9 +85,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := geom.Validate(); err != nil {
 		return fatal(err)
 	}
-	toolchain := "base"
+	tc, toolchain := workload.BaseToolchain(), "base"
 	if *falign {
-		toolchain = "falign"
+		tc, toolchain = workload.FACToolchain(), "falign"
 	}
 
 	// A job names one input and knows how to build it; build and analysis
@@ -102,10 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var jobs []job
 	switch {
 	case *suite:
-		tc := workload.BaseToolchain()
-		if *falign {
-			tc = workload.FACToolchain()
-		}
 		for _, w := range workload.All() {
 			w := w
 			jobs = append(jobs, job{w.Name, func() (*prog.Program, error) {
@@ -118,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	case *bench != "":
 		jobs = append(jobs, job{*bench, func() (*prog.Program, error) {
-			return buildBench(*bench, *falign)
+			return workload.Load(*bench, "", tc)
 		}})
 	default:
 		if fs.NArg() == 0 {
@@ -128,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			arg := arg
 			name := strings.TrimSuffix(filepath.Base(arg), filepath.Ext(arg))
 			jobs = append(jobs, job{name, func() (*prog.Program, error) {
-				return buildFile(arg, *falign)
+				return workload.Load("", arg, tc)
 			}})
 		}
 	}
@@ -273,41 +266,4 @@ func printSites(w io.Writer, p *staticfac.Analysis) {
 		fmt.Fprintf(w, "  %#08x  %-19s %-22s %-28s %-13s %-13s %s\n",
 			s.PC, s.Verdict, canFail, s.Inst.String(), s.Base, s.Offset, fn)
 	}
-}
-
-func buildBench(name string, falign bool) (*prog.Program, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	tc := workload.BaseToolchain()
-	if falign {
-		tc = workload.FACToolchain()
-	}
-	return workload.Build(w, tc)
-}
-
-func buildFile(path string, falign bool) (*prog.Program, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	link := prog.DefaultConfig()
-	opts := minic.BaseOptions()
-	if falign {
-		opts = minic.FACOptions()
-		link.AlignGP = true
-	}
-	if strings.HasSuffix(path, ".s") {
-		obj, err := asm.Assemble(string(src))
-		if err != nil {
-			return nil, err
-		}
-		return prog.Link(obj, link)
-	}
-	asmText, err := minic.Compile(string(src), opts)
-	if err != nil {
-		return nil, err
-	}
-	return core.Build(asmText, link)
 }

@@ -26,16 +26,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/fac"
-	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
-	"repro/internal/prog"
 	"repro/internal/staticfac"
 	"repro/internal/workload"
 )
@@ -51,7 +47,14 @@ func main() {
 	)
 	flag.Parse()
 
-	p, err := buildInput(*bench, flag.Args(), *falign)
+	tc := workload.BaseToolchain()
+	if *falign {
+		tc = workload.FACToolchain()
+	}
+	if *bench == "" && flag.NArg() != 1 {
+		fatal(fmt.Errorf("need exactly one input file (or -benchmark NAME)"))
+	}
+	p, err := workload.Load(*bench, flag.Arg(0), tc)
 	if err != nil {
 		fatal(err)
 	}
@@ -194,45 +197,6 @@ func main() {
 	if len(list) == 0 {
 		fmt.Println("  (none — every access predicted)")
 	}
-}
-
-func buildInput(bench string, args []string, falign bool) (*prog.Program, error) {
-	if bench != "" {
-		w, err := workload.ByName(bench)
-		if err != nil {
-			return nil, err
-		}
-		tc := workload.BaseToolchain()
-		if falign {
-			tc = workload.FACToolchain()
-		}
-		return workload.Build(w, tc)
-	}
-	if len(args) != 1 {
-		return nil, fmt.Errorf("need exactly one input file (or -benchmark NAME)")
-	}
-	src, err := os.ReadFile(args[0])
-	if err != nil {
-		return nil, err
-	}
-	link := prog.DefaultConfig()
-	opts := minic.BaseOptions()
-	if falign {
-		opts = minic.FACOptions()
-		link.AlignGP = true
-	}
-	if strings.HasSuffix(args[0], ".s") {
-		obj, err := asm.Assemble(string(src))
-		if err != nil {
-			return nil, err
-		}
-		return prog.Link(obj, link)
-	}
-	asmText, err := minic.Compile(string(src), opts)
-	if err != nil {
-		return nil, err
-	}
-	return core.Build(asmText, link)
 }
 
 func fatal(err error) {

@@ -23,14 +23,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/fac"
 	"repro/internal/isa"
-	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/predict"
@@ -55,7 +52,14 @@ func main() {
 	)
 	flag.Parse()
 
-	p, err := buildInput(*bench, flag.Args(), *falign)
+	tc := workload.BaseToolchain()
+	if *falign {
+		tc = workload.FACToolchain()
+	}
+	if *bench == "" && flag.NArg() != 1 {
+		fatal(fmt.Errorf("need exactly one input file (or -benchmark NAME)"))
+	}
+	p, err := workload.Load(*bench, flag.Arg(0), tc)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,15 +140,11 @@ mem footprint     %d KB
 
 	if *jsonOut != "" {
 		name := *bench
-		if name == "" && flag.NArg() == 1 {
+		if name == "" {
 			name = flag.Arg(0)
 		}
-		tc := "base"
-		if *falign {
-			tc = "fac"
-		}
 		rep := obs.NewReport("cmd/facsim", "")
-		rep.Add(st.Record(name, "", tc, machineName(cfg)))
+		rep.Add(st.Record(name, "", tc.Name, machineName(cfg)))
 		data, err := rep.Encode()
 		if err != nil {
 			fatal(err)
@@ -268,45 +268,6 @@ func printTrace(p *prog.Program, cfg pipeline.Config, n int) error {
 	src := &limitedSource{e: emu.New(p), n: n, sink: sink}
 	_, err := pipeline.RunObserved(cfg, src, sink)
 	return err
-}
-
-func buildInput(bench string, args []string, falign bool) (*prog.Program, error) {
-	link := prog.DefaultConfig()
-	opts := minic.BaseOptions()
-	if falign {
-		opts = minic.FACOptions()
-		link.AlignGP = true
-	}
-	if bench != "" {
-		w, err := workload.ByName(bench)
-		if err != nil {
-			return nil, err
-		}
-		tc := workload.BaseToolchain()
-		if falign {
-			tc = workload.FACToolchain()
-		}
-		return workload.Build(w, tc)
-	}
-	if len(args) != 1 {
-		return nil, fmt.Errorf("need exactly one input file (or -benchmark NAME)")
-	}
-	src, err := os.ReadFile(args[0])
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(args[0], ".s") {
-		obj, err := asm.Assemble(string(src))
-		if err != nil {
-			return nil, err
-		}
-		return prog.Link(obj, link)
-	}
-	asmText, err := minic.Compile(string(src), opts)
-	if err != nil {
-		return nil, err
-	}
-	return core.Build(asmText, link)
 }
 
 func pct(a, b uint64) float64 {

@@ -99,7 +99,6 @@ func TestBadMachineConfig(t *testing.T) {
 	for i, mut := range []func(*pipeline.Config){
 		func(c *pipeline.Config) { c.FetchWidth = 0 },
 		func(c *pipeline.Config) { c.Predictor = "pcax"; c.PredictorEntries = 1000 },
-		func(c *pipeline.Config) { c.Predictor = "stride"; c.PredictorTagBits = 31 },
 	} {
 		cfg := pipeline.DefaultConfig()
 		mut(&cfg)

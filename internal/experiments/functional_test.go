@@ -7,6 +7,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/ltb"
 	"repro/internal/profile"
+	"repro/internal/workload"
 )
 
 // TestFunctionalSinglePass: Suite.Functional's one emulator pass measures
@@ -22,7 +23,11 @@ func TestFunctionalSinglePass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := s.Program(w, tc)
+			toolchain, err := workload.ToolchainByName(tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := workload.Build(w, toolchain)
 			if err != nil {
 				t.Fatal(err)
 			}

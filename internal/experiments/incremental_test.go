@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -131,5 +133,87 @@ func TestSuiteRemoteTiming(t *testing.T) {
 	}
 	if c := rem.Counts(); c.Remote != 1 || c.Simulated != 0 {
 		t.Fatalf("remote suite counts = %+v, want 1 remote / 0 simulated", c)
+	}
+}
+
+// TestSuiteRunnerShareCache: a table regeneration and facd share one
+// persistent cache in both directions. A record the suite simulated is a
+// cache hit for a daemon's Runner over the same directory, and a record
+// the Runner simulated is a cache hit for a later suite.
+func TestSuiteRunnerShareCache(t *testing.T) {
+	w := testWorkload(t, "queens")
+	spec := simsvc.JobSpec{Workload: w.Name, Toolchain: "base", Machine: string(MBase32)}
+	open := func(dir string) *simsvc.DiskCache {
+		c, err := simsvc.OpenDiskCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	newRunner := func(dir string) *simsvc.Runner {
+		return &simsvc.Runner{
+			Resolve: func(m string) (pipeline.Config, error) { return MachineConfig(Machine(m)) },
+			Cache:   open(dir),
+		}
+	}
+	suiteRun := func(dir string) (obs.RunRecord, RunCounts) {
+		s := NewSuite()
+		s.SetCache(open(dir))
+		rec, err := s.Timing(w, spec.Toolchain, MBase32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec, s.Counts()
+	}
+
+	// Suite first, then the Runner.
+	dir := t.TempDir()
+	rec1, c1 := suiteRun(dir)
+	if c1 != (RunCounts{Simulated: 1}) {
+		t.Fatalf("suite counts = %+v, want 1 simulated", c1)
+	}
+	rec2, hit, err := newRunner(dir).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit {
+		t.Fatal("Runner re-simulated a run the suite had cached")
+	}
+	if !reflect.DeepEqual(rec1, rec2) {
+		t.Fatalf("Runner's cached record differs:\n%+v\nvs\n%+v", rec1, rec2)
+	}
+
+	// The Runner first, then the suite.
+	dir = t.TempDir()
+	rec3, hit, err := newRunner(dir).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Fatal("Runner hit an empty cache")
+	}
+	rec4, c4 := suiteRun(dir)
+	if c4 != (RunCounts{CacheHits: 1}) {
+		t.Fatalf("suite counts = %+v, want 1 cache hit and 0 simulated", c4)
+	}
+	if !reflect.DeepEqual(rec3, rec4) {
+		t.Fatalf("suite's cached record differs:\n%+v\nvs\n%+v", rec3, rec4)
+	}
+}
+
+// TestUnknownToolchain: a toolchain name other than "base" or "fac" is an
+// error naming it, for timing and functional runs alike; it is never
+// silently built with the base toolchain.
+func TestUnknownToolchain(t *testing.T) {
+	s := NewSuite()
+	w := testWorkload(t, "queens")
+	if rec, err := s.Timing(w, "falign", MBase32); err == nil || !strings.Contains(err.Error(), `"falign"`) {
+		t.Errorf("Timing(falign) = %d cycles, %v; want an error naming the toolchain", rec.Cycles, err)
+	}
+	if _, err := s.Functional(w, "FAC"); err == nil || !strings.Contains(err.Error(), `"FAC"`) {
+		t.Errorf("Functional(FAC) = %v; want an error naming the toolchain", err)
+	}
+	if c := s.Counts(); c != (RunCounts{}) {
+		t.Errorf("counts = %+v after two rejected runs, want none", c)
 	}
 }

@@ -14,14 +14,12 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/emu"
 	"repro/internal/fac"
 	"repro/internal/ltb"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
-	"repro/internal/prog"
 	"repro/internal/simsvc"
 	"repro/internal/workload"
 )
@@ -131,26 +129,29 @@ type FuncResult struct {
 	LTBStride float64
 }
 
-// Suite memoizes program builds, functional profiles, and timing runs
-// across experiments. Every timing run also yields a canonical
-// obs.RunRecord, so any sequence of experiments can be exported as one
-// machine-readable report (cmd/experiments -json).
+// Suite memoizes functional profiles and timing runs across experiments.
+// Every timing run also yields a canonical obs.RunRecord, so any sequence
+// of experiments can be exported as one machine-readable report
+// (cmd/experiments -json).
 type Suite struct {
 	MaxInsts uint64
 
-	// flight collapses concurrent identical work (builds, profiles, timing
-	// runs) onto one leader. The memo maps alone cannot do this: they are
-	// consulted under mu but filled only after the work completes, so two
-	// workers racing on the same key both used to run it.
+	// flight collapses concurrent identical work (profiles, timing runs)
+	// onto one leader, so each is computed, memoized and counted once. The
+	// memo maps alone cannot do this: they are consulted under mu but
+	// filled only after the work completes, so two workers racing on the
+	// same key both used to run it.
 	flight simsvc.Flight
 
-	mu       sync.Mutex
-	programs map[string]*prog.Program
-	funcs    map[string]*FuncResult
-	runs     map[string]timingRun
-	disk     *simsvc.DiskCache
-	remote   *simsvc.Client
-	counts   RunCounts
+	// runner turns each local timing run into a validated record through
+	// the persistent cache, the same path facd's jobs take.
+	runner simsvc.Runner
+
+	mu     sync.Mutex
+	funcs  map[string]*FuncResult
+	runs   map[string]timingRun
+	remote *simsvc.Client
+	counts RunCounts
 }
 
 // timingRun is one memoized timing result. exported reports whether it
@@ -178,21 +179,18 @@ type RunCounts struct {
 func NewSuite() *Suite {
 	return &Suite{
 		MaxInsts: simsvc.DefaultMaxInsts,
-		programs: make(map[string]*prog.Program),
 		funcs:    make(map[string]*FuncResult),
 		runs:     make(map[string]timingRun),
 	}
 }
 
-// SetCache attaches a persistent result cache: timing runs whose
-// content-addressed key (workload, toolchain, machine config, simulator
-// version) is present are served from disk instead of simulated, and
-// fresh runs are written back. The same directory format is shared with
-// the facd daemon.
+// SetCache attaches a persistent result cache to the suite's runner:
+// timing runs whose content-addressed key (workload, toolchain, machine
+// config, simulator version) is present are served from disk instead of
+// simulated, and fresh runs are written back. The same directory format
+// is shared with the facd daemon. Call it before the suite runs anything.
 func (s *Suite) SetCache(c *simsvc.DiskCache) {
-	s.mu.Lock()
-	s.disk = c
-	s.mu.Unlock()
+	s.runner.Cache = c
 }
 
 // SetRemote routes named-machine timing runs to a simulation daemon (or
@@ -216,58 +214,13 @@ func (s *Suite) Counts() RunCounts {
 
 // CacheStats reports the attached persistent cache's statistics, if any.
 func (s *Suite) CacheStats() (simsvc.DiskCacheStats, bool) {
-	s.mu.Lock()
-	c := s.disk
-	s.mu.Unlock()
-	if c == nil {
-		return simsvc.DiskCacheStats{}, false
-	}
-	return c.Stats(), true
-}
-
-func toolchain(name string) workload.Toolchain {
-	if name == "fac" {
-		return workload.FACToolchain()
-	}
-	return workload.BaseToolchain()
-}
-
-// Program builds (and caches) a workload under a toolchain ("base"/"fac").
-// Concurrent callers for the same key share one build.
-func (s *Suite) Program(w workload.Workload, tc string) (*prog.Program, error) {
-	key := w.Name + "|" + tc
-	s.mu.Lock()
-	if p, ok := s.programs[key]; ok {
-		s.mu.Unlock()
-		return p, nil
-	}
-	s.mu.Unlock()
-	v, _, err := s.flight.Do("prog|"+key, func() (any, error) {
-		s.mu.Lock()
-		if p, ok := s.programs[key]; ok {
-			s.mu.Unlock()
-			return p, nil
-		}
-		s.mu.Unlock()
-		p, err := workload.Build(w, toolchain(tc))
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.programs[key] = p
-		s.mu.Unlock()
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*prog.Program), nil
+	return s.runner.CacheStats()
 }
 
 // Functional runs a workload once on the emulator and validates its
 // output. The one trace stream feeds every functional measurement: the
 // reference profile over the FuncResult geometries and both load target
-// buffers. Concurrent callers for the same key share one run.
+// buffers. Concurrent callers for the same key share one build and run.
 func (s *Suite) Functional(w workload.Workload, tc string) (*FuncResult, error) {
 	key := w.Name + "|" + tc
 	s.mu.Lock()
@@ -283,7 +236,11 @@ func (s *Suite) Functional(w workload.Workload, tc string) (*FuncResult, error) 
 			return r, nil
 		}
 		s.mu.Unlock()
-		p, err := s.Program(w, tc)
+		toolchain, err := workload.ToolchainByName(tc)
+		if err != nil {
+			return nil, err
+		}
+		p, err := workload.Build(w, toolchain)
 		if err != nil {
 			return nil, err
 		}
@@ -331,12 +288,14 @@ func (s *Suite) Timing(w workload.Workload, tc string, m Machine) (obs.RunRecord
 	return s.timing(nil, w, tc, m, cfg, true)
 }
 
-// timing is the single path behind Timing and timingWithConfig: memoized,
-// deduplicated across concurrent callers, persisted through the optional
-// disk cache, and cancellable (ctx reaches the pipeline's cycle loop; a
-// nil ctx disables the checks). record controls whether the run joins the
-// suite's exportable report — named machines do, ad-hoc sweep
-// configurations do not, matching the pre-existing report contents.
+// timing is the single path behind Timing and timingWithConfig. The
+// suite memoizes each record and counts where it came from; concurrent
+// identical calls share one leader, so a run is counted once. Local runs
+// go through the runner (simsvc.Runner.RunConfig); named machines go to
+// the remote daemon when one is set. ctx reaches the pipeline's cycle
+// loop (nil disables the checks). record controls whether the run joins
+// the suite's exportable report — named machines do, ad-hoc sweep
+// configurations do not.
 func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Machine, cfg pipeline.Config, record bool) (obs.RunRecord, error) {
 	key := w.Name + "|" + tc + "|" + string(m)
 	s.mu.Lock()
@@ -344,46 +303,46 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 		s.mu.Unlock()
 		return r.rec, nil
 	}
-	disk := s.disk
 	remote := s.remote
 	s.mu.Unlock()
 
-	v, shared, err := s.flight.Do("timing|"+key, func() (any, error) {
+	v, _, err := s.flight.Do("timing|"+key, func() (any, error) {
 		s.mu.Lock()
 		if r, ok := s.runs[key]; ok {
 			s.mu.Unlock()
 			return r.rec, nil
 		}
 		s.mu.Unlock()
-
-		var diskKey string
-		if disk != nil {
-			if k, err := simsvc.CacheKey(w, tc, string(m), cfg, s.MaxInsts); err == nil {
-				diskKey = k
-			}
+		toolchain, err := workload.ToolchainByName(tc)
+		if err != nil {
+			return nil, err
 		}
 		// finish memoizes a finished run. Disk and remote records are
 		// stored verbatim, so a cache hit and a fresh simulation export
 		// the same bytes.
-		finish := func(rec obs.RunRecord, bump func(*RunCounts)) {
+		finish := func(rec obs.RunRecord, bump func(*RunCounts)) (any, error) {
 			s.mu.Lock()
 			s.runs[key] = timingRun{rec: rec, exported: record}
 			bump(&s.counts)
 			s.mu.Unlock()
+			return rec, nil
 		}
-
-		// Persistent cache: a prior process (this tool or the facd daemon)
-		// may have already simulated this exact configuration.
-		if diskKey != "" {
-			if rec, ok := disk.Get(diskKey); ok {
-				finish(rec, func(c *RunCounts) { c.CacheHits++ })
-				return rec, nil
-			}
-		}
+		cacheHit := func(c *RunCounts) { c.CacheHits++ }
 
 		// Remote execution: named machines resolve on the daemon; ad-hoc
-		// sweep configurations (record=false) only exist locally.
+		// sweep configurations (record=false) only exist locally. The
+		// local cache is probed first and keeps what the daemon returns.
 		if remote != nil && record {
+			disk := s.runner.Cache
+			var diskKey string
+			if disk != nil {
+				if diskKey, err = simsvc.CacheKey(w, tc, string(m), cfg, s.MaxInsts); err != nil {
+					return nil, err
+				}
+				if rec, ok := disk.Get(diskKey); ok {
+					return finish(rec, cacheHit)
+				}
+			}
 			rctx := ctx
 			if rctx == nil {
 				rctx = context.Background()
@@ -394,37 +353,22 @@ func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Ma
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s/%s: remote: %w", w.Name, tc, m, err)
 			}
-			if diskKey != "" {
+			if disk != nil {
 				disk.Put(diskKey, rec) // share the fetch with future local passes
 			}
-			finish(rec, func(c *RunCounts) { c.Remote++ })
-			return rec, nil
+			return finish(rec, func(c *RunCounts) { c.Remote++ })
 		}
 
-		p, err := s.Program(w, tc)
+		rec, hit, err := s.runner.RunConfig(ctx, w, toolchain, string(m), cfg, s.MaxInsts)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.RunCtx(ctx, p, cfg, s.MaxInsts, nil)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s/%s: %w", w.Name, tc, m, err)
+		if hit {
+			return finish(rec, cacheHit)
 		}
-		if res.Output != w.Expected {
-			return nil, fmt.Errorf("%s/%s/%s: output %q != expected %q", w.Name, tc, m, res.Output, w.Expected)
-		}
-		rec := res.Stats.Record(w.Name, w.Class.String(), tc, string(m))
-		if diskKey != "" {
-			disk.Put(diskKey, rec) // best effort; a write failure only costs a future re-run
-		}
-		finish(rec, func(c *RunCounts) { c.Simulated++ })
-		return rec, nil
+		return finish(rec, func(c *RunCounts) { c.Simulated++ })
 	})
 	if err != nil {
-		// A follower that inherited the leader's cancellation while its own
-		// context is still live can safely retry; here we just surface it.
-		if shared && ctx != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) {
-			return obs.RunRecord{}, fmt.Errorf("%s/%s/%s: deduplicated onto a canceled identical run: %w", w.Name, tc, m, err)
-		}
 		return obs.RunRecord{}, err
 	}
 	return v.(obs.RunRecord), nil

@@ -68,12 +68,11 @@ type Config struct {
 
 	// Predictor selects an address-prediction machine from internal/predict
 	// ("fac" for the paper's machine, "pcax", "stride", "selective"); empty
-	// disables speculation. PredictorEntries and PredictorTagBits size the
-	// table machines (zero selects the package defaults; PredictorTagBits
-	// may be predict.FullTags).
+	// disables speculation. PredictorEntries sizes the table machines
+	// (zero selects predict.DefaultEntries); their tags are always
+	// predict.DefaultTagBits wide.
 	Predictor        string `json:",omitempty"`
 	PredictorEntries int    `json:",omitempty"`
-	PredictorTagBits int    `json:",omitempty"`
 	// StaticTable supplies the selective machine's baked per-site verdicts
 	// (predict.BuildStaticTable over the linked program). Excluded from
 	// serialization: the verdicts are a pure function of the program and
@@ -203,7 +202,6 @@ func (c Config) newPredictor() (predict.Predictor, error) {
 	return predict.New(c.Predictor, predict.Options{
 		Geom:    c.FACGeometry(),
 		Entries: c.PredictorEntries,
-		TagBits: c.PredictorTagBits,
 		Static:  static,
 	})
 }

@@ -447,7 +447,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.StoreBufferEntries = 0 },
 		func(c *Config) { c.ICache.BlockSize = 33 },
 		func(c *Config) { c.Predictor = "pcax"; c.PredictorEntries = 1000 },
-		func(c *Config) { c.Predictor = "stride"; c.PredictorTagBits = 31 },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig()

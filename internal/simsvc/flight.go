@@ -7,8 +7,8 @@ import "sync"
 // in flight block and share its result instead of repeating the work. It
 // is a minimal in-process singleflight for the two places the repository
 // was doing duplicate work — identical jobs racing in the service's
-// worker pool, and experiment workers racing on the same program build or
-// timing run in experiments.Suite.
+// worker pool, and experiment workers racing on the same functional
+// profile or timing run in experiments.Suite.
 //
 // Keys are forgotten as soon as the leader finishes, so Flight is purely
 // a concurrency deduplicator — memoization stays the caller's job (and a

@@ -4,8 +4,11 @@
 // core.RunCtx into the pipeline's cycle loop, singleflight deduplication
 // of identical in-flight jobs, and a content-addressed persistent result
 // cache holding canonical obs.RunRecord reports. cmd/facd exposes it over
-// HTTP/JSON; experiments.Suite shares the singleflight and the persistent
-// cache so table and figure regeneration skips already-simulated runs.
+// HTTP/JSON. experiments.Suite holds a Runner of its own and sends every
+// local timing run through Runner.RunConfig, the one place that keys,
+// deduplicates, caches, builds, simulates, validates and records a run;
+// a table regeneration and the daemon therefore write the same cache
+// entries and each is served the other's prior runs.
 //
 // Determinism is the contract throughout: a job's result is the exact
 // RunRecord an in-process core.Run of the same (workload, toolchain,
@@ -124,23 +127,49 @@ type runOutcome struct {
 	cacheHit bool
 }
 
+// resolved is a spec with its names looked up: the inputs of RunConfig.
+type resolved struct {
+	w        workload.Workload
+	tc       workload.Toolchain
+	cfg      pipeline.Config
+	maxInsts uint64
+}
+
+// resolve looks up a spec's workload, toolchain and machine, and applies
+// the default instruction bound. Validate, Key and Run all start here, so
+// a spec that validates is the spec that runs.
+func (r *Runner) resolve(spec JobSpec) (resolved, error) {
+	w, err := workload.ByName(spec.Workload)
+	if err != nil {
+		return resolved{}, err
+	}
+	tc, err := workload.ToolchainByName(spec.Toolchain)
+	if err != nil {
+		return resolved{}, err
+	}
+	if r.Resolve == nil {
+		return resolved{}, errors.New("simsvc: runner has no machine resolver")
+	}
+	cfg, err := r.Resolve(spec.Machine)
+	if err != nil {
+		return resolved{}, err
+	}
+	maxInsts := spec.MaxInsts
+	if maxInsts == 0 {
+		maxInsts = r.MaxInsts
+	}
+	if maxInsts == 0 {
+		maxInsts = DefaultMaxInsts
+	}
+	return resolved{w: w, tc: tc, cfg: cfg, maxInsts: maxInsts}, nil
+}
+
 // Validate checks that a spec names a known workload, toolchain, and
 // machine without running anything, so the service can reject a bad
 // batch at submission time.
 func (r *Runner) Validate(spec JobSpec) error {
-	if _, err := workload.ByName(spec.Workload); err != nil {
-		return err
-	}
-	if spec.Toolchain != "base" && spec.Toolchain != "fac" {
-		return fmt.Errorf("simsvc: unknown toolchain %q (want base or fac)", spec.Toolchain)
-	}
-	if r.Resolve == nil {
-		return fmt.Errorf("simsvc: runner has no machine resolver")
-	}
-	if _, err := r.Resolve(spec.Machine); err != nil {
-		return err
-	}
-	return nil
+	_, err := r.resolve(spec)
+	return err
 }
 
 // DedupCount reports how many jobs were served by joining an identical
@@ -157,30 +186,15 @@ func (r *Runner) CacheStats() (DiskCacheStats, bool) {
 }
 
 // Key derives the content-addressed cache key of a spec by resolving it
-// the same way Run does. This is the fleet's shard key and the deps
-// log's run-node hash: every consumer of "the identity of this run"
-// goes through here, so sharding, dedup, caching, and incremental
-// rebuilds all agree on what "the same run" means.
+// the same way Run does. It is the fleet's shard key and the persistent
+// cache's address, so sharding, dedup and caching all agree on what
+// "the same run" means.
 func (r *Runner) Key(spec JobSpec) (string, error) {
-	w, err := workload.ByName(spec.Workload)
+	rs, err := r.resolve(spec)
 	if err != nil {
 		return "", err
 	}
-	if r.Resolve == nil {
-		return "", errors.New("simsvc: runner has no machine resolver")
-	}
-	cfg, err := r.Resolve(spec.Machine)
-	if err != nil {
-		return "", err
-	}
-	maxInsts := spec.MaxInsts
-	if maxInsts == 0 {
-		maxInsts = r.MaxInsts
-	}
-	if maxInsts == 0 {
-		maxInsts = DefaultMaxInsts
-	}
-	return CacheKey(w, spec.Toolchain, spec.Machine, cfg, maxInsts)
+	return CacheKey(rs.w, rs.tc.Name, spec.Machine, rs.cfg, rs.maxInsts)
 }
 
 // Warm pre-populates and pins the given specs in the persistent cache:
@@ -213,43 +227,31 @@ func (r *Runner) Warm(ctx context.Context, specs []JobSpec) (simulated, hits int
 	return simulated, hits, nil
 }
 
-// Run executes one job. cacheHit reports that the record came from the
-// persistent cache rather than a fresh simulation. ctx cancellation or
-// deadline aborts the simulation's cycle loop promptly; the error then
-// wraps ctx.Err().
+// Run executes one job: it resolves the spec's names and hands the
+// result to RunConfig.
 func (r *Runner) Run(ctx context.Context, spec JobSpec) (rec obs.RunRecord, cacheHit bool, err error) {
-	w, err := workload.ByName(spec.Workload)
+	rs, err := r.resolve(spec)
 	if err != nil {
 		return obs.RunRecord{}, false, err
 	}
-	var tc workload.Toolchain
-	switch spec.Toolchain {
-	case "base":
-		tc = workload.BaseToolchain()
-	case "fac":
-		tc = workload.FACToolchain()
-	default:
-		return obs.RunRecord{}, false, fmt.Errorf("simsvc: unknown toolchain %q (want base or fac)", spec.Toolchain)
-	}
-	if r.Resolve == nil {
-		return obs.RunRecord{}, false, fmt.Errorf("simsvc: runner has no machine resolver")
-	}
-	cfg, err := r.Resolve(spec.Machine)
-	if err != nil {
-		return obs.RunRecord{}, false, err
-	}
-	maxInsts := spec.MaxInsts
-	if maxInsts == 0 {
-		maxInsts = r.MaxInsts
-	}
-	if maxInsts == 0 {
-		maxInsts = DefaultMaxInsts
-	}
-	key, err := CacheKey(w, spec.Toolchain, spec.Machine, cfg, maxInsts)
-	if err != nil {
-		return obs.RunRecord{}, false, err
-	}
+	return r.RunConfig(ctx, rs.w, rs.tc, spec.Machine, rs.cfg, rs.maxInsts)
+}
 
+// RunConfig executes one run of workload w, built with toolchain tc, on
+// the machine configuration cfg recorded under the name machine, bounded
+// at maxInsts dynamic instructions. It is the one place a run becomes a
+// validated RunRecord: it keys the run, joins an identical in-flight run,
+// probes the persistent cache, and on a miss builds, simulates, checks
+// the output and stores the record. cacheHit reports that the record came
+// from the persistent cache rather than a fresh simulation. ctx
+// cancellation or deadline aborts the simulation's cycle loop promptly;
+// the error then wraps ctx.Err().
+func (r *Runner) RunConfig(ctx context.Context, w workload.Workload, tc workload.Toolchain, machine string, cfg pipeline.Config, maxInsts uint64) (rec obs.RunRecord, cacheHit bool, err error) {
+	key, err := CacheKey(w, tc.Name, machine, cfg, maxInsts)
+	if err != nil {
+		return obs.RunRecord{}, false, err
+	}
+	spec := JobSpec{Workload: w.Name, Toolchain: tc.Name, Machine: machine}
 	v, shared, err := r.flight.Do(key, func() (any, error) {
 		if r.Cache != nil {
 			if rec, ok := r.Cache.Get(key); ok {
@@ -267,7 +269,7 @@ func (r *Runner) Run(ctx context.Context, spec JobSpec) (rec obs.RunRecord, cach
 		if res.Output != w.Expected {
 			return nil, fmt.Errorf("%s: output %q != expected %q", spec, res.Output, w.Expected)
 		}
-		rec := res.Stats.Record(w.Name, w.Class.String(), spec.Toolchain, spec.Machine)
+		rec := res.Stats.Record(w.Name, w.Class.String(), tc.Name, machine)
 		if r.Cache != nil {
 			// A failed write only costs future hits; the run itself is good.
 			_ = r.Cache.Put(key, rec)

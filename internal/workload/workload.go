@@ -12,7 +12,9 @@ package workload
 
 import (
 	"fmt"
+	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/minic"
@@ -107,6 +109,17 @@ func FACToolchain() Toolchain {
 	return Toolchain{Name: "fac", Opts: minic.FACOptions(), Link: link}
 }
 
+// ToolchainByName returns the toolchain a name selects: "base" or "fac".
+func ToolchainByName(name string) (Toolchain, error) {
+	switch name {
+	case "base":
+		return BaseToolchain(), nil
+	case "fac":
+		return FACToolchain(), nil
+	}
+	return Toolchain{}, fmt.Errorf("workload: unknown toolchain %q (want base or fac)", name)
+}
+
 // Build compiles and links a workload with the given toolchain.
 func Build(w Workload, tc Toolchain) (*prog.Program, error) {
 	asmText, err := minic.Compile(w.Source, tc.Opts)
@@ -122,4 +135,32 @@ func Build(w Workload, tc Toolchain) (*prog.Program, error) {
 		return nil, fmt.Errorf("workload %s: %w", w.Name, err)
 	}
 	return p, nil
+}
+
+// Load builds a command's input program: the named benchmark when bench
+// is set, else the file at path, a MiniC source or (*.s) assembly, which
+// is compiled and linked with tc as Build does.
+func Load(bench, path string, tc Toolchain) (*prog.Program, error) {
+	if bench != "" {
+		w, err := ByName(bench)
+		if err != nil {
+			return nil, err
+		}
+		return Build(w, tc)
+	}
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	asmText := string(src)
+	if !strings.HasSuffix(path, ".s") {
+		if asmText, err = minic.Compile(asmText, tc.Opts); err != nil {
+			return nil, err
+		}
+	}
+	obj, err := asm.Assemble(asmText)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Link(obj, tc.Link)
 }

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/emu"
@@ -149,5 +152,41 @@ func TestEncodedTextDecodesBack(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoad: a benchmark name, its MiniC source in a file, and the file of
+// its compiled assembly all load the program Build links.
+func TestLoad(t *testing.T) {
+	w, err := ByName("queens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := FACToolchain()
+	want, err := Build(w, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asmText, err := minic.Compile(w.Source, tc.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, text := range map[string]string{"queens.c": w.Source, "queens.s": asmText} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, in := range [][2]string{{"queens", ""}, {"", filepath.Join(dir, "queens.c")}, {"", filepath.Join(dir, "queens.s")}} {
+		got, err := Load(in[0], in[1], tc)
+		if err != nil {
+			t.Fatalf("Load(%q, %q): %v", in[0], in[1], err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Load(%q, %q) differs from Build", in[0], in[1])
+		}
+	}
+	if _, err := Load("", filepath.Join(dir, "missing.c"), tc); err == nil {
+		t.Error("Load of a missing file succeeded")
 	}
 }

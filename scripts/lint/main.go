@@ -33,9 +33,10 @@
 //
 // Usage: go run ./scripts/lint [package-dir ...]
 // Without arguments it lints the packages where emission order matters
-// (internal/minic, internal/asm, internal/prog, internal/experiments),
-// the hot-path-marked simulator core (internal/pipeline), and the
-// schema-bearing packages (internal/staticfac, internal/obs).
+// (internal/minic, internal/asm, internal/prog, internal/experiments,
+// internal/simsvc), the hot-path-marked simulator core (internal/pipeline,
+// internal/predict), and the schema-bearing packages (internal/staticfac,
+// internal/obs).
 package main
 
 import (
@@ -54,13 +55,14 @@ import (
 )
 
 // defaultTargets are the packages whose output must not depend on map
-// iteration order: the compiler, the assembler, the linker, and the
-// experiment harness.
+// iteration order: the compiler, the assembler, the linker, the
+// experiment harness and the simulation service.
 var defaultTargets = []string{
 	"internal/minic",
 	"internal/asm",
 	"internal/prog",
 	"internal/experiments",
+	"internal/simsvc",
 	"internal/pipeline",
 	"internal/predict",
 	"internal/staticfac",
