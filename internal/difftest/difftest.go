@@ -130,11 +130,10 @@ func Reference(p *prog.Program, maxInsts uint64) (*Ref, error) {
 	e.MaxInsts = maxInsts
 	var trs []emu.Trace
 	for !e.Halted {
-		tr, err := e.Step()
-		if err != nil {
+		trs = append(trs, emu.Trace{})
+		if err := e.StepInto(&trs[len(trs)-1]); err != nil {
 			return nil, err
 		}
-		trs = append(trs, tr)
 	}
 	return &Ref{
 		Trace:  trs,

@@ -33,8 +33,9 @@ type Trace struct {
 	Inst   isa.Inst
 	NextPC uint32
 	// Pre points at the pre-decoded form of Inst when the producer holds a
-	// pre-decode table (the emulator shares the program's). Consumers fall
-	// back to isa.Predecode when nil, so hand-built traces stay valid.
+	// pre-decode table (the emulator shares the program's). The timing
+	// model falls back to isa.Predecode when nil, so hand-built traces stay
+	// valid there; the reference profiler requires it.
 	Pre *isa.Pre
 	// Memory access operands (valid when Inst.Op.IsMem()):
 	EffAddr     uint32 // the architectural effective address
@@ -54,9 +55,11 @@ type Trace struct {
 
 // Emulator holds the architectural state of a running program.
 type Emulator struct {
-	Prog *prog.Program
-	Mem  *mem.Memory
-	pre  []isa.Pre // the program's pre-decode table, indexed like Prog.Insts
+	Prog     *prog.Program
+	Mem      *mem.Memory
+	insts    []isa.Inst // Prog.Insts
+	pre      []isa.Pre  // the program's pre-decode table, indexed like insts
+	textBase uint32     // Prog.TextBase
 
 	R   [isa.NumRegs]uint32
 	F   [isa.NumRegs]float64
@@ -78,11 +81,13 @@ type Emulator struct {
 // real crt0/kernel would do).
 func New(p *prog.Program) *Emulator {
 	e := &Emulator{
-		Prog: p,
-		Mem:  p.NewMemory(),
-		pre:  p.Predecoded(),
-		PC:   p.Entry,
-		Brk:  p.HeapBase,
+		Prog:     p,
+		Mem:      p.NewMemory(),
+		insts:    p.Insts,
+		pre:      p.Predecoded(),
+		textBase: p.TextBase,
+		PC:       p.Entry,
+		Brk:      p.HeapBase,
 	}
 	e.R[isa.GP] = p.GP
 	e.R[isa.SP] = p.SP
@@ -99,6 +104,10 @@ func signExt16(v int32) uint32 { return uint32(v) }
 // Step executes one instruction. It returns the trace record and an error
 // for architectural faults (unaligned access, bad PC, division by zero).
 // Stepping a halted emulator returns ErrHalted.
+//
+// Step copies each trace out; every caller in this module uses StepInto.
+// Step remains because the benchmark module's layer ledger (perfbench)
+// calls it, and goes once that ledger is ported.
 func (e *Emulator) Step() (Trace, error) {
 	var tr Trace
 	err := e.StepInto(&tr)
@@ -109,24 +118,22 @@ func (e *Emulator) Step() (Trace, error) {
 // form the batched trace source uses (the destination is a reused buffer
 // slot, so every field is overwritten).
 func (e *Emulator) StepInto(tr *Trace) error {
-	if e.Halted {
-		return ErrHalted
+	// One text index serves the instruction and its pre-decoded form.
+	i := (e.PC - e.textBase) / isa.InstBytes
+	if e.Halted || e.MaxInsts != 0 && e.InstCount >= e.MaxInsts ||
+		e.PC < e.textBase || e.PC&3 != 0 || i >= uint32(len(e.insts)) {
+		return e.cannotStep()
 	}
-	if e.MaxInsts != 0 && e.InstCount >= e.MaxInsts {
-		return fmt.Errorf("emu: instruction budget %d exceeded at pc %#x", e.MaxInsts, e.PC)
-	}
-	in, ok := e.Prog.InstAt(e.PC)
-	if !ok {
-		return fmt.Errorf("emu: bad pc %#x", e.PC)
-	}
-	// Zeroing the slot and assigning fields writes the trace in place; a
-	// composite literal would be built in a stack temporary and copied.
-	// InstAt validated the PC, so the text index is in range.
-	*tr = Trace{}
-	tr.PC, tr.Inst, tr.NextPC = e.PC, in, e.PC+isa.InstBytes
-	tr.Pre = &e.pre[(e.PC-e.Prog.TextBase)/isa.InstBytes]
+	in := e.insts[i]
+	// Assigning every field writes the trace in place: a composite literal
+	// would be built in a stack temporary and copied, and zeroing the slot
+	// first would store Pre twice. TestStepIntoOverwritesEveryField fails
+	// if a field is left out.
+	tr.PC, tr.Inst, tr.NextPC, tr.Pre = e.PC, in, e.PC+isa.InstBytes, &e.pre[i]
+	tr.EffAddr, tr.Base, tr.Offset, tr.IsRegOffset = 0, 0, 0, false
+	tr.MemVal, tr.HasMemVal, tr.Taken = 0, false, false
 	if err := e.exec(in, tr); err != nil {
-		return fmt.Errorf("emu: pc %#x (%v in %s): %w", tr.PC, in, e.Prog.FuncName(tr.PC), err)
+		return e.fault(in, err)
 	}
 	e.R[isa.Zero] = 0
 	e.InstCount++
@@ -138,13 +145,33 @@ func (e *Emulator) StepInto(tr *Trace) error {
 	return nil
 }
 
+// cannotStep names why StepInto cannot start its instruction, testing in
+// order: the program has halted, the budget is spent, or the PC is not an
+// instruction (InstAt's checks). Kept out of StepInto, whose hot path it
+// would otherwise slow.
+func (e *Emulator) cannotStep() error {
+	if e.Halted {
+		return ErrHalted
+	}
+	if e.MaxInsts != 0 && e.InstCount >= e.MaxInsts {
+		return fmt.Errorf("emu: instruction budget %d exceeded at pc %#x", e.MaxInsts, e.PC)
+	}
+	return fmt.Errorf("emu: bad pc %#x", e.PC)
+}
+
+// fault wraps an architectural fault of the instruction in at e.PC.
+func (e *Emulator) fault(in isa.Inst, err error) error {
+	return fmt.Errorf("emu: pc %#x (%v in %s): %w", e.PC, in, e.Prog.FuncName(e.PC), err)
+}
+
 // ErrHalted is returned by Step once the program has exited.
 var ErrHalted = fmt.Errorf("emu: program halted")
 
 // Run executes until the program exits or faults.
 func (e *Emulator) Run() error {
+	var tr Trace
 	for !e.Halted {
-		if _, err := e.Step(); err != nil {
+		if err := e.StepInto(&tr); err != nil {
 			return err
 		}
 	}

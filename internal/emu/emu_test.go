@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -327,6 +328,78 @@ skip:
 	}
 }
 
+// TestStepIntoOverwritesEveryField: StepInto assigns each field of the
+// trace rather than zeroing the slot first, so a slot still holding a
+// stale trace, every field nonzero, must come out exactly as a zeroed one
+// does, on every kind of instruction.
+func TestStepIntoOverwritesEveryField(t *testing.T) {
+	src := `
+	.data
+arr:	.word 1, 2, 3, 4
+d:	.double 1.5
+	.text
+main:
+	la   $t0, arr
+	li   $t1, 4
+	lw   $t2, 0($t0)
+	lw   $t3, ($t0+$t1)
+	lw   $t4, ($t0)+4
+	sw   $t2, 8($t0)
+	lbu  $t5, 1($t0)
+	lfd  $f2, d
+	fadd $f4, $f2, $f2
+	beq  $t2, $t3, main
+	bne  $t2, $t3, skip
+	add  $t6, $t6, $t6
+skip:
+	jal  leaf
+	li   $v0, 10
+	syscall
+leaf:
+	jr   $ra
+`
+	fresh := load(t, src)
+	stale := New(fresh.Prog) // the same program, so the same Pre table
+	var dirty Trace
+	fillNonzero(reflect.ValueOf(&dirty).Elem())
+	for !fresh.Halted {
+		var want Trace
+		if err := fresh.StepInto(&want); err != nil {
+			t.Fatal(err)
+		}
+		got := dirty
+		if err := stale.StepInto(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("pc %#x: stepping into a stale slot gives\n%+v\nwant\n%+v", want.PC, got, want)
+		}
+	}
+}
+
+// fillNonzero sets every field reachable in v to a nonzero value.
+func fillNonzero(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillNonzero(v.Field(i))
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillNonzero(v.Elem())
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillNonzero(v.Index(i))
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-3)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(0xA5)
+	}
+}
+
 func TestZeroRegisterImmutable(t *testing.T) {
 	e := run(t, `
 main:
@@ -346,16 +419,26 @@ func TestFaults(t *testing.T) {
 	cases := []struct {
 		src  string
 		want string
+		pc   func(*Emulator) uint32 // the faulting PC, when it matters
 	}{
-		{"main:\n\tli $t0, 0x1001\n\tlw $t1, 0($t0)\n\tjr $ra\n", "unaligned"},
-		{"main:\n\tli $t0, 5\n\tdiv $t1, $t0, $zero\n\tjr $ra\n", "division by zero"},
-		{"main:\n\tli $t0, 0x2000\n\tjr $t0\n", "bad pc"},
+		{"main:\n\tli $t0, 0x1001\n\tlw $t1, 0($t0)\n\tjr $ra\n", "unaligned", nil},
+		{"main:\n\tli $t0, 5\n\tdiv $t1, $t0, $zero\n\tjr $ra\n", "division by zero", nil},
+		{"main:\n\tli $t0, 0x2000\n\tjr $t0\n", "bad pc", nil},
+		// A misaligned PC inside the text.
+		{"main:\n\tla $t0, main\n\taddi $t0, $t0, 2\n\tjr $t0\n", "bad pc",
+			func(e *Emulator) uint32 { return e.Prog.TextBase + 2 }},
+		// One past the last instruction.
+		{"main:\n\tla $t0, end\n\tjr $t0\nend:\n", "bad pc",
+			func(e *Emulator) uint32 { return e.Prog.TextEnd() }},
 	}
 	for _, c := range cases {
 		e := load(t, c.src)
 		err := e.Run()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Run(%q) error = %v, want containing %q", c.src, err, c.want)
+		}
+		if c.pc != nil && e.PC != c.pc(e) {
+			t.Errorf("Run(%q) faulted at pc %#x, want %#x", c.src, e.PC, c.pc(e))
 		}
 	}
 }
@@ -375,10 +458,8 @@ main:
 	sw  $t0, ($t0)+8
 	jr  $ra
 `)
-	for !e.Halted {
-		if _, err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 	if e.R[isa.T0] != 0x1008 {
 		t.Errorf("post-inc base = %#x, want 0x1008", e.R[isa.T0])

@@ -1,7 +1,13 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/emu"
@@ -12,7 +18,7 @@ import (
 
 // TestFunctionalSinglePass: Suite.Functional's one emulator pass measures
 // exactly what standalone runs measure — profile.Run over the same four
-// geometries, and an emu.Step replay of every load through the two load
+// geometries, and an emulator replay of every load through the two load
 // target buffers — on both toolchains of an integer and an FP workload.
 func TestFunctionalSinglePass(t *testing.T) {
 	s := NewSuite()
@@ -44,9 +50,9 @@ func TestFunctionalSinglePass(t *testing.T) {
 			stride := ltb.New(ltb.Config{Entries: 1024, Stride: true})
 			e := emu.New(p)
 			e.MaxInsts = s.MaxInsts
+			var tr emu.Trace
 			for !e.Halted {
-				tr, err := e.Step()
-				if err != nil {
+				if err := e.StepInto(&tr); err != nil {
 					t.Fatal(err)
 				}
 				if tr.Inst.Op.IsLoad() {
@@ -59,5 +65,53 @@ func TestFunctionalSinglePass(t *testing.T) {
 					name, tc, fr.LTBLast, fr.LTBStride, last.Accuracy(), stride.Accuracy())
 			}
 		}
+	}
+}
+
+// TestFunctionalGolden pins every raw count of the 38 functional passes
+// (19 workloads on both toolchains): the four geometries' failure counts,
+// the TLB counts, the offset histograms, the reference mix, both LTB
+// accuracies, the instruction count, the footprint and the output. Each
+// pass's FuncResult JSON is hashed and compared with
+// testdata/functional.golden, one "workload/toolchain sha256" line per
+// pass. The rendered tables round to percentages and would hide a
+// one-count drift. An intended change regenerates the file from the
+// lines this test reports.
+func TestFunctionalGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("38 functional passes")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "functional.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(want)), "\n") {
+		pass, sum, _ := strings.Cut(line, " ")
+		golden[pass] = sum
+	}
+	if err := shared.PrefetchFunctional(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, w := range workload.All() {
+		for _, tc := range []string{"base", "fac"} {
+			fr, err := shared.Functional(w, tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass, sum := w.Name+"/"+tc, fmt.Sprintf("%x", sha256.Sum256(b))
+			if golden[pass] != sum {
+				t.Errorf("%s: FuncResult differs from the golden; the new line is %q", pass, pass+" "+sum)
+			}
+			n++
+		}
+	}
+	if n != len(golden) {
+		t.Errorf("%d passes, golden has %d", n, len(golden))
 	}
 }

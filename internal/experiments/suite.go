@@ -254,8 +254,8 @@ func (s *Suite) Functional(w workload.Workload, tc string) (*FuncResult, error) 
 			if err := e.StepInto(&tr); err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", w.Name, tc, err)
 			}
-			prof.Note(tr)
-			if tr.Inst.Op.IsLoad() {
+			prof.Note(&tr)
+			if tr.Pre.IsLoad() {
 				last.Access(tr.PC, tr.EffAddr)
 				stride.Access(tr.PC, tr.EffAddr)
 			}

@@ -123,68 +123,75 @@ type Result struct {
 //
 // Invariant: Result.OK implies Result.Predicted == base+ofs (mod 2^32).
 func (c Config) Predict(base, ofs uint32, isRegOffset bool) Result {
+	fail := c.Verify(base, ofs, isRegOffset)
 	bm := uint32(1)<<c.BlockBits - 1 // block-offset mask
-	sm := uint32(1)<<c.SetBits - 1   // block offset + index mask
-
-	lowSum := (base & bm) + (ofs & bm)
-	blockOfs := lowSum & bm
-	carryOut := lowSum >> c.BlockBits
-
+	blockOfs := (base + ofs) & bm    // the block-offset full adder
 	negative := ofs&0x80000000 != 0
-	if negative && isRegOffset {
+
+	var predicted uint32
+	switch {
+	case negative && isRegOffset:
 		// The conservative path: the prediction presented the raw OR'd
 		// address and is abandoned.
-		return Result{
-			Predicted: (base|ofs)&^bm | blockOfs,
-			Failure:   FailNegIndexReg,
-		}
-	}
-	if negative {
+		predicted = (base|ofs)&^bm | blockOfs
+	case negative:
 		// Negative constant offset: the index (and tag) bits of the
-		// sign-extended offset are all ones and are inverted to zero, so the
-		// predicted address is the base's block with the adjusted block
-		// offset. It verifies only when the access stays within the base's
-		// cache block: the low-field add must produce a carry (no borrow).
-		var fail Failure
-		if ofs>>c.BlockBits != (1<<(32-c.BlockBits))-1 {
-			fail |= FailLargeNegConst
-		}
-		if carryOut == 0 {
-			fail |= FailOverflow
-		}
-		return Result{
-			Predicted: base&^bm | blockOfs,
-			OK:        fail == 0,
-			Failure:   fail,
-		}
-	}
-
-	// Non-negative offset: carry-free (OR) addition in the index field and,
-	// without the tag adder, in the tag field as well.
-	var fail Failure
-	if carryOut != 0 {
-		fail |= FailOverflow
-	}
-	conflicts := base & ofs // per-bit carry generates
-	idxConflicts := conflicts & sm &^ bm
-	tagConflicts := conflicts &^ sm
-	if idxConflicts != 0 {
-		fail |= FailGenCarry
-	}
-	var predicted uint32
-	if c.TagAdder {
-		// The tag adder computes base+ofs in the tag field with no carry-in;
-		// that is exact whenever the index field neither generates nor
-		// receives a carry, which the other two signals already guarantee.
+		// sign-extended offset are all ones and are inverted to zero, so
+		// the predicted address is the base's block with the adjusted
+		// block offset.
+		predicted = base&^bm | blockOfs
+	case c.TagAdder:
+		// Carry-free (OR) addition in the index field; the tag adder
+		// computes base+ofs in the tag field with no carry-in, which is
+		// exact whenever the index field neither generates nor receives a
+		// carry, as verification already requires.
+		sm := uint32(1)<<c.SetBits - 1 // block offset + index mask
 		tag := (base >> c.SetBits) + (ofs >> c.SetBits)
 		predicted = tag<<c.SetBits | (base|ofs)&sm&^bm | blockOfs
-	} else {
-		if tagConflicts != 0 {
-			fail |= FailGenCarry
-		}
+	default:
+		// Carry-free (OR) addition in the index and tag fields.
 		predicted = (base|ofs)&^bm | blockOfs
 	}
 	return Result{Predicted: predicted, OK: fail == 0, Failure: fail}
+}
+
+// Verify models the decoupled verification circuit alone: the failure
+// signals raised for one access, with no predicted address formed.
+// Predict's OK is Verify's zero mask, so a zero mask means Predict's
+// address is base+ofs. Callers that need only the verdict, such as the
+// reference profiler's per-geometry failure counts, call it instead of
+// Predict.
+func (c Config) Verify(base, ofs uint32, isRegOffset bool) Failure {
+	bm := uint32(1)<<c.BlockBits - 1 // block-offset mask
+	var fail Failure
+	if base&bm+ofs&bm > bm { // the block-offset adder carries out
+		fail = FailOverflow
+	}
+	if ofs&0x80000000 != 0 {
+		if isRegOffset {
+			// Register operands arrive too late for set-index inversion.
+			return FailNegIndexReg
+		}
+		// A negative constant offset verifies only when the access stays
+		// within the base's cache block: the offset's bits above the
+		// block offset are all ones, and the block-offset add carries
+		// (a borrow fails, so the overflow signal is the carry inverted).
+		if ofs|bm != 0xFFFFFFFF {
+			fail |= FailLargeNegConst
+		}
+		return fail ^ FailOverflow
+	}
+	// Non-negative offset: a carry out of the block-offset adder, or any
+	// carry generated where the OR stands in for addition — the index
+	// field, and the tag field too without the tag adder — fails.
+	gen := base & ofs &^ bm // per-bit carry generates above the block offset
+	if c.TagAdder {
+		gen &= uint32(1)<<c.SetBits - 1
+	}
+	if gen != 0 {
+		fail |= FailGenCarry
+	}
+	return fail
 }
 
 // Index extracts the set-index field of an address under this geometry.

@@ -1,3 +1,5 @@
+//lint:hotpath Access runs once per load of a functional pass.
+
 // Package ltb implements the load target buffer of Golden & Mudge (1993),
 // the alternative address-prediction mechanism the paper compares against
 // in its Related Work section: a PC-indexed table that predicts a load's
@@ -36,12 +38,41 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// entry's fields are ordered so it packs into 16 bytes.
 type entry struct {
-	valid      bool
 	tag        uint32
 	lastAddr   uint32
 	stride     uint32
+	valid      bool
 	confidence uint8 // 2-bit: >=2 uses the stride
+}
+
+// predict forms the entry's prediction: last+stride once the stride is
+// confirmed under the stride policy, else the last address.
+func (e *entry) predict(stride bool) (addr uint32, usedStride bool) {
+	if stride && e.confidence >= 2 {
+		return e.lastAddr + e.stride, true
+	}
+	return e.lastAddr, false
+}
+
+// train moves a hit entry to the architectural address actual.
+func (e *entry) train(stride bool, actual uint32) {
+	if stride {
+		if newStride := actual - e.lastAddr; newStride == e.stride {
+			if e.confidence < 3 {
+				e.confidence++
+			}
+		} else {
+			if e.confidence > 0 {
+				e.confidence--
+			}
+			if e.confidence == 0 {
+				e.stride = newStride
+			}
+		}
+	}
+	e.lastAddr = actual
 }
 
 // Predictor is a direct-mapped load target buffer.
@@ -67,13 +98,14 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-func (p *Predictor) index(pc uint32) (uint32, uint32) {
+// slot returns the entry pc indexes and the tag pc would store there.
+func (p *Predictor) slot(pc uint32) (*entry, uint32) {
 	word := pc >> 2
 	tag := word >> p.idxBits
 	if p.cfg.TagBits > 0 {
 		tag &= 1<<p.cfg.TagBits - 1
 	}
-	return word & uint32(p.cfg.Entries-1), tag
+	return &p.entries[word&uint32(p.cfg.Entries-1)], tag
 }
 
 // Predict returns the predicted effective address for the load at pc.
@@ -88,32 +120,32 @@ func (p *Predictor) Predict(pc uint32) (addr uint32, ok bool) {
 // prediction came from the confirmed-stride path (last+stride) rather than
 // the last-address path. Pure — table state is unchanged.
 func (p *Predictor) Lookup(pc uint32) (addr uint32, usedStride, ok bool) {
-	idx, tag := p.index(pc)
-	e := &p.entries[idx]
+	e, tag := p.slot(pc)
 	if !e.valid || e.tag != tag {
 		return 0, false, false
 	}
-	if p.cfg.Stride && e.confidence >= 2 {
-		return e.lastAddr + e.stride, true, true
-	}
-	return e.lastAddr, false, true
+	addr, usedStride = e.predict(p.cfg.Stride)
+	return addr, usedStride, true
 }
 
 // Access performs a full predict-then-update step for the load at pc with
 // architectural address actual, and reports whether a prediction was made
-// and whether it was correct.
+// and whether it was correct. It is Lookup followed by Update, indexing
+// the table once.
 func (p *Predictor) Access(pc, actual uint32) (predicted, correct bool) {
 	p.lookups++
-	pred, ok := p.Predict(pc)
-	if ok {
-		p.hits++
-		if pred == actual {
-			p.correct++
-			correct = true
-		}
+	e, tag := p.slot(pc)
+	if !e.valid || e.tag != tag {
+		*e = entry{valid: true, tag: tag, lastAddr: actual}
+		return false, false
 	}
-	p.Update(pc, actual)
-	return ok, correct
+	p.hits++
+	if pred, _ := e.predict(p.cfg.Stride); pred == actual {
+		p.correct++
+		correct = true
+	}
+	e.train(p.cfg.Stride, actual)
+	return true, correct
 }
 
 // Update trains the entry for pc with the architectural address. Exposed so
@@ -121,28 +153,12 @@ func (p *Predictor) Access(pc, actual uint32) (predicted, correct bool) {
 // internal/predict machines — can drive the table directly; Access composes
 // the two for trace-replay counting.
 func (p *Predictor) Update(pc, actual uint32) {
-	idx, tag := p.index(pc)
-	e := &p.entries[idx]
+	e, tag := p.slot(pc)
 	if !e.valid || e.tag != tag {
 		*e = entry{valid: true, tag: tag, lastAddr: actual}
 		return
 	}
-	newStride := actual - e.lastAddr
-	if p.cfg.Stride {
-		if newStride == e.stride {
-			if e.confidence < 3 {
-				e.confidence++
-			}
-		} else {
-			if e.confidence > 0 {
-				e.confidence--
-			}
-			if e.confidence == 0 {
-				e.stride = newStride
-			}
-		}
-	}
-	e.lastAddr = actual
+	e.train(p.cfg.Stride, actual)
 }
 
 // Stats returns (lookups, predictions made, correct predictions).

@@ -2,6 +2,7 @@ package ltb
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -130,6 +131,63 @@ func TestStrideLockProperty(t *testing.T) {
 			if _, correct := p.Access(pc, base+uint32(i)*stride); !correct {
 				t.Fatalf("trial %d: stride %d not locked at access %d", trial, stride, i)
 			}
+		}
+	}
+}
+
+// TestAccessIsLookupThenUpdate: Access indexes the table once, and must
+// behave exactly as Lookup followed by Update on a twin table, access by
+// access, for both policies, with full and partial tags. The stream
+// mixes strided, repeating and random addresses over more loads than
+// the table has entries, so entries conflict, alias and retrain.
+func TestAccessIsLookupThenUpdate(t *testing.T) {
+	for _, cfg := range []Config{
+		{Entries: 64},
+		{Entries: 64, Stride: true},
+		{Entries: 64, TagBits: 3},
+		{Entries: 64, Stride: true, TagBits: 3},
+	} {
+		a, twin := New(cfg), New(cfg)
+		rng := rand.New(rand.NewSource(7))
+		next := map[uint32]uint32{}
+		var hits, correct uint64
+		for i := 0; i < 200000; i++ {
+			pc := 0x400000 + 4*uint32(rng.Intn(300))
+			var actual uint32
+			switch pc % 3 {
+			case 0: // an array walk
+				actual = next[pc]
+				next[pc] = actual + 4*uint32(1+pc%5)
+			case 1: // a fixed address, with an occasional detour
+				actual = pc << 4
+				if rng.Intn(8) == 0 {
+					actual += 64
+				}
+			default: // no pattern
+				actual = rng.Uint32() &^ 3
+			}
+			want, _, ok := twin.Lookup(pc)
+			twin.Update(pc, actual)
+			gotPred, gotCorrect := a.Access(pc, actual)
+			if gotPred != ok || gotCorrect != (ok && want == actual) {
+				t.Fatalf("%+v access %d (pc %#x, addr %#x): Access = %v/%v, Lookup+Update = %v/%v",
+					cfg, i, pc, actual, gotPred, gotCorrect, ok, ok && want == actual)
+			}
+			if ok {
+				hits++
+				if want == actual {
+					correct++
+				}
+			}
+		}
+		if l, h, c := a.Stats(); l != 200000 || h != hits || c != correct {
+			t.Errorf("%+v: Stats = %d/%d/%d, want 200000/%d/%d", cfg, l, h, c, hits, correct)
+		}
+		if !reflect.DeepEqual(a.entries, twin.entries) {
+			t.Errorf("%+v: tables differ after the stream", cfg)
+		}
+		if correct == 0 || hits == correct || hits == 200000 {
+			t.Errorf("%+v: stream too one-sided: %d predicted, %d correct", cfg, hits, correct)
 		}
 	}
 }

@@ -15,19 +15,33 @@ const (
 	pageMask = pageSize - 1
 )
 
+// The page table has two levels: a directory of dirSize entries, indexed
+// by the high bits of the page number, each naming a table of tableSize
+// page pointers, indexed by the low bits.
+const (
+	tableBits = (32 - PageBits) / 2
+	tableSize = 1 << tableBits
+	dirSize   = 1 << (32 - PageBits - tableBits)
+)
+
+type pageTable [tableSize]*[pageSize]byte
+
 // Memory is a sparse 32-bit address space. The zero value is ready to use.
 type Memory struct {
-	pages map[uint32]*[pageSize]byte
+	// dir is the page table's directory; a table is allocated on the
+	// first touch of any page it covers, a page on its own first touch.
+	dir   [dirSize]*pageTable
+	pages int // pages allocated
 	// One-entry lookup cache: accesses cluster heavily within a page
 	// (stack frames, array walks), so remembering the last page touched
-	// turns most map lookups into a compare. lastPage==nil means invalid.
+	// turns most walks into a compare. lastPage==nil means invalid.
 	lastPN   uint32
 	lastPage *[pageSize]byte
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{pages: make(map[uint32]*[pageSize]byte)}
+	return new(Memory)
 }
 
 func (m *Memory) page(addr uint32) *[pageSize]byte {
@@ -35,13 +49,16 @@ func (m *Memory) page(addr uint32) *[pageSize]byte {
 	if m.lastPage != nil && m.lastPN == pn {
 		return m.lastPage
 	}
-	if m.pages == nil {
-		m.pages = make(map[uint32]*[pageSize]byte)
+	t := m.dir[pn>>tableBits]
+	if t == nil {
+		t = new(pageTable)
+		m.dir[pn>>tableBits] = t
 	}
-	p := m.pages[pn]
+	p := t[pn&(tableSize-1)]
 	if p == nil {
 		p = new([pageSize]byte)
-		m.pages[pn] = p
+		t[pn&(tableSize-1)] = p
+		m.pages++
 	}
 	m.lastPN, m.lastPage = pn, p
 	return p
@@ -53,10 +70,11 @@ func (m *Memory) peek(addr uint32) *[pageSize]byte {
 	if m.lastPage != nil && m.lastPN == pn {
 		return m.lastPage
 	}
-	if m.pages == nil {
+	t := m.dir[pn>>tableBits]
+	if t == nil {
 		return nil
 	}
-	p := m.pages[pn]
+	p := t[pn&(tableSize-1)]
 	if p != nil {
 		m.lastPN, m.lastPage = pn, p
 	}
@@ -66,11 +84,11 @@ func (m *Memory) peek(addr uint32) *[pageSize]byte {
 // Footprint returns the number of bytes of memory touched so far, rounded up
 // to whole pages.
 func (m *Memory) Footprint() uint64 {
-	return uint64(len(m.pages)) * pageSize
+	return uint64(m.pages) * pageSize
 }
 
 // PagesTouched returns the number of distinct pages allocated.
-func (m *Memory) PagesTouched() int { return len(m.pages) }
+func (m *Memory) PagesTouched() int { return m.pages }
 
 // Read8 returns the byte at addr.
 func (m *Memory) Read8(addr uint32) byte {

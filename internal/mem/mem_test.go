@@ -107,6 +107,30 @@ func TestFootprint(t *testing.T) {
 	}
 }
 
+// TestPageTableEdges: pages on either side of a directory boundary, at the
+// bottom and the top of the address space, are distinct pages, and a read
+// inside a table that exists but of a page that does not allocates
+// nothing.
+func TestPageTableEdges(t *testing.T) {
+	var m Memory
+	edge := uint32(tableSize) << PageBits // the first page of directory entry 1
+	addrs := []uint32{0, edge - 4, edge, 0xFFFFFFFC}
+	for i, a := range addrs {
+		m.Write32(a, uint32(i+1))
+	}
+	for i, a := range addrs {
+		if got := m.Read32(a); got != uint32(i+1) {
+			t.Errorf("Read32(%#x) = %d, want %d", a, got, i+1)
+		}
+	}
+	if m.PagesTouched() != len(addrs) {
+		t.Errorf("PagesTouched = %d, want %d", m.PagesTouched(), len(addrs))
+	}
+	if m.Read32(edge+1<<PageBits) != 0 || m.Read32(0xFFFFE000) != 0 || m.PagesTouched() != len(addrs) {
+		t.Error("a read of an untouched page in a touched table allocated or read nonzero")
+	}
+}
+
 // Property: a 32-bit write followed by a read at the same address returns
 // the written value, at any address including page straddles.
 func TestWriteReadProperty(t *testing.T) {

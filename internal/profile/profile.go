@@ -1,3 +1,5 @@
+//lint:hotpath Note runs once per executed instruction of a profiled program.
+
 // Package profile implements the reference-behavior analyses of the paper's
 // Section 2 and the prediction-accuracy measurements of Section 5.3/5.4:
 // dynamic load/store counts, the breakdown of loads by addressing class
@@ -102,6 +104,7 @@ type Profiler struct {
 func New(geoms ...fac.Config) *Profiler {
 	p := &Profiler{tlb: NewTLB(DefaultTLBConfig())}
 	for _, g := range geoms {
+		//lint:alloc-ok
 		p.P.Geoms = append(p.P.Geoms, GeomStats{Geom: g})
 	}
 	return p
@@ -115,20 +118,23 @@ func offsetBucket(v uint32) int {
 	return bits.Len32(v)
 }
 
-// Note records one executed instruction.
-func (p *Profiler) Note(tr emu.Trace) {
+// Note records one executed instruction. It classifies the instruction
+// once, from its pre-decoded flags, so the trace must carry Pre (the
+// emulator's traces always do).
+func (p *Profiler) Note(tr *emu.Trace) {
 	p.P.Insts++
-	op := tr.Inst.Op
-	if !op.IsMem() {
+	f := tr.Pre.Flags
+	if f&isa.PreMem == 0 {
 		return
 	}
+	isLoad := f&isa.PreLoad != 0
+	isRR := f&isa.PreRegOffset != 0
 	rt := Classify(tr.Inst.BaseReg())
-	isRR := op.Mode() == isa.AMReg
 
 	p.tlb.Access(tr.EffAddr)
 	p.P.TLBAccesses, p.P.TLBMisses = p.tlb.Counts()
 
-	if op.IsLoad() {
+	if isLoad {
 		p.P.Loads++
 		p.P.LoadsByType[rt]++
 		if isRR {
@@ -149,11 +155,10 @@ func (p *Profiler) Note(tr emu.Trace) {
 
 	for i := range p.P.Geoms {
 		g := &p.P.Geoms[i]
-		res := g.Geom.Predict(tr.Base, tr.Offset, tr.IsRegOffset)
-		if res.OK {
+		if g.Geom.Verify(tr.Base, tr.Offset, tr.IsRegOffset) == 0 {
 			continue
 		}
-		if op.IsLoad() {
+		if isLoad {
 			g.LoadFails++
 			if !isRR {
 				g.LoadFailsNoRR++
@@ -221,12 +226,12 @@ func Run(p *prog.Program, maxInsts uint64, geoms ...fac.Config) (*Profile, *emu.
 	e := emu.New(p)
 	e.MaxInsts = maxInsts
 	pr := New(geoms...)
+	var tr emu.Trace
 	for !e.Halted {
-		tr, err := e.Step()
-		if err != nil {
+		if err := e.StepInto(&tr); err != nil {
 			return &pr.P, e, err
 		}
-		pr.Note(tr)
+		pr.Note(&tr)
 	}
 	return &pr.P, e, nil
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
@@ -29,9 +30,12 @@ func TestOffsetBucket(t *testing.T) {
 	}
 }
 
-func mkTrace(op isa.Op, base isa.Reg, baseVal, ofs uint32, isReg bool) emu.Trace {
-	return emu.Trace{
-		Inst:        isa.Inst{Op: op, Rs: base},
+func mkTrace(op isa.Op, base isa.Reg, baseVal, ofs uint32, isReg bool) *emu.Trace {
+	in := isa.Inst{Op: op, Rs: base}
+	pre := isa.Predecode(in)
+	return &emu.Trace{
+		Inst:        in,
+		Pre:         &pre,
 		Base:        baseVal,
 		Offset:      ofs,
 		EffAddr:     baseVal + ofs,
@@ -54,7 +58,7 @@ func TestNoteAccounting(t *testing.T) {
 	// general store via pointer: predicts.
 	p.Note(mkTrace(isa.SW, isa.T1, 0x2000, 0, false))
 	// non-memory instruction.
-	p.Note(emu.Trace{Inst: isa.Inst{Op: isa.ADD}})
+	p.Note(mkTrace(isa.ADD, isa.T0, 0, 0, false))
 
 	pr := &p.P
 	if pr.Insts != 6 || pr.Loads != 3 || pr.Stores != 2 {
@@ -154,5 +158,51 @@ func TestZeroDenominators(t *testing.T) {
 	d := p.P.CumulativeOffsetDist(Stack)
 	if d[32] != 0 {
 		t.Error("empty distribution not zero")
+	}
+}
+
+// loopAsm runs a load-increment-store loop for a given number of
+// iterations, touching the same data page however long it runs.
+const loopAsm = `
+	.data
+buf:	.space 8
+	.text
+main:
+	li $t0, %d
+	la $t1, buf
+loop:
+	lw $t2, 0($t1)
+	addi $t2, $t2, 1
+	sw $t2, 0($t1)
+	addi $t0, $t0, -1
+	bne $t0, $zero, loop
+	li $v0, 10
+	syscall
+`
+
+// TestRunSteadyStateZeroAllocs: a profiled run 16x longer must allocate
+// exactly as much as a short one, so the profiler, its TLB and the
+// emulator allocate only at set-up, never per instruction or access.
+func TestRunSteadyStateZeroAllocs(t *testing.T) {
+	geoms := []fac.Config{{BlockBits: 4, SetBits: 14}, {BlockBits: 5, SetBits: 14}, {BlockBits: 5, SetBits: 14, TagAdder: true}}
+	run := func(iters int) float64 {
+		o, err := asm.Assemble(fmt.Sprintf(loopAsm, iters))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := prog.Link(o, prog.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := Run(p, 0, geoms...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short := run(600)
+	long := run(9600)
+	if long != short {
+		t.Errorf("Run allocates per access: %.0f allocs for 600 iterations, %.0f for 9600 (want equal)", short, long)
 	}
 }

@@ -11,9 +11,11 @@
 //     order-independent downstream is suppressed with the marker comment
 //     //lint:sorted on the `for` line or the line directly above it.
 //
-//  2. Hot-path allocations: a file whose first comment is //lint:hotpath
-//     declares that its steady state must not allocate (the simulator's
-//     cycle loop; TestSteadyStateZeroAllocs enforces the dynamic side).
+//  2. Hot-path allocations: a file carrying a //lint:hotpath comment (bare,
+//     or followed by the reason the file is hot) declares that its steady
+//     state must not allocate (the simulator's cycle loop and the
+//     functional pass's per-access bookkeeping; TestSteadyStateZeroAllocs
+//     and profile's TestRunSteadyStateZeroAllocs enforce the dynamic side).
 //     In such files every `append` call, map composite literal, and
 //     `make(map...)` call is flagged — the hot structures are fixed-size
 //     rings sized once at setup, so growth idioms are regressions.
@@ -35,8 +37,8 @@
 // Without arguments it lints the packages where emission order matters
 // (internal/minic, internal/asm, internal/prog, internal/experiments,
 // internal/simsvc), the hot-path-marked simulator core (internal/pipeline,
-// internal/predict), and the schema-bearing packages (internal/staticfac,
-// internal/obs).
+// internal/predict) and functional pass (internal/profile, internal/ltb),
+// and the schema-bearing packages (internal/staticfac, internal/obs).
 package main
 
 import (
@@ -54,9 +56,12 @@ import (
 	"strings"
 )
 
-// defaultTargets are the packages whose output must not depend on map
-// iteration order: the compiler, the assembler, the linker, the
-// experiment harness and the simulation service.
+// defaultTargets are the packages linted without arguments: those whose
+// output must not depend on map iteration order (the compiler, the
+// assembler, the linker, the experiment harness and the simulation
+// service), those with hot-path-marked files (the timing model, the
+// predictors, the reference profiler and the load target buffer), and the
+// schema-bearing ones.
 var defaultTargets = []string{
 	"internal/minic",
 	"internal/asm",
@@ -65,6 +70,8 @@ var defaultTargets = []string{
 	"internal/simsvc",
 	"internal/pipeline",
 	"internal/predict",
+	"internal/profile",
+	"internal/ltb",
 	"internal/staticfac",
 	"internal/obs",
 }
@@ -256,11 +263,13 @@ func (l *linter) lintDir(dir string) ([]string, error) {
 }
 
 // hasHotpathMarker reports whether the file opts into the hot-path
-// allocation rule with a //lint:hotpath comment.
+// allocation rule with a //lint:hotpath comment, bare or followed by the
+// reason the file is hot.
 func hasHotpathMarker(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == "lint:hotpath" {
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			if text == "lint:hotpath" || strings.HasPrefix(text, "lint:hotpath ") {
 				return true
 			}
 		}
