@@ -30,6 +30,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/simsvc"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -82,90 +83,18 @@ func main() {
 		name string
 		run  func() (string, error)
 	}{
-		{*table1 || all, "Table 1", func() (string, error) {
-			r, err := s.Table1()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*fig2 || all, "Figure 2", func() (string, error) {
-			r, err := s.Figure2()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*fig3 || all, "Figure 3", func() (string, error) {
-			r, err := s.Figure3()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*table3 || all, "Table 3", func() (string, error) {
-			r, err := s.Table3()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*table4 || all, "Table 4", func() (string, error) {
-			r, err := s.Table4()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*fig6 || all, "Figure 6", func() (string, error) {
-			r, err := s.Figure6()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*table6 || all, "Table 6", func() (string, error) {
-			r, err := s.Table6()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*ablate || all, "Ablations", func() (string, error) {
-			r, err := s.Ablations()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*ltbCmp || all, "LTB comparison", func() (string, error) {
-			r, err := s.CompareLTB()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*agiCmp || all, "AGI comparison", func() (string, error) {
-			r, err := s.CompareAGI()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*predGrid || all, "Predictor grid", func() (string, error) {
-			r, err := s.ComparePredictors()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
-		{*sweep || all, "Cache sweep", func() (string, error) {
-			r, err := s.CacheSweep()
-			if err != nil {
-				return "", err
-			}
-			return r.Table().String(), nil
-		}},
+		{*table1 || all, "Table 1", render(s.Table1)},
+		{*fig2 || all, "Figure 2", render(s.Figure2)},
+		{*fig3 || all, "Figure 3", render(s.Figure3)},
+		{*table3 || all, "Table 3", render(s.Table3)},
+		{*table4 || all, "Table 4", render(s.Table4)},
+		{*fig6 || all, "Figure 6", render(s.Figure6)},
+		{*table6 || all, "Table 6", render(s.Table6)},
+		{*ablate || all, "Ablations", render(s.Ablations)},
+		{*ltbCmp || all, "LTB comparison", render(s.CompareLTB)},
+		{*agiCmp || all, "AGI comparison", render(s.CompareAGI)},
+		{*predGrid || all, "Predictor grid", render(s.ComparePredictors)},
+		{*sweep || all, "Cache sweep", render(s.CacheSweep)},
 	}
 	for _, st := range steps {
 		if !st.on {
@@ -203,6 +132,17 @@ func main() {
 	// prints simulated=0 with every run a cache hit.
 	if c := s.Counts(); *cacheDir != "" || *remote != "" {
 		fmt.Printf("[runs: simulated=%d remote=%d cache-hits=%d]\n", c.Simulated, c.Remote, c.CacheHits)
+	}
+}
+
+// render adapts one experiment to a step: run it and render its table.
+func render[R interface{ Table() *stats.Table }](experiment func() (R, error)) func() (string, error) {
+	return func() (string, error) {
+		r, err := experiment()
+		if err != nil {
+			return "", err
+		}
+		return r.Table().String(), nil
 	}
 }
 

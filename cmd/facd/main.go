@@ -176,13 +176,13 @@ func loadClientsFile(path string) ([]simsvc.TenantConfig, error) {
 }
 
 // warmSpecs enumerates the standard experiment grid — every workload
-// under each (toolchain, machine) pair of the paper's central figure —
+// under each (toolchain, machine) run of the paper's central figure —
 // as job specs for cache warming.
 func warmSpecs() []simsvc.JobSpec {
 	var specs []simsvc.JobSpec
 	for _, w := range workload.All() {
-		for _, pair := range experiments.StandardGrid() {
-			specs = append(specs, simsvc.JobSpec{Workload: w.Name, Toolchain: pair[0], Machine: pair[1]})
+		for _, r := range experiments.StandardGrid() {
+			specs = append(specs, simsvc.JobSpec{Workload: w.Name, Toolchain: r.Toolchain, Machine: string(r.Machine)})
 		}
 	}
 	return specs

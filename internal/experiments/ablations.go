@@ -37,65 +37,34 @@ type AblationResult struct {
 // the optional tag adder (paper Section 3.1), store-buffer depth, the
 // number of outstanding misses, and the predictor's block-offset width.
 func (s *Suite) Ablations() (*AblationResult, error) {
-	pairs := [][2]string{
-		{"base", string(MFAC32)}, {"base", string(MFAC32Tag)},
-		{"fac", string(MFAC32)}, {"fac", string(MFAC32SB4)}, {"fac", string(MFAC32SB64)},
-		{"fac", string(MFAC32MSHR1)},
-	}
-	if err := s.Prefetch(pairs); err != nil {
+	g, err := s.grid(grid{
+		timing: []Run{
+			{"base", MFAC32}, {"base", MFAC32Tag},
+			{"fac", MFAC32}, {"fac", MFAC32SB4}, {"fac", MFAC32SB64},
+			{"fac", MFAC32MSHR1},
+		},
+		functional: []string{"base"},
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := s.PrefetchFunctional(); err != nil {
-		return nil, err
-	}
-
 	res := &AblationResult{}
-	for _, w := range workload.All() {
-		row := AblationRow{Name: w.Name, Class: w.Class}
-
-		fr, err := s.Functional(w, "base")
-		if err != nil {
-			return nil, err
-		}
-		prof := fr.Profile
-		row.LoadFail16 = prof.LoadFailRate(0)
-		row.LoadFail32 = prof.LoadFailRate(1)
-		row.LoadFailOR = prof.LoadFailRate(1)
-		row.LoadFailTag = prof.LoadFailRate(2)
-		row.LoadFail64 = prof.LoadFailRate(3)
-
-		noTag, err := s.Timing(w, "base", MFAC32)
-		if err != nil {
-			return nil, err
-		}
-		withTag, err := s.Timing(w, "base", MFAC32Tag)
-		if err != nil {
-			return nil, err
-		}
-		row.TagSpeedup = float64(noTag.Cycles) / float64(withTag.Cycles)
-
-		sb16, err := s.Timing(w, "fac", MFAC32)
-		if err != nil {
-			return nil, err
-		}
-		sb4, err := s.Timing(w, "fac", MFAC32SB4)
-		if err != nil {
-			return nil, err
-		}
-		sb64, err := s.Timing(w, "fac", MFAC32SB64)
-		if err != nil {
-			return nil, err
-		}
-		row.SB4Rel = float64(sb4.Cycles) / float64(sb16.Cycles)
-		row.SB64Rel = float64(sb64.Cycles) / float64(sb16.Cycles)
-
-		mshr1, err := s.Timing(w, "fac", MFAC32MSHR1)
-		if err != nil {
-			return nil, err
-		}
-		row.MSHR1Rel = float64(mshr1.Cycles) / float64(sb16.Cycles)
-
-		res.Rows = append(res.Rows, row)
+	for _, w := range g.workloads {
+		prof := g.functional(w, "base").Profile
+		cycles := func(tc string, m Machine) float64 { return float64(g.timing(w, tc, m).Cycles) }
+		sb16 := cycles("fac", MFAC32)
+		res.Rows = append(res.Rows, AblationRow{
+			Name: w.Name, Class: w.Class,
+			LoadFailOR:  prof.LoadFailRate(1),
+			LoadFailTag: prof.LoadFailRate(2),
+			TagSpeedup:  cycles("base", MFAC32) / cycles("base", MFAC32Tag),
+			SB4Rel:      cycles("fac", MFAC32SB4) / sb16,
+			SB64Rel:     cycles("fac", MFAC32SB64) / sb16,
+			MSHR1Rel:    cycles("fac", MFAC32MSHR1) / sb16,
+			LoadFail16:  prof.LoadFailRate(0),
+			LoadFail32:  prof.LoadFailRate(1),
+			LoadFail64:  prof.LoadFailRate(3),
+		})
 	}
 	return res, nil
 }

@@ -28,60 +28,29 @@ type AGIResult struct {
 // CompareAGI measures the two pipeline organizations against fast address
 // calculation.
 func (s *Suite) CompareAGI() (*AGIResult, error) {
-	pairs := [][2]string{
-		{"base", string(MBase32)}, {"base", string(MAGI)},
-		{"base", string(MFAC32)}, {"fac", string(MFAC32)},
-	}
-	if err := s.Prefetch(pairs); err != nil {
+	g, err := s.grid(grid{timing: []Run{
+		{"base", MBase32}, {"base", MAGI}, {"base", MFAC32}, {"fac", MFAC32},
+	}})
+	if err != nil {
 		return nil, err
 	}
 	res := &AGIResult{}
-	var ints, fps []AGIRow
-	for _, w := range workload.All() {
-		base, err := s.Timing(w, "base", MBase32)
-		if err != nil {
-			return nil, err
-		}
-		agi, err := s.Timing(w, "base", MAGI)
-		if err != nil {
-			return nil, err
-		}
-		hw, err := s.Timing(w, "base", MFAC32)
-		if err != nil {
-			return nil, err
-		}
-		hwsw, err := s.Timing(w, "fac", MFAC32)
-		if err != nil {
-			return nil, err
-		}
+	var avg classMeans
+	for _, w := range g.workloads {
+		cycles := func(tc string, m Machine) float64 { return float64(g.timing(w, tc, m).Cycles) }
+		base := cycles("base", MBase32)
 		row := AGIRow{
 			Name: w.Name, Class: w.Class,
-			AGI:   float64(base.Cycles) / float64(agi.Cycles),
-			FAC:   float64(base.Cycles) / float64(hw.Cycles),
-			FACSW: float64(base.Cycles) / float64(hwsw.Cycles),
+			AGI:   base / cycles("base", MAGI),
+			FAC:   base / cycles("base", MFAC32),
+			FACSW: base / cycles("fac", MFAC32),
 		}
 		res.Rows = append(res.Rows, row)
-		if w.Class == workload.Int {
-			ints = append(ints, row)
-		} else {
-			fps = append(fps, row)
-		}
+		// Weight 1: these averages are unweighted, unlike Figures 2 and 6.
+		avg.add(w.Class, 1, row.AGI, row.FAC, row.FACSW)
 	}
-	avg := func(rows []AGIRow, weights func(AGIRow) float64) [3]float64 {
-		var a, f, fs, ws []float64
-		for _, r := range rows {
-			a = append(a, r.AGI)
-			f = append(f, r.FAC)
-			fs = append(fs, r.FACSW)
-			ws = append(ws, weights(r))
-		}
-		return [3]float64{
-			stats.WeightedMean(a, ws), stats.WeightedMean(f, ws), stats.WeightedMean(fs, ws),
-		}
-	}
-	weight := func(r AGIRow) float64 { return 1 } // unweighted: cycles unavailable per row here
-	res.IntAvg = avg(ints, weight)
-	res.FPAvg = avg(fps, weight)
+	avg.mean(workload.Int, res.IntAvg[:])
+	avg.mean(workload.FP, res.FPAvg[:])
 	return res, nil
 }
 

@@ -27,58 +27,28 @@ type Figure2Result struct {
 
 // Figure2 measures the performance potential of faster loads (paper Fig 2).
 func (s *Suite) Figure2() (*Figure2Result, error) {
-	machines := [][2]string{
-		{"base", string(MBase32)}, {"base", string(MOneCycle)},
-		{"base", string(MPerfect)}, {"base", string(MOnePerfect)},
-	}
-	if err := s.Prefetch(machines); err != nil {
+	runs := []Run{{"base", MBase32}, {"base", MOneCycle}, {"base", MPerfect}, {"base", MOnePerfect}}
+	g, err := s.grid(grid{timing: runs})
+	if err != nil {
 		return nil, err
 	}
 	res := &Figure2Result{}
-	var ints, fps []Figure2Row
-	for _, w := range workload.All() {
+	var avg classMeans
+	for _, w := range g.workloads {
 		var ipc [4]float64
-		var weight float64
-		for i, m := range []Machine{MBase32, MOneCycle, MPerfect, MOnePerfect} {
-			st, err := s.Timing(w, "base", m)
-			if err != nil {
-				return nil, err
-			}
-			ipc[i] = st.IPC
-			if m == MBase32 {
-				weight = float64(st.Cycles)
-			}
+		for i, r := range runs {
+			ipc[i] = g.timing(w, r.Toolchain, r.Machine).IPC
 		}
 		row := Figure2Row{
 			Name: w.Name, Class: w.Class,
 			Baseline: ipc[0], OneCycle: ipc[1], Perfect: ipc[2], OnePerf: ipc[3],
-			Weight: weight,
+			Weight: float64(g.timing(w, "base", MBase32).Cycles),
 		}
 		res.Rows = append(res.Rows, row)
-		if w.Class == workload.Int {
-			ints = append(ints, row)
-		} else {
-			fps = append(fps, row)
-		}
+		avg.add(w.Class, row.Weight, ipc[:]...)
 	}
-	avg := func(rows []Figure2Row) [4]float64 {
-		var xs [4][]float64
-		var ws []float64
-		for _, r := range rows {
-			xs[0] = append(xs[0], r.Baseline)
-			xs[1] = append(xs[1], r.OneCycle)
-			xs[2] = append(xs[2], r.Perfect)
-			xs[3] = append(xs[3], r.OnePerf)
-			ws = append(ws, r.Weight)
-		}
-		var out [4]float64
-		for i := range xs {
-			out[i] = stats.WeightedMean(xs[i], ws)
-		}
-		return out
-	}
-	res.IntAvg = avg(ints)
-	res.FPAvg = avg(fps)
+	avg.mean(workload.Int, res.IntAvg[:])
+	avg.mean(workload.FP, res.FPAvg[:])
 	return res, nil
 }
 
@@ -120,23 +90,20 @@ type Figure3Result struct {
 
 // Figure3 measures load offset size distributions per addressing class.
 func (s *Suite) Figure3() (*Figure3Result, error) {
+	g, err := s.grid(grid{workloads: Figure3Workloads, functional: []string{"base"}})
+	if err != nil {
+		return nil, err
+	}
 	res := &Figure3Result{}
-	for _, name := range Figure3Workloads {
-		w, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		fr, err := s.Functional(w, "base")
-		if err != nil {
-			return nil, err
-		}
+	for _, w := range g.workloads {
+		p := g.functional(w, "base").Profile
 		for rt := profile.Global; rt < profile.NumRefTypes; rt++ {
-			dist := fr.Profile.CumulativeOffsetDist(rt)
-			sr := Figure3Series{Benchmark: name, RefType: rt, Share: fr.Profile.LoadTypeShare(rt)}
+			dist := p.CumulativeOffsetDist(rt)
+			sr := Figure3Series{Benchmark: w.Name, RefType: rt, Share: p.LoadTypeShare(rt)}
 			copy(sr.Cumulative[:], dist[:17])
-			total := fr.Profile.LoadsByType[rt]
+			total := p.LoadsByType[rt]
 			if total > 0 {
-				sr.Negative = float64(fr.Profile.LoadNegOffsets[rt]) / float64(total)
+				sr.Negative = float64(p.LoadNegOffsets[rt]) / float64(total)
 			}
 			res.Series = append(res.Series, sr)
 		}
@@ -183,93 +150,71 @@ type Figure6Result struct {
 	FPAvg  [6]float64
 }
 
-func (s *Suite) speedup(w workload.Workload, tc string, m Machine, baseM Machine) (float64, error) {
-	base, err := s.Timing(w, "base", baseM)
-	if err != nil {
-		return 0, err
-	}
-	run, err := s.Timing(w, tc, m)
-	if err != nil {
-		return 0, err
-	}
-	return float64(base.Cycles) / float64(run.Cycles), nil
-}
-
-// StandardGrid returns the (toolchain, machine) pairs of the paper's
+// StandardGrid returns the (toolchain, machine) runs of the paper's
 // central speedup figure — the grid every regeneration needs. It is the
-// shared definition behind Figure6's prefetch, facd -warm (which
-// pre-simulates and pins exactly these runs), and the fleet soak.
-func StandardGrid() [][2]string {
-	return [][2]string{
-		{"base", string(MBase32)}, {"base", string(MBase16)},
-		{"base", string(MFAC16)}, {"base", string(MFAC32)},
-		{"fac", string(MFAC16)}, {"fac", string(MFAC32)},
-		{"base", string(MFAC32RR)}, {"fac", string(MFAC32RR)},
+// shared definition behind Figure6 and facd -warm, which pre-simulates and
+// pins exactly these runs.
+func StandardGrid() []Run {
+	return []Run{
+		{"base", MBase32}, {"base", MBase16},
+		{"base", MFAC16}, {"base", MFAC32},
+		{"fac", MFAC16}, {"fac", MFAC32},
+		{"base", MFAC32RR}, {"fac", MFAC32RR},
 	}
 }
 
 // Figure6 measures program speedups with and without software support, for
 // 16- and 32-byte blocks, with and without register+register speculation.
 func (s *Suite) Figure6() (*Figure6Result, error) {
-	if err := s.Prefetch(StandardGrid()); err != nil {
+	g, err := s.grid(grid{timing: StandardGrid()})
+	if err != nil {
 		return nil, err
 	}
 	res := &Figure6Result{}
-	var ints, fps []Figure6Row
-	for _, w := range workload.All() {
-		row := Figure6Row{Name: w.Name, Class: w.Class}
-		var err error
-		if row.HW16, err = s.speedup(w, "base", MFAC16, MBase16); err != nil {
-			return nil, err
+	var avg classMeans
+	for _, w := range g.workloads {
+		cycles := func(tc string, m Machine) float64 { return float64(g.timing(w, tc, m).Cycles) }
+		base16, base32 := cycles("base", MBase16), cycles("base", MBase32)
+		row := Figure6Row{
+			Name: w.Name, Class: w.Class,
+			HW16:     base16 / cycles("base", MFAC16),
+			HWSW16:   base16 / cycles("fac", MFAC16),
+			HW32:     base32 / cycles("base", MFAC32),
+			HWSW32:   base32 / cycles("fac", MFAC32),
+			HW32RR:   base32 / cycles("base", MFAC32RR),
+			HWSW32RR: base32 / cycles("fac", MFAC32RR),
+			Weight:   base32,
 		}
-		if row.HWSW16, err = s.speedup(w, "fac", MFAC16, MBase16); err != nil {
-			return nil, err
-		}
-		if row.HW32, err = s.speedup(w, "base", MFAC32, MBase32); err != nil {
-			return nil, err
-		}
-		if row.HWSW32, err = s.speedup(w, "fac", MFAC32, MBase32); err != nil {
-			return nil, err
-		}
-		if row.HW32RR, err = s.speedup(w, "base", MFAC32RR, MBase32); err != nil {
-			return nil, err
-		}
-		if row.HWSW32RR, err = s.speedup(w, "fac", MFAC32RR, MBase32); err != nil {
-			return nil, err
-		}
-		base, err := s.Timing(w, "base", MBase32)
-		if err != nil {
-			return nil, err
-		}
-		row.Weight = float64(base.Cycles)
 		res.Rows = append(res.Rows, row)
-		if w.Class == workload.Int {
-			ints = append(ints, row)
-		} else {
-			fps = append(fps, row)
-		}
+		avg.add(w.Class, row.Weight, row.HW16, row.HWSW16, row.HW32, row.HWSW32, row.HW32RR, row.HWSW32RR)
 	}
-	avg := func(rows []Figure6Row) [6]float64 {
-		var xs [6][]float64
-		var ws []float64
-		for _, r := range rows {
-			xs[0] = append(xs[0], r.HW16)
-			xs[1] = append(xs[1], r.HWSW16)
-			xs[2] = append(xs[2], r.HW32)
-			xs[3] = append(xs[3], r.HWSW32)
-			xs[4] = append(xs[4], r.HW32RR)
-			xs[5] = append(xs[5], r.HWSW32RR)
-			ws = append(ws, r.Weight)
-		}
-		var out [6]float64
-		for i := range xs {
-			out[i] = stats.WeightedMean(xs[i], ws)
-		}
-		return out
-	}
-	res.IntAvg = avg(ints)
-	res.FPAvg = avg(fps)
+	avg.mean(workload.Int, res.IntAvg[:])
+	avg.mean(workload.FP, res.FPAvg[:])
 	return res, nil
+}
+
+// classMeans accumulates a table's Int-Avg and FP-Avg rows: per workload
+// class, the mean of each column, weighted by row.
+type classMeans struct {
+	rows    [2][][]float64
+	weights [2][]float64
+}
+
+// add records one row of class c with the given weight.
+func (a *classMeans) add(c workload.Class, weight float64, cols ...float64) {
+	a.rows[c] = append(a.rows[c], cols)
+	a.weights[c] = append(a.weights[c], weight)
+}
+
+// mean fills out with class c's weighted column means.
+func (a *classMeans) mean(c workload.Class, out []float64) {
+	for i := range out {
+		xs := make([]float64, len(a.rows[c]))
+		for j, row := range a.rows[c] {
+			xs[j] = row[i]
+		}
+		out[i] = stats.WeightedMean(xs, a.weights[c])
+	}
 }
 
 // Table renders Figure 6 as text.

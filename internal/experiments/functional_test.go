@@ -4,10 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/emu"
@@ -81,26 +78,15 @@ func TestFunctionalGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("38 functional passes")
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "functional.golden"))
+	golden := readGolden(t, "functional.golden")
+	g, err := shared.grid(grid{functional: []string{"base", "fac"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(want)), "\n") {
-		pass, sum, _ := strings.Cut(line, " ")
-		golden[pass] = sum
-	}
-	if err := shared.PrefetchFunctional(); err != nil {
-		t.Fatal(err)
-	}
 	n := 0
-	for _, w := range workload.All() {
+	for _, w := range g.workloads {
 		for _, tc := range []string{"base", "fac"} {
-			fr, err := shared.Functional(w, tc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := json.Marshal(fr)
+			b, err := json.Marshal(g.functional(w, tc))
 			if err != nil {
 				t.Fatal(err)
 			}

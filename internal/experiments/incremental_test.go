@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -87,21 +88,28 @@ func TestSuiteIncrementalCache(t *testing.T) {
 	}
 }
 
-// TestSuiteRemoteTiming: a suite routed at a live daemon produces the
-// same stats and report bytes as local simulation, and the accounting
-// shows the run was served remotely.
-func TestSuiteRemoteTiming(t *testing.T) {
+// newDaemon starts an in-process simulation daemon with the given worker
+// count and returns its base URL.
+func newDaemon(t *testing.T, workers int) string {
+	t.Helper()
 	runner := &simsvc.Runner{Resolve: func(m string) (pipeline.Config, error) {
 		return MachineConfig(Machine(m))
 	}}
-	srv, err := simsvc.NewServer(simsvc.ServerConfig{Workers: 2}, runner)
+	srv, err := simsvc.NewServer(simsvc.ServerConfig{Workers: workers}, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Start()
 	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	t.Cleanup(hs.Close)
+	return hs.URL
+}
 
+// TestSuiteRemoteTiming: a suite routed at a live daemon produces the
+// same stats and report bytes as local simulation, and the accounting
+// shows the run was served remotely.
+func TestSuiteRemoteTiming(t *testing.T) {
+	base := newDaemon(t, 2)
 	w := testWorkload(t, "queens")
 
 	local := NewSuite()
@@ -115,7 +123,7 @@ func TestSuiteRemoteTiming(t *testing.T) {
 	}
 
 	rem := NewSuite()
-	rem.SetRemote(&simsvc.Client{Base: hs.URL})
+	rem.SetRemote(&simsvc.Client{Base: base})
 	stRemote, err := rem.Timing(w, "base", MBase32)
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +141,26 @@ func TestSuiteRemoteTiming(t *testing.T) {
 	}
 	if c := rem.Counts(); c.Remote != 1 || c.Simulated != 0 {
 		t.Fatalf("remote suite counts = %+v, want 1 remote / 0 simulated", c)
+	}
+}
+
+// TestSuiteRemoteBusy: a remote grid finishes when the daemon is busy.
+// The daemon has one worker, so its tenant may run one synchronous job at
+// a time; the grid's two workers send two runs at once, and the daemon
+// refuses one with 429. That run waits out the Retry-After and is served.
+func TestSuiteRemoteBusy(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	s := NewSuite()
+	s.SetRemote(&simsvc.Client{Base: newDaemon(t, 1)})
+	if _, err := s.grid(grid{
+		workloads: []string{"queens"},
+		timing:    []Run{{"base", MBase32}, {"fac", MFAC32}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Counts(); c != (RunCounts{Remote: 2}) {
+		t.Fatalf("counts = %+v, want 2 remote", c)
 	}
 }
 

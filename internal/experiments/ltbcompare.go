@@ -26,19 +26,13 @@ type LTBResult struct {
 // CompareLTB measures the Related Work claim that predicting from the
 // operands (FAC) beats predicting from the load's PC (LTB).
 func (s *Suite) CompareLTB() (*LTBResult, error) {
-	if err := s.PrefetchFunctional(); err != nil {
+	g, err := s.grid(grid{functional: []string{"base", "fac"}})
+	if err != nil {
 		return nil, err
 	}
 	res := &LTBResult{}
-	for _, w := range workload.All() {
-		base, err := s.Functional(w, "base")
-		if err != nil {
-			return nil, err
-		}
-		opt, err := s.Functional(w, "fac")
-		if err != nil {
-			return nil, err
-		}
+	for _, w := range g.workloads {
+		base, opt := g.functional(w, "base"), g.functional(w, "fac")
 		res.Rows = append(res.Rows, LTBRow{
 			Name: w.Name, Class: w.Class,
 			// Geometry index 1 is the 32-byte-block predictor.

@@ -50,11 +50,12 @@ type PredictorsResult struct {
 // streams. This is the Table-5-style cross-predictor comparison.
 func (s *Suite) ComparePredictors() (*PredictorsResult, error) {
 	machines := PredictorMachines()
-	pairs := [][2]string{{"fac", string(MBase32)}}
+	runs := []Run{{"fac", MBase32}}
 	for _, m := range machines {
-		pairs = append(pairs, [2]string{"fac", string(m)})
+		runs = append(runs, Run{"fac", m})
 	}
-	if err := s.Prefetch(pairs); err != nil {
+	g, err := s.grid(grid{timing: runs})
+	if err != nil {
 		return nil, err
 	}
 
@@ -69,17 +70,11 @@ func (s *Suite) ComparePredictors() (*PredictorsResult, error) {
 	}
 
 	res := &PredictorsResult{}
-	for _, w := range workload.All() {
-		base, err := s.Timing(w, "fac", MBase32)
-		if err != nil {
-			return nil, err
-		}
+	for _, w := range g.workloads {
+		base := g.timing(w, "fac", MBase32)
 		row := PredictorRow{Name: w.Name, Class: w.Class, Weight: float64(base.Cycles)}
 		for i, m := range machines {
-			st, err := s.Timing(w, "fac", m)
-			if err != nil {
-				return nil, err
-			}
+			st := g.timing(w, "fac", m)
 			// Every grid machine speculates, so the FAC section is present.
 			refs := st.Loads + st.Stores
 			spec := st.FAC.LoadsSpeculated + st.FAC.StoresSpeculated

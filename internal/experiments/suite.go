@@ -288,8 +288,8 @@ func (s *Suite) Timing(w workload.Workload, tc string, m Machine) (obs.RunRecord
 	return s.timing(nil, w, tc, m, cfg, true)
 }
 
-// timing is the single path behind Timing and timingWithConfig. The
-// suite memoizes each record and counts where it came from; concurrent
+// timing is the single path behind Timing and the grid. The suite
+// memoizes each record and counts where it came from; concurrent
 // identical calls share one leader, so a run is counted once. Local runs
 // go through the runner (simsvc.Runner.RunConfig); named machines go to
 // the remote daemon when one is set. ctx reaches the pipeline's cycle
@@ -459,37 +459,107 @@ func runParallel(jobs []job) error {
 	return first
 }
 
-// Prefetch warms the timing cache for a set of (toolchain, machine) pairs
-// across all workloads, in parallel.
-func (s *Suite) Prefetch(pairs [][2]string) error {
+// Run names one timing run of a workload: its binary's toolchain and the
+// machine that times it.
+type Run struct {
+	Toolchain string
+	Machine   Machine
+}
+
+// grid declares an experiment's runs, once: on each of its workloads, every
+// timing run and the functional pass of every listed toolchain.
+type grid struct {
+	workloads  []string // nil: the whole suite, in workload.All order
+	timing     []Run
+	functional []string
+	// adhoc configures machines outside the named table (the cache sweep).
+	// Their runs stay out of the suite's Report.
+	adhoc map[Machine]pipeline.Config
+}
+
+// gridRuns holds the results of a grid's runs. Its lookups cannot fail:
+// every declared run succeeded, and reading one the grid did not declare
+// is a bug, so it panics with the key.
+type gridRuns struct {
+	workloads []workload.Workload
+	runs      map[string]obs.RunRecord
+	funcs     map[string]*FuncResult
+}
+
+// timing returns a declared timing run.
+func (g *gridRuns) timing(w workload.Workload, tc string, m Machine) obs.RunRecord {
+	key := w.Name + "|" + tc + "|" + string(m)
+	rec, ok := g.runs[key]
+	if !ok {
+		panic("experiments: timing run " + key + " not declared")
+	}
+	return rec
+}
+
+// functional returns a declared functional pass.
+func (g *gridRuns) functional(w workload.Workload, tc string) *FuncResult {
+	key := w.Name + "|" + tc
+	fr, ok := g.funcs[key]
+	if !ok {
+		panic("experiments: functional pass " + key + " not declared")
+	}
+	return fr
+}
+
+// grid performs every run g declares, in parallel: the timing runs of each
+// workload in turn, then the functional passes.
+func (s *Suite) grid(g grid) (*gridRuns, error) {
+	ws := workload.All()
+	if g.workloads != nil {
+		ws = nil
+		for _, name := range g.workloads {
+			w, err := workload.ByName(name)
+			if err != nil {
+				return nil, err
+			}
+			ws = append(ws, w)
+		}
+	}
+	res := &gridRuns{workloads: ws, runs: map[string]obs.RunRecord{}, funcs: map[string]*FuncResult{}}
+	var mu sync.Mutex
 	var jobs []job
-	for _, w := range workload.All() {
-		for _, pr := range pairs {
-			w, tc, m := w, pr[0], Machine(pr[1])
+	for _, w := range ws {
+		for _, r := range g.timing {
 			jobs = append(jobs, func(ctx context.Context) error {
-				cfg, err := MachineConfig(m)
+				cfg, adhoc := g.adhoc[r.Machine]
+				if !adhoc {
+					var err error
+					if cfg, err = MachineConfig(r.Machine); err != nil {
+						return err
+					}
+				}
+				rec, err := s.timing(ctx, w, r.Toolchain, r.Machine, cfg, !adhoc)
 				if err != nil {
 					return err
 				}
-				_, err = s.timing(ctx, w, tc, m, cfg, true)
-				return err
+				mu.Lock()
+				res.runs[w.Name+"|"+r.Toolchain+"|"+string(r.Machine)] = rec
+				mu.Unlock()
+				return nil
 			})
 		}
 	}
-	return runParallel(jobs)
-}
-
-// PrefetchFunctional warms the profile cache for both toolchains.
-func (s *Suite) PrefetchFunctional() error {
-	var jobs []job
-	for _, w := range workload.All() {
-		for _, tc := range []string{"base", "fac"} {
-			w, tc := w, tc
+	for _, w := range ws {
+		for _, tc := range g.functional {
 			jobs = append(jobs, func(context.Context) error {
-				_, err := s.Functional(w, tc)
-				return err
+				fr, err := s.Functional(w, tc)
+				if err != nil {
+					return err
+				}
+				mu.Lock()
+				res.funcs[w.Name+"|"+tc] = fr
+				mu.Unlock()
+				return nil
 			})
 		}
 	}
-	return runParallel(jobs)
+	if err := runParallel(jobs); err != nil {
+		return nil, err
+	}
+	return res, nil
 }

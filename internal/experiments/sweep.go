@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -49,50 +47,33 @@ func sweepMachine(size int, facOn bool) Machine {
 	return Machine(fmt.Sprintf("sweep%dk", size>>10))
 }
 
-// timingWithConfig is Timing for ad-hoc configurations outside the named
-// machine table. These runs are memoized and disk-cached like named runs
-// but stay out of the exportable report.
-func (s *Suite) timingWithConfig(ctx context.Context, w workload.Workload, tc string, m Machine, cfg pipeline.Config) (obs.RunRecord, error) {
-	return s.timing(ctx, w, tc, m, cfg, false)
-}
-
 // CacheSweep measures FAC's benefit as the data cache grows: the address
 // calculation cycle becomes a larger share of load latency as misses
 // vanish, so FAC's relative gain should hold or grow with cache size while
 // the miss-bound programs converge toward the cache-friendly ones.
 func (s *Suite) CacheSweep() (*SweepResult, error) {
-	var jobs []job
-	for _, w := range workload.All() {
-		for _, size := range SweepSizes {
-			for _, facOn := range []bool{false, true} {
-				w, size, facOn := w, size, facOn
-				tc := "base"
-				if facOn {
-					tc = "fac"
-				}
-				jobs = append(jobs, func(ctx context.Context) error {
-					_, err := s.timingWithConfig(ctx, w, tc, sweepMachine(size, facOn), sweepConfig(size, facOn))
-					return err
-				})
+	sweep := grid{adhoc: map[Machine]pipeline.Config{}}
+	for _, size := range SweepSizes {
+		for _, facOn := range []bool{false, true} {
+			tc := "base"
+			if facOn {
+				tc = "fac"
 			}
+			m := sweepMachine(size, facOn)
+			sweep.timing = append(sweep.timing, Run{tc, m})
+			sweep.adhoc[m] = sweepConfig(size, facOn)
 		}
 	}
-	if err := runParallel(jobs); err != nil {
+	g, err := s.grid(sweep)
+	if err != nil {
 		return nil, err
 	}
-
 	res := &SweepResult{Sizes: SweepSizes}
-	for _, w := range workload.All() {
+	for _, w := range g.workloads {
 		row := SweepRow{Name: w.Name, Class: w.Class}
 		for _, size := range SweepSizes {
-			base, err := s.timingWithConfig(nil, w, "base", sweepMachine(size, false), sweepConfig(size, false))
-			if err != nil {
-				return nil, err
-			}
-			facS, err := s.timingWithConfig(nil, w, "fac", sweepMachine(size, true), sweepConfig(size, true))
-			if err != nil {
-				return nil, err
-			}
+			base := g.timing(w, "base", sweepMachine(size, false))
+			facS := g.timing(w, "fac", sweepMachine(size, true))
 			row.Speedups = append(row.Speedups, float64(base.Cycles)/float64(facS.Cycles))
 			row.DMiss = append(row.DMiss, missRatio(base.DCache))
 		}

@@ -27,16 +27,13 @@ type Table1Result struct {
 
 // Table1 profiles the dynamic reference behaviour of the suite.
 func (s *Suite) Table1() (*Table1Result, error) {
-	if err := s.PrefetchFunctional(); err != nil {
+	g, err := s.grid(grid{functional: []string{"base"}})
+	if err != nil {
 		return nil, err
 	}
 	res := &Table1Result{}
-	for _, w := range workload.All() {
-		fr, err := s.Functional(w, "base")
-		if err != nil {
-			return nil, err
-		}
-		p := fr.Profile
+	for _, w := range g.workloads {
+		p := g.functional(w, "base").Profile
 		res.Rows = append(res.Rows, Table1Row{
 			Name: w.Name, Class: w.Class,
 			Insts:      p.Insts,
@@ -109,22 +106,13 @@ type Table3Result struct {
 // Table3 measures baseline program statistics and the prediction failure
 // rates of the bare hardware mechanism.
 func (s *Suite) Table3() (*Table3Result, error) {
-	if err := s.Prefetch([][2]string{{"base", string(MBase32)}}); err != nil {
-		return nil, err
-	}
-	if err := s.PrefetchFunctional(); err != nil {
+	g, err := s.grid(grid{timing: []Run{{"base", MBase32}}, functional: []string{"base"}})
+	if err != nil {
 		return nil, err
 	}
 	res := &Table3Result{}
-	for _, w := range workload.All() {
-		fr, err := s.Functional(w, "base")
-		if err != nil {
-			return nil, err
-		}
-		tm, err := s.Timing(w, "base", MBase32)
-		if err != nil {
-			return nil, err
-		}
+	for _, w := range g.workloads {
+		fr, tm := g.functional(w, "base"), g.timing(w, "base", MBase32)
 		p := fr.Profile
 		res.Rows = append(res.Rows, Table3Row{
 			Name: w.Name, Class: w.Class,
@@ -184,30 +172,17 @@ type Table4Result struct {
 
 // Table4 measures the impact of the compiler/linker software support.
 func (s *Suite) Table4() (*Table4Result, error) {
-	if err := s.Prefetch([][2]string{{"base", string(MBase32)}, {"fac", string(MBase32)}}); err != nil {
-		return nil, err
-	}
-	if err := s.PrefetchFunctional(); err != nil {
+	g, err := s.grid(grid{
+		timing:     []Run{{"base", MBase32}, {"fac", MBase32}},
+		functional: []string{"base", "fac"},
+	})
+	if err != nil {
 		return nil, err
 	}
 	res := &Table4Result{}
-	for _, w := range workload.All() {
-		base, err := s.Functional(w, "base")
-		if err != nil {
-			return nil, err
-		}
-		opt, err := s.Functional(w, "fac")
-		if err != nil {
-			return nil, err
-		}
-		baseT, err := s.Timing(w, "base", MBase32)
-		if err != nil {
-			return nil, err
-		}
-		optT, err := s.Timing(w, "fac", MBase32)
-		if err != nil {
-			return nil, err
-		}
+	for _, w := range g.workloads {
+		base, opt := g.functional(w, "base"), g.functional(w, "fac")
+		baseT, optT := g.timing(w, "base", MBase32), g.timing(w, "fac", MBase32)
 		p := opt.Profile
 		res.Rows = append(res.Rows, Table4Row{
 			Name: w.Name, Class: w.Class,
@@ -273,39 +248,27 @@ type Table6Result struct {
 
 // Table6 measures memory bandwidth overhead due to misspeculated accesses.
 func (s *Suite) Table6() (*Table6Result, error) {
-	pairs := [][2]string{
-		{"base", string(MFAC32RR)}, {"fac", string(MFAC32RR)},
-		{"base", string(MFAC32)}, {"fac", string(MFAC32)},
-	}
-	if err := s.Prefetch(pairs); err != nil {
+	g, err := s.grid(grid{timing: []Run{
+		{"base", MFAC32RR}, {"fac", MFAC32RR}, {"base", MFAC32}, {"fac", MFAC32},
+	}})
+	if err != nil {
 		return nil, err
 	}
 	res := &Table6Result{}
-	for _, w := range workload.All() {
-		row := Table6Row{Name: w.Name, Class: w.Class}
-		get := func(tc string, m Machine) (float64, error) {
-			rec, err := s.Timing(w, tc, m)
-			if err != nil {
-				return 0, err
-			}
+	for _, w := range g.workloads {
+		overhead := func(tc string, m Machine) float64 {
 			// Every Table 6 machine speculates, so the FAC section is
 			// present.
-			return safeDiv(rec.FAC.ExtraAccesses, rec.Loads+rec.Stores), nil
+			rec := g.timing(w, tc, m)
+			return safeDiv(rec.FAC.ExtraAccesses, rec.Loads+rec.Stores)
 		}
-		var err error
-		if row.HWRR, err = get("base", MFAC32RR); err != nil {
-			return nil, err
-		}
-		if row.SWRR, err = get("fac", MFAC32RR); err != nil {
-			return nil, err
-		}
-		if row.HWNoRR, err = get("base", MFAC32); err != nil {
-			return nil, err
-		}
-		if row.SWNoRR, err = get("fac", MFAC32); err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, Table6Row{
+			Name: w.Name, Class: w.Class,
+			HWRR:   overhead("base", MFAC32RR),
+			SWRR:   overhead("fac", MFAC32RR),
+			HWNoRR: overhead("base", MFAC32),
+			SWNoRR: overhead("fac", MFAC32),
+		})
 	}
 	return res, nil
 }

@@ -159,33 +159,10 @@ func transient(err error) bool {
 	if errors.As(err, &se) {
 		return se.Status >= 500
 	}
-	var re *simsvc.RetryError
-	if errors.As(err, &re) {
-		return true // saturated, not broken; another owner may have room
-	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	return true // transport-level failure (refused, reset, EOF, ...)
-}
-
-// runOn executes the spec synchronously on one worker, absorbing 429
-// backpressure by honoring Retry-After until ctx expires.
-func (d *Dispatcher) runOn(ctx context.Context, worker string, spec simsvc.JobSpec) (obs.RunRecord, bool, error) {
-	c := d.clients[worker]
-	for {
-		rec, hit, err := c.RunSync(ctx, spec)
-		var re *simsvc.RetryError
-		if errors.As(err, &re) {
-			select {
-			case <-ctx.Done():
-				return obs.RunRecord{}, false, ctx.Err()
-			case <-time.After(re.After):
-				continue
-			}
-		}
-		return rec, hit, err
-	}
 }
 
 // attempt is one in-flight dispatch's outcome.
@@ -230,7 +207,7 @@ func (d *Dispatcher) Run(ctx context.Context, spec simsvc.JobSpec) (obs.RunRecor
 			}
 		})
 		go func() {
-			rec, hit, err := d.runOn(runCtx, w, spec)
+			rec, hit, err := d.clients[w].RunSync(runCtx, spec)
 			resc <- attempt{worker: w, rec: rec, hit: hit, err: err}
 		}()
 	}

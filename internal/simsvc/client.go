@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -112,15 +113,30 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 
 // RunSync runs one spec synchronously (POST /v1/run), returning the
 // canonical RunRecord and whether the daemon served it from its
-// persistent cache. Cancelling ctx tears down the connection, which
-// cancels the simulation on the daemon.
+// persistent cache. A 429 (the tenant at its in-flight cap) is waited out
+// for its Retry-After and the run resubmitted, until ctx ends; RunSync
+// never returns a RetryError. Cancelling ctx tears down the connection,
+// which cancels the simulation on the daemon.
 func (c *Client) RunSync(ctx context.Context, spec JobSpec) (obs.RunRecord, bool, error) {
 	var resp struct {
 		CacheHit bool          `json:"cache_hit"`
 		Record   obs.RunRecord `json:"record"`
 	}
-	if err := c.do(ctx, http.MethodPost, "/v1/run", spec, &resp); err != nil {
-		return obs.RunRecord{}, false, err
+	for {
+		err := c.do(ctx, http.MethodPost, "/v1/run", spec, &resp)
+		var re *RetryError
+		if errors.As(err, &re) {
+			select {
+			case <-ctx.Done():
+				return obs.RunRecord{}, false, ctx.Err()
+			case <-time.After(re.After):
+				continue
+			}
+		}
+		if err != nil {
+			return obs.RunRecord{}, false, err
+		}
+		break
 	}
 	if resp.Record.Schema != obs.RunRecordSchema {
 		return obs.RunRecord{}, false, fmt.Errorf("simsvc: daemon returned record schema %q (want %q)",

@@ -6,7 +6,10 @@
 #   gofmt/lint/vet/build      ~30s  (lint is the repo's own analyzer,
 #                                    scripts/lint: map-iteration-order
 #                                    determinism in the emitting packages)
-#   go test ./...             ~60s  (dominated by internal/experiments)
+#   go test ./...             ~60s  (dominated by internal/experiments,
+#                                    whose TestTablesGolden regenerates all
+#                                    12 tables: 54s wall on 2 vCPUs, against
+#                                    34s without it)
 #   perfbench                  ~6s  (go vet + go test in the nested
 #                                    perfbench module, which the root
 #                                    ./... patterns skip: keeps the APIs it
