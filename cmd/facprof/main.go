@@ -25,10 +25,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/fac"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -37,57 +37,72 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, writes the report to stdout and
+// diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("facprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench  = flag.String("benchmark", "", "profile a built-in benchmark")
-		falign = flag.Bool("falign", false, "compile with software support")
-		block  = flag.Int("block", 32, "cache block size for the predictor (16 or 32)")
-		top    = flag.Int("top", 15, "number of top mispredicting sites to show")
-		static = flag.Bool("static", false, "add the static FAC-predictability verdict column (internal/staticfac)")
-		preds  = flag.Bool("predictors", false, "add per-predictor columns: how each zoo machine (internal/predict) fares on the replaying sites")
+		bench  = fs.String("benchmark", "", "profile a built-in benchmark")
+		falign = fs.Bool("falign", false, "compile with software support")
+		block  = fs.Int("block", 32, "cache block size of the FAC machine and its predictor (a power of two)")
+		top    = fs.Int("top", 15, "number of top mispredicting sites to show")
+		static = fs.Bool("static", false, "add the static FAC-predictability verdict column (internal/staticfac)")
+		preds  = fs.Bool("predictors", false, "add per-predictor columns: how each zoo machine (internal/predict) fares on the replaying sites")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "facprof:", err)
+		return 1
+	}
+
+	// The FAC machine. Its data cache geometry is the predictor's, for the
+	// functional pass, the timing pass and the static verdicts alike.
+	cfg := pipeline.DefaultConfig()
+	cfg.Predictor = "fac"
+	cfg.SpeculateRegReg = true // attribute R+R failures too
+	cfg.DCache.BlockSize = *block
+	if err := cfg.Validate(); err != nil {
+		return fatal(err)
+	}
 
 	tc := workload.BaseToolchain()
 	if *falign {
 		tc = workload.FACToolchain()
 	}
-	if *bench == "" && flag.NArg() != 1 {
-		fatal(fmt.Errorf("need exactly one input file (or -benchmark NAME)"))
+	if *bench == "" && fs.NArg() != 1 {
+		return fatal(fmt.Errorf("need exactly one input file (or -benchmark NAME)"))
 	}
-	p, err := workload.Load(*bench, flag.Arg(0), tc)
+	p, err := workload.Load(*bench, fs.Arg(0), tc)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	blockBits := uint(5)
-	if *block == 16 {
-		blockBits = 4
-	}
-	geom := fac.Config{BlockBits: blockBits, SetBits: 14}
 
 	// Functional pass: the Section 2 reference-behaviour summary over
 	// every executed access.
-	prof, _, err := profile.Run(p, 2_000_000_000, geom)
+	prof, _, err := profile.Run(p, 2_000_000_000, cfg.FACGeometry())
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
-	// Timing pass: the FAC machine with a site collector on the event
-	// stream, attributing each speculative access to its static site.
-	cfg := pipeline.DefaultConfig()
-	cfg.Predictor = "fac"
-	cfg.SpeculateRegReg = true // attribute R+R failures too
-	cfg.DCache.BlockSize = *block
+	// Timing pass: the site collector on the event stream attributes each
+	// speculative access to its static site.
 	sites := obs.NewSiteCollector()
 	if _, err := core.RunWithSink(p, cfg, 2_000_000_000, sites); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
-	fmt.Printf("instructions %d, loads %d, stores %d\n", prof.Insts, prof.Loads, prof.Stores)
-	fmt.Printf("load breakdown: global %.1f%%, stack %.1f%%, general %.1f%%\n",
+	fmt.Fprintf(stdout, "instructions %d, loads %d, stores %d\n", prof.Insts, prof.Loads, prof.Stores)
+	fmt.Fprintf(stdout, "load breakdown: global %.1f%%, stack %.1f%%, general %.1f%%\n",
 		100*prof.LoadTypeShare(profile.Global),
 		100*prof.LoadTypeShare(profile.Stack),
 		100*prof.LoadTypeShare(profile.General))
-	fmt.Printf("failure rates (block %d): loads %.1f%%, stores %.1f%% (no-R+R: %.1f%% / %.1f%%)\n\n",
+	fmt.Fprintf(stdout, "failure rates (block %d): loads %.1f%%, stores %.1f%% (no-R+R: %.1f%% / %.1f%%)\n\n",
 		*block, 100*prof.LoadFailRate(0), 100*prof.StoreFailRate(0),
 		100*prof.LoadFailRateNoRR(0), 100*prof.StoreFailRateNoRR(0))
 
@@ -104,7 +119,7 @@ func main() {
 			acfg.DCache.BlockSize = *block
 			sc := obs.NewSiteCollector()
 			if _, err := core.RunWithSink(p, acfg, 2_000_000_000, sc); err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 			altSites[name] = sc
 		}
@@ -120,7 +135,7 @@ func main() {
 				claims++
 			}
 		}
-		fmt.Printf("static verdicts: proven_predictable %d, proven_failing %d, unknown %d of %d sites [classified %.1f%%], %d memory-cell value claims\n\n",
+		fmt.Fprintf(stdout, "static verdicts: proven_predictable %d, proven_failing %d, unknown %d of %d sites [classified %.1f%%], %d memory-cell value claims\n\n",
 			s.ByVerdict[staticfac.VerdictPredictable],
 			s.ByVerdict[staticfac.VerdictFailing],
 			s.ByVerdict[staticfac.VerdictUnknown],
@@ -128,7 +143,7 @@ func main() {
 	}
 
 	list := sites.TopFailing(*top)
-	fmt.Printf("top mispredicting sites (speculated accesses on the FAC machine):\n")
+	fmt.Fprintf(stdout, "top mispredicting sites (speculated accesses on the FAC machine):\n")
 	header := []string{"pc", "fails", "rate", "signals"}
 	if *static {
 		header = append(header, "static")
@@ -142,12 +157,12 @@ func main() {
 		"static": 15, "pcax": 9, "stride": 9, "selective": 9, "best": 10, "instruction": 28}
 	for _, h := range header {
 		if wd := widths[h]; wd > 0 {
-			fmt.Printf("%-*s ", wd, h)
+			fmt.Fprintf(stdout, "%-*s ", wd, h)
 		} else {
-			fmt.Printf("%s", h)
+			fmt.Fprintf(stdout, "%s", h)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for _, s := range list {
 		in, _ := p.InstAt(s.PC)
 		cells := []string{
@@ -187,19 +202,15 @@ func main() {
 		cells = append(cells, in.String(), p.FuncName(s.PC))
 		for i, c := range cells {
 			if wd := widths[header[i]]; wd > 0 {
-				fmt.Printf("%-*s ", wd, c)
+				fmt.Fprintf(stdout, "%-*s ", wd, c)
 			} else {
-				fmt.Printf("%s", c)
+				fmt.Fprintf(stdout, "%s", c)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if len(list) == 0 {
-		fmt.Println("  (none — every access predicted)")
+		fmt.Fprintln(stdout, "  (none — every access predicted)")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "facprof:", err)
-	os.Exit(1)
+	return 0
 }

@@ -200,11 +200,12 @@ func TestSuiteRunnerShareCache(t *testing.T) {
 	if c1 != (RunCounts{Simulated: 1}) {
 		t.Fatalf("suite counts = %+v, want 1 simulated", c1)
 	}
-	rec2, hit, err := newRunner(dir).Run(context.Background(), spec)
+	out2, err := newRunner(dir).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	rec2 := out2.Rec
+	if !out2.CacheHit {
 		t.Fatal("Runner re-simulated a run the suite had cached")
 	}
 	if !reflect.DeepEqual(rec1, rec2) {
@@ -213,11 +214,12 @@ func TestSuiteRunnerShareCache(t *testing.T) {
 
 	// The Runner first, then the suite.
 	dir = t.TempDir()
-	rec3, hit, err := newRunner(dir).Run(context.Background(), spec)
+	out3, err := newRunner(dir).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
+	rec3 := out3.Rec
+	if out3.CacheHit {
 		t.Fatal("Runner hit an empty cache")
 	}
 	rec4, c4 := suiteRun(dir)

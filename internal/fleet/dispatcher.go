@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/simsvc"
 )
 
@@ -31,8 +29,6 @@ type Config struct {
 	// transport level is deprioritised before being tried first again
 	// (0 = 5s).
 	CoolOff time.Duration
-	// HTTPClient overrides the transport to workers (nil = default).
-	HTTPClient *http.Client
 }
 
 // Dispatcher is the coordinator's JobRunner: Run ships the job to the
@@ -81,7 +77,7 @@ func New(cfg Config) (*Dispatcher, error) {
 		state:   make(map[string]*workerState, len(cfg.Workers)),
 	}
 	for _, w := range cfg.Workers {
-		d.clients[w] = &simsvc.Client{Base: w, Token: cfg.Token, HTTPClient: cfg.HTTPClient}
+		d.clients[w] = &simsvc.Client{Base: w, Token: cfg.Token}
 		d.state[w] = &workerState{}
 	}
 	return d, nil
@@ -165,12 +161,11 @@ func transient(err error) bool {
 	return true // transport-level failure (refused, reset, EOF, ...)
 }
 
-// attempt is one in-flight dispatch's outcome.
+// attempt is one in-flight dispatch's outcome; out.Worker names the
+// worker it went to.
 type attempt struct {
-	worker string
-	rec    obs.RunRecord
-	hit    bool
-	err    error
+	out simsvc.Served
+	err error
 }
 
 // Run dispatches one job. The job's cache key picks its owner on the
@@ -181,11 +176,11 @@ type attempt struct {
 // every worker computes the identical content-addressed record, so
 // completion is at-most-once even when execution is not. Deterministic
 // (semantic) failures return immediately without failover: every worker
-// would fail the same way.
-func (d *Dispatcher) Run(ctx context.Context, spec simsvc.JobSpec) (obs.RunRecord, bool, error) {
+// would fail the same way. The result names the worker that served it.
+func (d *Dispatcher) Run(ctx context.Context, spec simsvc.JobSpec) (simsvc.Served, error) {
 	key, err := d.cfg.Local.Key(spec)
 	if err != nil {
-		return obs.RunRecord{}, false, err
+		return simsvc.Served{}, err
 	}
 	owners := d.orderOwners(d.ring.Owners(key))
 	primary := owners[0]
@@ -208,7 +203,7 @@ func (d *Dispatcher) Run(ctx context.Context, spec simsvc.JobSpec) (obs.RunRecor
 		})
 		go func() {
 			rec, hit, err := d.clients[w].RunSync(runCtx, spec)
-			resc <- attempt{worker: w, rec: rec, hit: hit, err: err}
+			resc <- attempt{simsvc.Served{Rec: rec, CacheHit: hit, Worker: w}, err}
 		}()
 	}
 	launch(false)
@@ -224,37 +219,37 @@ func (d *Dispatcher) Run(ctx context.Context, spec simsvc.JobSpec) (obs.RunRecor
 	for {
 		select {
 		case <-ctx.Done():
-			return obs.RunRecord{}, false, ctx.Err()
+			return simsvc.Served{}, ctx.Err()
 		case <-hedgeC:
 			if next < len(owners) {
 				launch(true)
 			}
 		case a := <-resc:
 			inFlight--
+			w := a.out.Worker
 			if a.err == nil {
-				simsvc.NoteWorker(ctx, a.worker)
-				d.note(a.worker, func(st *workerState) { st.completed++ })
-				if a.worker != primary {
+				d.note(w, func(st *workerState) { st.completed++ })
+				if w != primary {
 					d.note(primary, func(st *workerState) { st.stolen++ })
 				}
-				return a.rec, a.hit, nil
+				return a.out, nil
 			}
 			if ctx.Err() != nil {
-				return obs.RunRecord{}, false, ctx.Err()
+				return simsvc.Served{}, ctx.Err()
 			}
 			if !transient(a.err) {
-				d.note(a.worker, func(st *workerState) { st.failed++ })
-				return obs.RunRecord{}, false, a.err
+				d.note(w, func(st *workerState) { st.failed++ })
+				return simsvc.Served{}, a.err
 			}
 			lastErr = a.err
-			d.note(a.worker, func(st *workerState) {
+			d.note(w, func(st *workerState) {
 				st.failed++
 				st.downUntil = time.Now().Add(d.cfg.CoolOff)
 			})
 			if next < len(owners) {
 				launch(false)
 			} else if inFlight == 0 {
-				return obs.RunRecord{}, false, fmt.Errorf("fleet: all %d workers failed for %s: %w",
+				return simsvc.Served{}, fmt.Errorf("fleet: all %d workers failed for %s: %w",
 					len(owners), spec, lastErr)
 			}
 		}

@@ -85,7 +85,7 @@ func TestDispatcherShardAffinity(t *testing.T) {
 	ctx := context.Background()
 	spec := testSpec(7)
 	for i := 0; i < 5; i++ {
-		if _, _, err := d.Run(ctx, spec); err != nil {
+		if _, err := d.Run(ctx, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestDispatcherShardAffinity(t *testing.T) {
 	}
 
 	for i := uint64(1); i <= 30; i++ {
-		if _, _, err := d.Run(ctx, testSpec(i)); err != nil {
+		if _, err := d.Run(ctx, testSpec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,16 +140,15 @@ func TestDispatcherFailover(t *testing.T) {
 	}
 	spec := specOwnedBy(t, d, bad.URL)
 
-	ctx, note := simsvc.WithWorkerNote(context.Background())
-	rec, _, err := d.Run(ctx, spec)
+	out, err := d.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("failover run failed: %v", err)
 	}
-	if rec.Cycles != 42 {
-		t.Fatalf("record came from the wrong worker: %+v", rec)
+	if out.Rec.Cycles != 42 {
+		t.Fatalf("record came from the wrong worker: %+v", out.Rec)
 	}
-	if note.Get() != good.URL {
-		t.Fatalf("worker attribution = %q, want %q", note.Get(), good.URL)
+	if out.Worker != good.URL {
+		t.Fatalf("worker attribution = %q, want %q", out.Worker, good.URL)
 	}
 	if badCalls.Load() != 1 || goodCalls.Load() != 1 {
 		t.Fatalf("calls = bad:%d good:%d, want 1:1", badCalls.Load(), goodCalls.Load())
@@ -172,7 +171,7 @@ func TestDispatcherFailover(t *testing.T) {
 
 	// The dead worker is now in cool-off: a second run of the same spec
 	// must go straight to the healthy worker without retrying it.
-	if _, _, err := d.Run(context.Background(), spec); err != nil {
+	if _, err := d.Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if badCalls.Load() != 1 {
@@ -199,7 +198,7 @@ func TestDispatcherSemanticErrorNoFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = d.Run(context.Background(), testSpec(3))
+	_, err = d.Run(context.Background(), testSpec(3))
 	if err == nil || !strings.Contains(err.Error(), "no such machine") {
 		t.Fatalf("err = %v, want the worker's 400", err)
 	}
@@ -237,13 +236,12 @@ func TestDispatcherHedging(t *testing.T) {
 	spec := specOwnedBy(t, d, slow.URL)
 
 	start := time.Now()
-	ctx, note := simsvc.WithWorkerNote(context.Background())
-	rec, _, err := d.Run(ctx, spec)
+	out, err := d.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Cycles != 2 || note.Get() != fast.URL {
-		t.Fatalf("hedge did not win: cycles=%d worker=%q", rec.Cycles, note.Get())
+	if out.Rec.Cycles != 2 || out.Worker != fast.URL {
+		t.Fatalf("hedge did not win: cycles=%d worker=%q", out.Rec.Cycles, out.Worker)
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("run waited for the straggler")
@@ -283,12 +281,12 @@ func TestDispatcherAbsorbsBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _, err := d.Run(context.Background(), testSpec(1))
+	out, err := d.Run(context.Background(), testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Cycles != 9 || calls.Load() != 2 {
-		t.Fatalf("cycles=%d calls=%d, want 9 after 2 calls", rec.Cycles, calls.Load())
+	if out.Rec.Cycles != 9 || calls.Load() != 2 {
+		t.Fatalf("cycles=%d calls=%d, want 9 after 2 calls", out.Rec.Cycles, calls.Load())
 	}
 }
 
@@ -303,7 +301,7 @@ func TestDispatcherAllWorkersFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = d.Run(context.Background(), testSpec(1))
+	_, err = d.Run(context.Background(), testSpec(1))
 	if err == nil || !strings.Contains(err.Error(), "all 1 workers failed") {
 		t.Fatalf("err = %v, want all-workers-failed", err)
 	}

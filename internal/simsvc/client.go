@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -243,52 +242,4 @@ func (c *Client) Healthz(ctx context.Context) error {
 		return &StatusError{Status: resp.StatusCode, Msg: "unhealthy"}
 	}
 	return nil
-}
-
-// WorkerNote is an out-parameter a dispatching JobRunner (the fleet
-// coordinator) fills with the identity of the worker that served a job,
-// so the service can attribute the run in job views and progress events.
-// The server plants one in the job context before calling Run; runners
-// that execute locally simply never touch it.
-type WorkerNote struct {
-	mu     sync.Mutex
-	worker string
-}
-
-// Set records the serving worker (last writer wins, matching the
-// at-most-once completion of hedged dispatches: the winner writes last
-// on the success path).
-func (n *WorkerNote) Set(worker string) {
-	if n == nil {
-		return
-	}
-	n.mu.Lock()
-	n.worker = worker
-	n.mu.Unlock()
-}
-
-// Get returns the recorded worker ("" when none).
-func (n *WorkerNote) Get() string {
-	if n == nil {
-		return ""
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.worker
-}
-
-type workerNoteKey struct{}
-
-// WithWorkerNote returns a context carrying a fresh WorkerNote.
-func WithWorkerNote(ctx context.Context) (context.Context, *WorkerNote) {
-	n := &WorkerNote{}
-	return context.WithValue(ctx, workerNoteKey{}, n), n
-}
-
-// NoteWorker records the serving worker on the context's WorkerNote, if
-// one is present (no-op otherwise).
-func NoteWorker(ctx context.Context, worker string) {
-	if n, _ := ctx.Value(workerNoteKey{}).(*WorkerNote); n != nil {
-		n.Set(worker)
-	}
 }

@@ -80,9 +80,6 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 	return &DiskCache{dir: dir, maxBytes: maxBytes}, nil
 }
 
-// Dir returns the cache directory.
-func (c *DiskCache) Dir() string { return c.dir }
-
 // Pin exempts the given keys from LRU eviction: evictLocked never
 // removes a pinned entry, however stale its mtime, so the standard-grid
 // results a warmed daemon depends on cannot be churned out by unrelated

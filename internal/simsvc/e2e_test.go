@@ -197,7 +197,7 @@ func TestE2EDeadlineStopsPipeline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err := runner.Run(ctx, simsvc.JobSpec{Workload: "queens", Toolchain: "base", Machine: "base32"})
+	_, err := runner.Run(ctx, simsvc.JobSpec{Workload: "queens", Toolchain: "base", Machine: "base32"})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("deadline-bounded run succeeded unexpectedly")

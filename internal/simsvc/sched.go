@@ -79,38 +79,15 @@ type Scheduler struct {
 	vtime       uint64 // pass of the most recently scheduled tenant
 }
 
-// newScheduler builds the tenant table. mu is the server mutex guarding
-// every scheduler call. Configuration errors (duplicate names or tokens,
-// absurd weights) are reported rather than silently normalized.
+// newScheduler builds the tenant table, as a reload onto an empty one
+// would. mu is the server mutex guarding every scheduler call.
+// Configuration errors (duplicate names or tokens, absurd weights) are
+// reported rather than silently normalized.
 func newScheduler(mu *sync.Mutex, maxTotal int, clients []TenantConfig, defQueued, defInFlight int) (*Scheduler, error) {
-	sc := &Scheduler{
-		cond:     sync.NewCond(mu),
-		byToken:  make(map[string]*tenant),
-		byName:   make(map[string]*tenant),
-		maxTotal: maxTotal,
-	}
-	if err := validateClients(clients); err != nil {
+	sc := &Scheduler{cond: sync.NewCond(mu), maxTotal: maxTotal}
+	if err := sc.reloadLocked(clients, defQueued, defInFlight); err != nil {
 		return nil, err
 	}
-	for _, c := range clients {
-		t := &tenant{
-			name:        c.Name,
-			token:       c.Token,
-			weight:      max(c.Weight, 1),
-			maxQueued:   c.MaxQueued,
-			maxInFlight: c.MaxInFlight,
-		}
-		if t.maxQueued <= 0 {
-			t.maxQueued = defQueued
-		}
-		if t.maxInFlight <= 0 {
-			t.maxInFlight = defInFlight
-		}
-		sc.byName[t.name] = t
-		sc.byToken[t.token] = t
-		sc.order = append(sc.order, t)
-	}
-	sort.Slice(sc.order, func(i, j int) bool { return sc.order[i].name < sc.order[j].name })
 	return sc, nil
 }
 
@@ -131,7 +108,7 @@ func (e *quotaError) Error() string { return e.msg }
 // from the global backlog for both constraints, so a tenant blocked only
 // by its own small queue got a wildly pessimistic hint whenever another
 // tenant's backlog was deep.)
-func (sc *Scheduler) admitLocked(t *tenant, n int, workers int) error {
+func (sc *Scheduler) admitLocked(t *tenant, n int, workers int) *quotaError {
 	if free := t.maxQueued - len(t.queue); n > free {
 		return &quotaError{
 			msg: fmt.Sprintf("client %q queue quota exceeded (%d queued, %d free, batch of %d)",
@@ -223,7 +200,7 @@ func (sc *Scheduler) doneLocked(t *tenant) {
 
 // acquireSyncLocked claims an in-flight slot for a synchronous run, or
 // refuses with a quota error when the tenant is at its cap.
-func (sc *Scheduler) acquireSyncLocked(t *tenant) error {
+func (sc *Scheduler) acquireSyncLocked(t *tenant) *quotaError {
 	if t.running >= t.maxInFlight {
 		return &quotaError{
 			msg:   fmt.Sprintf("client %q at its in-flight cap (%d running)", t.name, t.running),
@@ -262,8 +239,8 @@ func (sc *Scheduler) drainLocked() {
 }
 
 // validateClients checks a tenant-configuration set for the errors
-// newScheduler reports: empty names or tokens, out-of-range weights,
-// duplicate names or tokens. Shared by construction and live reload.
+// newScheduler and reloadLocked report: empty names or tokens,
+// out-of-range weights, duplicate names or tokens.
 func validateClients(clients []TenantConfig) error {
 	names := make(map[string]bool, len(clients))
 	tokens := make(map[string]bool, len(clients))

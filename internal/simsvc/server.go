@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,8 +26,6 @@ type ServerConfig struct {
 	// JobTimeout is the per-job deadline (0 = none). It applies to queued
 	// batch jobs and to synchronous /v1/run requests alike.
 	JobTimeout time.Duration
-	// Tool names the report producer in batch reports (0 = "facd").
-	Tool string
 
 	// Clients declares the authenticated tenants. When empty the service
 	// is open: every request maps to a single anonymous tenant. When
@@ -50,36 +47,43 @@ type ServerConfig struct {
 	AccessLog obs.AccessSink
 }
 
-// JobRunner executes and validates job specs. *Runner is the production
-// implementation; tests substitute stubs.
-type JobRunner interface {
-	Validate(spec JobSpec) error
-	Run(ctx context.Context, spec JobSpec) (rec obs.RunRecord, cacheHit bool, err error)
+// Served is one job's result: its canonical record, whether the
+// persistent cache served it, and the fleet worker that ran it ("" when
+// the runner simulated locally).
+type Served struct {
+	Rec      obs.RunRecord
+	CacheHit bool
+	Worker   string
 }
 
-// Job states, as reported by the API.
+// JobRunner executes and validates job specs. *Runner is the production
+// implementation; the fleet Dispatcher and tests substitute their own.
+type JobRunner interface {
+	Validate(spec JobSpec) error
+	Run(ctx context.Context, spec JobSpec) (Served, error)
+}
+
+// Job states, as reported by the API. Each is also the kind of the
+// progress event that announces a job's move into it.
 const (
-	StateQueued    = "queued"
-	StateRunning   = "running"
-	StateDone      = "done"
-	StateFailed    = "failed"
-	StateCancelled = "cancelled"
+	StateQueued    = obs.ProgressQueued
+	StateRunning   = obs.ProgressRunning
+	StateDone      = obs.ProgressDone
+	StateFailed    = obs.ProgressFailed
+	StateCancelled = obs.ProgressCancelled
 )
 
 // jobEntry is the service-side state of one job. Mutable fields are
 // guarded by the server mutex.
 type jobEntry struct {
 	id     string
-	seq    int
-	batch  string
+	batch  *batch
 	spec   JobSpec
 	tenant *tenant
 
-	state    string
-	errMsg   string
-	cacheHit bool
-	worker   string // fleet worker that served the job ("" = local)
-	rec      *obs.RunRecord
+	state  string
+	errMsg string
+	out    Served // the runner's result, set once the job is done
 
 	enqueued time.Time
 	started  time.Time
@@ -132,11 +136,8 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	started  bool
-	jobs     map[string]*jobEntry
-	batches  map[string][]*jobEntry
-	progress map[string]*progressLog
-	batchSeq int
-	jobSeq   int
+	jobs     []*jobEntry // job "j<n>" is jobs[n-1]
+	batches  []*batch    // batch "b<n>" is batches[n-1]
 	busy     int
 
 	submitted uint64
@@ -161,9 +162,6 @@ func NewServer(cfg ServerConfig, runner JobRunner) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
-	if cfg.Tool == "" {
-		cfg.Tool = "facd"
-	}
 	if cfg.DefaultMaxQueued <= 0 {
 		cfg.DefaultMaxQueued = cfg.QueueDepth
 	}
@@ -180,9 +178,6 @@ func NewServer(cfg ServerConfig, runner JobRunner) (*Server, error) {
 		accessLog:  cfg.AccessLog,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       make(map[string]*jobEntry),
-		batches:    make(map[string][]*jobEntry),
-		progress:   make(map[string]*progressLog),
 	}
 	clients := cfg.Clients
 	s.authRequired = len(clients) > 0
@@ -217,83 +212,105 @@ func (s *Server) Start() {
 	}
 }
 
-// progressLog is one batch's append-only progress-event history
-// (schema fac/progress/v1). Events are immutable once appended, so a
-// streaming subscriber snapshots a slice under the server mutex and
-// writes it out without holding the lock. wake is closed and replaced
-// on every append; subscribers select on the channel they last saw.
-type progressLog struct {
-	events []obs.ProgressEvent
+// batch is one submission: its jobs in submission order and its
+// append-only progress-event history (schema fac/progress/v1). counts is
+// the census of the jobs' states, kept by setStateLocked. Events are
+// immutable once appended, so a streaming subscriber snapshots a slice
+// under the server mutex and writes it out without holding the lock.
+// wake is closed and replaced on every append; subscribers select on the
+// channel they last saw.
+type batch struct {
+	id     string
+	jobs   []*jobEntry
 	counts obs.ProgressCounts
+	events []obs.ProgressEvent
 	wake   chan struct{}
 	done   bool // terminal batch summary has been emitted
 }
 
-// applyLocked folds one job transition into the batch census.
-func (pl *progressLog) applyLocked(kind string, j *jobEntry) {
-	c := &pl.counts
-	switch kind {
-	case obs.ProgressQueued:
-		c.Total++
-		c.Queued++
-	case obs.ProgressRunning:
-		c.Queued--
-		c.Running++
-	case obs.ProgressDone:
-		c.Running--
-		c.Done++
-	case obs.ProgressFailed:
-		c.Running--
-		c.Failed++
-	case obs.ProgressCancelled:
-		if j.started.IsZero() {
-			c.Queued--
-		} else {
-			c.Running--
-		}
-		c.Cancelled++
-	}
-}
-
-// appendProgressLocked stamps and stores one event, then wakes every
-// subscriber. Call with the server mutex held.
-func (pl *progressLog) appendProgressLocked(batch string, e obs.ProgressEvent) {
-	e.Seq = len(pl.events)
+// appendLocked stamps and stores one event, then wakes every subscriber.
+// Call with the server mutex held.
+func (b *batch) appendLocked(e obs.ProgressEvent) {
+	e.Seq = len(b.events)
 	e.Time = time.Now()
-	e.Batch = batch
-	e.Counts = pl.counts
-	pl.events = append(pl.events, e)
-	close(pl.wake)
-	pl.wake = make(chan struct{})
+	e.Batch = b.id
+	e.Counts = b.counts
+	b.events = append(b.events, e)
+	close(b.wake)
+	b.wake = make(chan struct{})
 }
 
-// publishJobLocked records one job transition in the batch's progress
-// stream and, when it is the batch's last terminal transition, follows
-// it with the single "batch" summary event. Call with the mutex held.
-func (s *Server) publishJobLocked(j *jobEntry, kind string) {
-	pl := s.progress[j.batch]
-	if pl == nil {
-		return
+// stateCount returns the census field that counts jobs in state.
+func stateCount(c *obs.ProgressCounts, state string) *int {
+	switch state {
+	case StateQueued:
+		return &c.Queued
+	case StateRunning:
+		return &c.Running
+	case StateDone:
+		return &c.Done
+	case StateFailed:
+		return &c.Failed
 	}
-	pl.applyLocked(kind, j)
+	return &c.Cancelled
+}
+
+// setStateLocked sets j's state, shifts j between its batch's counts,
+// and publishes the move as a progress event of that kind; the batch's
+// last terminal move is followed by the single "batch" summary event.
+// Only finishLocked moves a job into a terminal state. Call with the
+// server mutex held.
+func (j *jobEntry) setStateLocked(state string) {
+	b := j.batch
+	if j.state == "" { // a new job joins its batch
+		b.counts.Total++
+	} else {
+		*stateCount(&b.counts, j.state)--
+	}
+	j.state = state
+	*stateCount(&b.counts, state)++
 	e := obs.ProgressEvent{
-		Event:    kind,
+		Event:    state,
 		Job:      j.id,
 		Client:   j.tenant.name,
-		Worker:   j.worker,
-		CacheHit: j.cacheHit,
+		Worker:   j.out.Worker,
+		CacheHit: j.out.CacheHit,
 		Error:    j.errMsg,
 	}
-	switch kind {
-	case obs.ProgressDone, obs.ProgressFailed, obs.ProgressCancelled:
+	if terminal(state) {
 		e.QueueWaitMS = durMS(j.queueWait())
 		e.RunMS = durMS(j.runTime())
 	}
-	pl.appendProgressLocked(j.batch, e)
-	if !pl.done && pl.counts.Total > 0 && pl.counts.Terminal() {
-		pl.done = true
-		pl.appendProgressLocked(j.batch, obs.ProgressEvent{Event: obs.ProgressBatch, Client: j.tenant.name})
+	b.appendLocked(e)
+	if !b.done && b.counts.Terminal() {
+		b.done = true
+		b.appendLocked(obs.ProgressEvent{Event: obs.ProgressBatch, Client: j.tenant.name})
 	}
+}
+
+// finishLocked is a job's one terminal transition: it moves j to done,
+// failed or cancelled, stamps its finish time, counts the outcome for the
+// server and the tenant, and publishes it. Call with the mutex held, and
+// emit the job's complete access event once the mutex is released.
+func (s *Server) finishLocked(j *jobEntry, state string, err error) {
+	j.finished = time.Now()
+	if err != nil {
+		j.errMsg = err.Error()
+	}
+	j.tenant.completed++
+	switch state {
+	case StateDone:
+		s.completed++
+		if j.out.CacheHit {
+			s.cacheHits++
+			j.tenant.cacheHits++
+		}
+	case StateFailed:
+		s.failed++
+	default:
+		s.cancelled++
+	}
+	j.setStateLocked(state)
 }
 
 func (s *Server) worker() {
@@ -324,64 +341,44 @@ func (s *Server) runJob(j *jobEntry) {
 		return // cancelled while queued
 	}
 	if j.ctx.Err() != nil {
-		j.state = StateCancelled
-		j.finished = time.Now()
-		s.cancelled++
-		j.tenant.completed++
-		s.publishJobLocked(j, obs.ProgressCancelled)
+		s.finishLocked(j, StateCancelled, nil)
 		s.mu.Unlock()
 		s.completeEvent(j)
 		return
 	}
-	j.state = StateRunning
 	j.started = time.Now()
+	j.setStateLocked(StateRunning)
 	s.busy++
-	s.publishJobLocked(j, obs.ProgressRunning)
 	s.mu.Unlock()
 
-	ctx := j.ctx
+	out, err := s.run(j.ctx, j.spec)
+
+	s.mu.Lock()
+	s.busy--
+	switch {
+	case err == nil:
+		j.out = out
+		s.finishLocked(j, StateDone, nil)
+	case j.ctx.Err() != nil && errors.Is(err, context.Canceled):
+		// The job (or the whole server) was cancelled, not a failure of
+		// the simulation itself.
+		s.finishLocked(j, StateCancelled, err)
+	default:
+		s.finishLocked(j, StateFailed, err)
+	}
+	s.mu.Unlock()
+	s.completeEvent(j)
+}
+
+// run executes spec under the per-job deadline, if one is configured.
+// Queued jobs and synchronous runs both run through it.
+func (s *Server) run(ctx context.Context, spec JobSpec) (Served, error) {
 	if s.cfg.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
 		defer cancel()
 	}
-	// The worker note lets a dispatching runner (the fleet coordinator)
-	// attribute the run to the remote worker that served it.
-	ctx, note := WithWorkerNote(ctx)
-	rec, hit, err := s.runner.Run(ctx, j.spec)
-
-	s.mu.Lock()
-	s.busy--
-	j.finished = time.Now()
-	j.tenant.completed++
-	j.worker = note.Get()
-	kind := obs.ProgressDone
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.rec = &rec
-		j.cacheHit = hit
-		s.completed++
-		if hit {
-			s.cacheHits++
-			j.tenant.cacheHits++
-		}
-	case j.ctx.Err() != nil && errors.Is(err, context.Canceled):
-		// The job (or the whole server) was cancelled, not a failure of
-		// the simulation itself.
-		j.state = StateCancelled
-		j.errMsg = err.Error()
-		s.cancelled++
-		kind = obs.ProgressCancelled
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		s.failed++
-		kind = obs.ProgressFailed
-	}
-	s.publishJobLocked(j, kind)
-	s.mu.Unlock()
-	s.completeEvent(j)
+	return s.runner.Run(ctx, spec)
 }
 
 // completeEvent emits the job's terminal access event. Call without the
@@ -391,10 +388,10 @@ func (s *Server) completeEvent(j *jobEntry) {
 	s.access(obs.AccessEvent{
 		Event:       obs.AccessComplete,
 		Client:      j.tenant.name,
-		Batch:       j.batch,
+		Batch:       j.batch.id,
 		Job:         j.id,
 		State:       j.state,
-		CacheHit:    j.cacheHit,
+		CacheHit:    j.out.CacheHit,
 		QueueWaitMS: durMS(j.queueWait()),
 		RunMS:       durMS(j.runTime()),
 	})
@@ -595,14 +592,12 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 // event carrying the reason.
 func (s *Server) reject(w http.ResponseWriter, t *tenant, status int, format string, args ...any) {
 	reason := fmt.Sprintf(format, args...)
-	if t != nil {
-		s.mu.Lock()
-		t.rejected++
-		s.mu.Unlock()
-	}
 	client := ""
 	if t != nil {
 		client = t.name
+		s.mu.Lock()
+		t.rejected++
+		s.mu.Unlock()
 	}
 	writeErr(w, status, "%s", reason)
 	s.access(obs.AccessEvent{
@@ -611,6 +606,13 @@ func (s *Server) reject(w http.ResponseWriter, t *tenant, status int, format str
 		Status: status,
 		Reason: reason,
 	})
+}
+
+// overQuota refuses a request the scheduler turned away: 429 with the
+// refusal's Retry-After hint.
+func (s *Server) overQuota(w http.ResponseWriter, t *tenant, qe *quotaError) {
+	w.Header().Set("Retry-After", strconv.Itoa(qe.retry))
+	s.reject(w, t, http.StatusTooManyRequests, "%s", qe.msg)
 }
 
 // decodeStrict decodes exactly one JSON value from the request body:
@@ -634,9 +636,10 @@ func decodeStrict(r *http.Request, v any) (status int, err error) {
 }
 
 // parseID validates an API identifier of the form <prefix><positive
-// decimal>, e.g. "j12" or "b3". It rejects everything strconv.Atoi
-// would partially accept ("", "j", "jxyz", "j+1", "j007") so malformed
-// ids can never alias a real job or batch.
+// decimal>, e.g. "j12" or "b3", and returns its number n: entry n-1 of
+// the server's jobs or batches. It rejects everything strconv.Atoi would
+// partially accept ("", "j", "jxyz", "j+1", "j007") so malformed ids can
+// never alias a real job or batch.
 func parseID(prefix byte, id string) (int, bool) {
 	if len(id) < 2 || id[0] != prefix {
 		return 0, false
@@ -646,6 +649,28 @@ func parseID(prefix byte, id string) (int, bool) {
 		return 0, false
 	}
 	return n, true
+}
+
+// lookup resolves the request's {id}, kind's initial and a number n, to
+// entry n-1 of *list, read under the mutex, or answers 404 and returns
+// nil. kind ("job", "batch") also names the entry in the error.
+func lookup[T any](s *Server, w http.ResponseWriter, r *http.Request, kind string, list *[]*T) *T {
+	id := r.PathValue("id")
+	n, ok := parseID(kind[0], id)
+	if !ok {
+		writeErr(w, http.StatusNotFound, "malformed %s id %q", kind, id)
+		return nil
+	}
+	var e *T
+	s.mu.Lock()
+	if n <= len(*list) {
+		e = (*list)[n-1]
+	}
+	s.mu.Unlock()
+	if e == nil {
+		writeErr(w, http.StatusNotFound, "unknown %s %q", kind, id)
+	}
+	return e
 }
 
 // submitRequest is the body of POST /v1/batches.
@@ -693,53 +718,38 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Backpressure: reject rather than block when the tenant's queue
 	// quota or the global queue cannot take the whole batch. A batch is
 	// admitted entirely or not at all.
-	if err := s.sched.admitLocked(t, len(req.Jobs), s.cfg.Workers); err != nil {
-		t.rejected++
+	if qe := s.sched.admitLocked(t, len(req.Jobs), s.cfg.Workers); qe != nil {
 		s.mu.Unlock()
-		var qe *quotaError
-		if errors.As(err, &qe) {
-			w.Header().Set("Retry-After", strconv.Itoa(qe.retry))
-		}
-		reason := err.Error()
-		writeErr(w, http.StatusTooManyRequests, "%s", reason)
-		s.access(obs.AccessEvent{Event: obs.AccessReject, Client: t.name, Status: http.StatusTooManyRequests, Reason: reason})
+		s.overQuota(w, t, qe)
 		return
 	}
 	now := time.Now()
-	s.batchSeq++
-	batchID := "b" + strconv.Itoa(s.batchSeq)
+	b := &batch{id: "b" + strconv.Itoa(len(s.batches)+1), wake: make(chan struct{})}
+	s.batches = append(s.batches, b)
 	jobIDs := make([]string, 0, len(req.Jobs))
-	entries := make([]*jobEntry, 0, len(req.Jobs))
 	for _, spec := range req.Jobs {
-		s.jobSeq++
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		j := &jobEntry{
-			id:       "j" + strconv.Itoa(s.jobSeq),
-			seq:      s.jobSeq,
-			batch:    batchID,
+			id:       "j" + strconv.Itoa(len(s.jobs)+1),
+			batch:    b,
 			spec:     spec,
 			tenant:   t,
-			state:    StateQueued,
 			enqueued: now,
 			ctx:      ctx,
 			cancel:   cancel,
 		}
-		s.jobs[j.id] = j
-		entries = append(entries, j)
+		s.jobs = append(s.jobs, j)
+		b.jobs = append(b.jobs, j)
 		jobIDs = append(jobIDs, j.id)
-		s.submitted++
+		j.setStateLocked(StateQueued)
 	}
-	s.batches[batchID] = entries
-	s.progress[batchID] = &progressLog{wake: make(chan struct{})}
-	for _, j := range entries {
-		s.publishJobLocked(j, obs.ProgressQueued)
-	}
-	s.sched.pushLocked(t, entries)
+	s.submitted += uint64(len(b.jobs))
+	s.sched.pushLocked(t, b.jobs)
 	s.mu.Unlock()
 
-	s.access(obs.AccessEvent{Event: obs.AccessAdmit, Client: t.name, Batch: batchID, Jobs: len(jobIDs)})
+	s.access(obs.AccessEvent{Event: obs.AccessAdmit, Client: t.name, Batch: b.id, Jobs: len(jobIDs)})
 	writeJSON(w, http.StatusAccepted, map[string]any{
-		"batch": batchID,
+		"batch": b.id,
 		"jobs":  jobIDs,
 	})
 }
@@ -768,20 +778,20 @@ type jobView struct {
 func (j *jobEntry) viewLocked(includeRecord bool) jobView {
 	v := jobView{
 		ID:          j.id,
-		Batch:       j.batch,
+		Batch:       j.batch.id,
 		Client:      j.tenant.name,
 		Workload:    j.spec.Workload,
 		Toolchain:   j.spec.Toolchain,
 		Machine:     j.spec.Machine,
 		State:       j.state,
-		CacheHit:    j.cacheHit,
-		Worker:      j.worker,
+		CacheHit:    j.out.CacheHit,
+		Worker:      j.out.Worker,
 		Error:       j.errMsg,
 		QueueWaitMS: durMS(j.queueWait()),
 		RunMS:       durMS(j.runTime()),
 	}
-	if includeRecord {
-		v.Record = j.rec
+	if includeRecord && j.state == StateDone {
+		v.Record = &j.out.Rec
 	}
 	return v
 }
@@ -791,68 +801,49 @@ func terminal(state string) bool {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := parseID('b', id); !ok {
-		writeErr(w, http.StatusNotFound, "malformed batch id %q", id)
+	b := lookup(s, w, r, "batch", &s.batches)
+	if b == nil {
 		return
 	}
 	s.mu.Lock()
-	entries, ok := s.batches[id]
-	if !ok {
-		s.mu.Unlock()
-		writeErr(w, http.StatusNotFound, "unknown batch %q", id)
-		return
-	}
-	counts := map[string]int{}
-	views := make([]jobView, 0, len(entries))
-	allTerminal := true
-	for _, j := range entries {
-		counts[j.state]++
-		if !terminal(j.state) {
-			allTerminal = false
-		}
-		views = append(views, j.viewLocked(false))
+	c := b.counts
+	views := make([]jobView, len(b.jobs))
+	for i, j := range b.jobs {
+		views[i] = j.viewLocked(false)
 	}
 	s.mu.Unlock()
 
 	writeJSON(w, http.StatusOK, map[string]any{
-		"batch":     id,
-		"total":     len(views),
-		"queued":    counts[StateQueued],
-		"running":   counts[StateRunning],
-		"done":      counts[StateDone],
-		"failed":    counts[StateFailed],
-		"cancelled": counts[StateCancelled],
-		"terminal":  allTerminal,
+		"batch":     b.id,
+		"total":     c.Total,
+		"queued":    c.Queued,
+		"running":   c.Running,
+		"done":      c.Done,
+		"failed":    c.Failed,
+		"cancelled": c.Cancelled,
+		"terminal":  c.Terminal(),
 		"jobs":      views,
 	})
 }
 
 func (s *Server) handleBatchReport(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := parseID('b', id); !ok {
-		writeErr(w, http.StatusNotFound, "malformed batch id %q", id)
+	b := lookup(s, w, r, "batch", &s.batches)
+	if b == nil {
 		return
 	}
+	rep := obs.NewReport("facd", runtime.Version())
 	s.mu.Lock()
-	entries, ok := s.batches[id]
-	if !ok {
-		s.mu.Unlock()
-		writeErr(w, http.StatusNotFound, "unknown batch %q", id)
-		return
-	}
-	rep := obs.NewReport(s.cfg.Tool, runtime.Version())
-	for _, j := range entries {
-		if !terminal(j.state) {
-			s.mu.Unlock()
-			writeErr(w, http.StatusConflict, "batch %q still has unfinished jobs", id)
-			return
-		}
-		if j.rec != nil {
-			rep.Add(*j.rec)
+	finished := b.counts.Terminal()
+	for _, j := range b.jobs {
+		if j.state == StateDone {
+			rep.Add(j.out.Rec)
 		}
 	}
 	s.mu.Unlock()
+	if !finished {
+		writeErr(w, http.StatusConflict, "batch %q still has unfinished jobs", b.id)
+		return
+	}
 
 	data, err := rep.Encode()
 	if err != nil {
@@ -864,30 +855,18 @@ func (s *Server) handleBatchReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := parseID('b', id); !ok {
-		writeErr(w, http.StatusNotFound, "malformed batch id %q", id)
-		return
-	}
-	s.mu.Lock()
-	entries, ok := s.batches[id]
-	if !ok {
-		s.mu.Unlock()
-		writeErr(w, http.StatusNotFound, "unknown batch %q", id)
+	b := lookup(s, w, r, "batch", &s.batches)
+	if b == nil {
 		return
 	}
 	n := 0
-	now := time.Now()
 	var done []*jobEntry
-	for _, j := range entries {
+	s.mu.Lock()
+	for _, j := range b.jobs {
 		switch j.state {
 		case StateQueued:
-			j.state = StateCancelled
-			j.finished = now
-			s.cancelled++
-			j.tenant.completed++
 			j.cancel()
-			s.publishJobLocked(j, obs.ProgressCancelled)
+			s.finishLocked(j, StateCancelled, nil)
 			done = append(done, j)
 			n++
 		case StateRunning:
@@ -903,7 +882,7 @@ func (s *Server) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
 	for _, j := range done {
 		s.completeEvent(j)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"batch": id, "cancelling": n})
+	writeJSON(w, http.StatusOK, map[string]any{"batch": b.id, "cancelling": n})
 }
 
 // handleBatchEvents streams the batch's progress log as server-sent
@@ -913,16 +892,8 @@ func (s *Server) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
 // not by any worker — publishers only append under the mutex and close a
 // wake channel, so a slow consumer can never stall a simulation.
 func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := parseID('b', id); !ok {
-		writeErr(w, http.StatusNotFound, "malformed batch id %q", id)
-		return
-	}
-	s.mu.Lock()
-	pl, ok := s.progress[id]
-	s.mu.Unlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown batch %q", id)
+	b := lookup(s, w, r, "batch", &s.batches)
+	if b == nil {
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -934,15 +905,15 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	// The schema is announced once, in the opening hello event.
-	fmt.Fprintf(w, "event: hello\ndata: {\"schema\":%q,\"batch\":%q}\n\n", obs.ProgressEventSchema, id)
+	fmt.Fprintf(w, "event: hello\ndata: {\"schema\":%q,\"batch\":%q}\n\n", obs.ProgressEventSchema, b.id)
 	fl.Flush()
 
 	idx := 0
 	for {
 		s.mu.Lock()
-		pending := pl.events[idx:] // elements are immutable once appended
-		wake := pl.wake
-		finished := pl.done
+		pending := b.events[idx:] // elements are immutable once appended
+		wake := b.wake
+		finished := b.done
 		s.mu.Unlock()
 		for _, e := range pending {
 			data, err := json.Marshal(e)
@@ -978,18 +949,11 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := parseID('j', id); !ok {
-		writeErr(w, http.StatusNotFound, "malformed job id %q", id)
+	j := lookup(s, w, r, "job", &s.jobs)
+	if j == nil {
 		return
 	}
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		writeErr(w, http.StatusNotFound, "unknown job %q", id)
-		return
-	}
 	v := j.viewLocked(true)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, v)
@@ -1018,16 +982,9 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, t, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	if err := s.sched.acquireSyncLocked(t); err != nil {
-		t.rejected++
+	if qe := s.sched.acquireSyncLocked(t); qe != nil {
 		s.mu.Unlock()
-		var qe *quotaError
-		if errors.As(err, &qe) {
-			w.Header().Set("Retry-After", strconv.Itoa(qe.retry))
-		}
-		reason := err.Error()
-		writeErr(w, http.StatusTooManyRequests, "%s", reason)
-		s.access(obs.AccessEvent{Event: obs.AccessReject, Client: t.name, Status: http.StatusTooManyRequests, Reason: reason})
+		s.overQuota(w, t, qe)
 		return
 	}
 	s.syncRuns++
@@ -1038,13 +995,7 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 	}()
 
-	ctx := r.Context()
-	if s.cfg.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-		defer cancel()
-	}
-	rec, hit, err := s.runner.Run(ctx, spec)
+	out, err := s.run(r.Context(), spec)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client went away; nothing to answer
@@ -1056,15 +1007,15 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "%v", err)
 		return
 	}
-	if hit {
+	if out.CacheHit {
 		s.mu.Lock()
 		s.cacheHits++
 		t.cacheHits++
 		s.mu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"cache_hit": hit,
-		"record":    rec,
+		"cache_hit": out.CacheHit,
+		"record":    out.Rec,
 	})
 }
 
@@ -1126,23 +1077,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	m["clients"] = clients
 
-	var finished []*jobEntry
-	// Sorted by job sequence number below, so the listing is deterministic.
-	for _, j := range s.jobs { //lint:sorted
-		if j.state != StateDone || j.rec == nil {
+	runs := []runSummary{}
+	for _, j := range s.jobs {
+		if j.state != StateDone {
 			continue
 		}
-		finished = append(finished, j)
-	}
-	sort.Slice(finished, func(i, k int) bool { return finished[i].seq < finished[k].seq })
-	runs := make([]runSummary, 0, len(finished))
-	for _, j := range finished {
-		rec := j.rec
+		rec := &j.out.Rec
 		runs = append(runs, runSummary{
 			Job:             j.id,
 			Client:          j.tenant.name,
 			Key:             rec.Key(),
-			CacheHit:        j.cacheHit,
+			CacheHit:        j.out.CacheHit,
 			Cycles:          rec.Cycles,
 			Insts:           rec.Insts,
 			IPC:             rec.IPC,

@@ -38,23 +38,23 @@ func (r *stubRunner) Validate(spec JobSpec) error {
 	return nil
 }
 
-func (r *stubRunner) Run(ctx context.Context, spec JobSpec) (obs.RunRecord, bool, error) {
+func (r *stubRunner) Run(ctx context.Context, spec JobSpec) (Served, error) {
 	r.runs.Add(1)
 	if r.started != nil {
 		r.started <- spec.Workload
 	}
 	if strings.HasPrefix(spec.Workload, "fail") {
-		return obs.RunRecord{}, false, fmt.Errorf("simulated failure for %s", spec.Workload)
+		return Served{}, fmt.Errorf("simulated failure for %s", spec.Workload)
 	}
 	if r.block != nil {
 		select {
 		case <-r.block:
 		case <-ctx.Done():
 			r.sawCtx.Store(true)
-			return obs.RunRecord{}, false, fmt.Errorf("stub: %w", ctx.Err())
+			return Served{}, fmt.Errorf("stub: %w", ctx.Err())
 		}
 	}
-	return testRec(spec.Workload, 100), false, nil
+	return Served{Rec: testRec(spec.Workload, 100)}, nil
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -85,13 +85,29 @@ type submitResponse struct {
 	Jobs  []string `json:"jobs"`
 }
 
+// getBatch polls one batch. Its total and per-state counts must equal a
+// recount of its jobs' states in the same response.
 func getBatch(t *testing.T, base, id string) map[string]any {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/batches/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decode[map[string]any](t, resp)
+	b := decode[map[string]any](t, resp)
+	jobs := b["jobs"].([]any)
+	recount := map[string]float64{"total": float64(len(jobs))}
+	for _, j := range jobs {
+		recount[j.(map[string]any)["state"].(string)]++
+	}
+	for _, k := range []string{"total", StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
+		if b[k] != recount[k] {
+			t.Fatalf("batch %s reports %s=%v, its jobs recount to %v: %+v", id, k, b[k], recount[k], b)
+		}
+	}
+	if b["terminal"] != (recount[StateQueued]+recount[StateRunning] == 0) {
+		t.Fatalf("batch %s terminal=%v disagrees with its jobs: %+v", id, b["terminal"], b)
+	}
+	return b
 }
 
 func waitTerminal(t *testing.T, base, id string) map[string]any {
@@ -235,6 +251,9 @@ func TestServerCancelBatch(t *testing.T) {
 		{Workload: "queued3", Toolchain: "base", Machine: "base32"},
 	}}))
 	<-r.started // run1 is inside Run, blocked; the rest are queued
+	if b := getBatch(t, base, sub.Batch); b["running"] != 1.0 || b["queued"] != 2.0 {
+		t.Fatalf("batch before cancel: %+v", b)
+	}
 
 	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/batches/"+sub.Batch, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -627,14 +646,16 @@ func TestServerBodyLimit(t *testing.T) {
 
 // TestServerMalformedIDs: ids strconv would partially parse ("jxyz",
 // "j007", "j-1", "") answer 404 instead of aliasing job j0, on every
-// job/batch endpoint.
+// job/batch endpoint; so do well-formed ids past the last job or batch,
+// which would index beyond the server's tables.
 func TestServerMalformedIDs(t *testing.T) {
 	_, base := newTestServer(t, ServerConfig{Workers: 1}, &stubRunner{})
 	// A real job to prove malformed ids do not alias it.
 	sub := decode[submitResponse](t, postJSON(t, base+"/v1/batches", oneJob("real")))
 	waitTerminal(t, base, sub.Batch)
 
-	bad := []string{"jxyz", "j", "j0", "j007", "j-1", "j+1", "j1x", "x1", "1"}
+	unknown := []string{"j2", "b2", "j9223372036854775807"}
+	bad := append([]string{"jxyz", "j", "j0", "j007", "j-1", "j+1", "j1x", "x1", "1"}, unknown...)
 	for _, id := range bad {
 		resp := doReq(t, "GET", base+"/v1/jobs/"+id, "", nil)
 		if resp.StatusCode != http.StatusNotFound {
@@ -642,10 +663,11 @@ func TestServerMalformedIDs(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	for _, id := range []string{"bxyz", "b0", "b007", "j1"} {
+	for _, id := range append([]string{"bxyz", "b0", "b007", "j1"}, unknown...) {
 		for _, probe := range []struct{ method, path string }{
 			{"GET", "/v1/batches/" + id},
 			{"GET", "/v1/batches/" + id + "/report"},
+			{"GET", "/v1/batches/" + id + "/events"},
 			{"DELETE", "/v1/batches/" + id},
 		} {
 			resp := doReq(t, probe.method, base+probe.path, "", nil)

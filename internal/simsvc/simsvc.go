@@ -121,12 +121,6 @@ type Runner struct {
 	dedup  atomic.Uint64
 }
 
-// runOutcome is the flight-shared result of one executed job.
-type runOutcome struct {
-	rec      obs.RunRecord
-	cacheHit bool
-}
-
 // resolved is a spec with its names looked up: the inputs of RunConfig.
 type resolved struct {
 	w        workload.Workload
@@ -211,11 +205,11 @@ func (r *Runner) Warm(ctx context.Context, specs []JobSpec) (simulated, hits int
 		if err != nil {
 			return simulated, hits, err
 		}
-		_, hit, err := r.Run(ctx, spec)
+		out, err := r.Run(ctx, spec)
 		if err != nil {
 			return simulated, hits, fmt.Errorf("simsvc: warm %s: %w", spec, err)
 		}
-		if hit {
+		if out.CacheHit {
 			hits++
 		} else {
 			simulated++
@@ -229,12 +223,13 @@ func (r *Runner) Warm(ctx context.Context, specs []JobSpec) (simulated, hits int
 
 // Run executes one job: it resolves the spec's names and hands the
 // result to RunConfig.
-func (r *Runner) Run(ctx context.Context, spec JobSpec) (rec obs.RunRecord, cacheHit bool, err error) {
+func (r *Runner) Run(ctx context.Context, spec JobSpec) (Served, error) {
 	rs, err := r.resolve(spec)
 	if err != nil {
-		return obs.RunRecord{}, false, err
+		return Served{}, err
 	}
-	return r.RunConfig(ctx, rs.w, rs.tc, spec.Machine, rs.cfg, rs.maxInsts)
+	rec, hit, err := r.RunConfig(ctx, rs.w, rs.tc, spec.Machine, rs.cfg, rs.maxInsts)
+	return Served{Rec: rec, CacheHit: hit}, err
 }
 
 // RunConfig executes one run of workload w, built with toolchain tc, on
@@ -255,7 +250,7 @@ func (r *Runner) RunConfig(ctx context.Context, w workload.Workload, tc workload
 	v, shared, err := r.flight.Do(key, func() (any, error) {
 		if r.Cache != nil {
 			if rec, ok := r.Cache.Get(key); ok {
-				return runOutcome{rec: rec, cacheHit: true}, nil
+				return Served{Rec: rec, CacheHit: true}, nil
 			}
 		}
 		p, err := workload.Build(w, tc)
@@ -274,7 +269,7 @@ func (r *Runner) RunConfig(ctx context.Context, w workload.Workload, tc workload
 			// A failed write only costs future hits; the run itself is good.
 			_ = r.Cache.Put(key, rec)
 		}
-		return runOutcome{rec: rec}, nil
+		return Served{Rec: rec}, nil
 	})
 	if shared {
 		r.dedup.Add(1)
@@ -289,6 +284,6 @@ func (r *Runner) RunConfig(ctx context.Context, w workload.Workload, tc workload
 		}
 		return obs.RunRecord{}, false, err
 	}
-	out := v.(runOutcome)
-	return out.rec, out.cacheHit, nil
+	out := v.(Served)
+	return out.Rec, out.CacheHit, nil
 }

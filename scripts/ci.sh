@@ -26,7 +26,10 @@
 #                                    every early exit, nothing allocated per
 #                                    chunk — repeated 10 times under the race
 #                                    detector; measured 43s on 2 vCPUs)
-#   fuzz smoke                ~40s  (4 targets x 5s plus instrumented builds)
+#   fuzz smoke                ~50s  (5 targets x 5s plus instrumented builds:
+#                                    difftest's four differential targets and
+#                                    simsvc's FuzzParseID, the bounds check of
+#                                    facd's job and batch ids)
 #   faclint smoke             ~10s  (static FAC-predictability analysis over
 #                                    the 19-benchmark suite must classify at
 #                                    least 68% of all load/store sites — the
@@ -59,10 +62,11 @@
 #                                    the committed BENCH_pipeline.json, and
 #                                    <=20% throughput regression)
 #
-# The fuzz smoke stage runs each differential fuzz target briefly against
-# its committed seed corpus plus a few seconds of mutation, so a crasher
-# that slips past the deterministic tests still trips CI. For real hunting
-# sessions use longer budgets (see docs/TESTING.md).
+# The fuzz smoke stage runs each fuzz target, named as package:target,
+# briefly against its committed seed corpus plus a few seconds of
+# mutation, so a crasher that slips past the deterministic tests still
+# trips CI. For real hunting sessions use longer budgets (see
+# docs/TESTING.md).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -98,9 +102,12 @@ go test -race -count=10 \
     ./internal/core
 
 echo "== fuzz smoke =="
-for target in FuzzFACPredict FuzzEncodeDecode FuzzAsmRoundtrip FuzzEmuVsPipeline; do
-    echo "-- $target"
-    go test ./internal/difftest/ -run '^$' -fuzz "^${target}\$" -fuzztime 5s
+for target in difftest:FuzzFACPredict difftest:FuzzEncodeDecode \
+    difftest:FuzzAsmRoundtrip difftest:FuzzEmuVsPipeline simsvc:FuzzParseID; do
+    pkg=${target%%:*}
+    name=${target#*:}
+    echo "-- $pkg $name"
+    go test "./internal/$pkg/" -run '^$' -fuzz "^${name}\$" -fuzztime 5s
 done
 
 echo "== faclint smoke =="
