@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	facasm [-align-gp] input.s
+//	facasm [-align-gp] [-locals] input.s
 package main
 
 import (
@@ -22,7 +22,7 @@ func main() {
 	locals := flag.Bool("locals", false, "include local (dot-prefixed) labels in the symbol listing")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: facasm [-align-gp] input.s")
+		fmt.Fprintln(os.Stderr, "usage: facasm [-align-gp] [-locals] input.s")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))

@@ -7,11 +7,15 @@
 // two) .balign (bytes) .word .half .byte .double .space .ascii .asciiz
 // .comm. Labels end with ':'. Comments start with '#' or ';'.
 //
+// Real instructions take the operands isa.Op.Syntax lists. A load or
+// store mnemonic names its register+constant form; the memory operand's
+// spelling selects the register+register or post-increment variant.
 // Pseudo-instructions: li, la, move, nop, b, beqz, bnez, not, neg,
-// blt/ble/bgt/bge (+u variants), and symbol-operand loads/stores
-// (e.g. "lw $t0, counter"), which expand to a single $gp-relative access
-// for small-data symbols or a lui/$at pair otherwise — exactly the code
-// shapes whose address-prediction behaviour the paper studies.
+// one-operand jalr (linking through $ra), blt/ble/bgt/bge (+u variants),
+// and symbol-operand loads/stores (e.g. "lw $t0, counter"), which expand
+// to a single $gp-relative access for small-data symbols or a lui/$at pair
+// otherwise — exactly the code shapes whose address-prediction behaviour
+// the paper studies.
 package asm
 
 import (

@@ -399,3 +399,39 @@ func TestHugeDirectivesRejected(t *testing.T) {
 		t.Fatalf("x placed at %d, want 4096", got)
 	}
 }
+
+// TestRegisterSpellings: a register operand is a conventional name, rN or
+// N, and an FP register is fN, where N is decimal digits only with a value
+// of 0 to 31. Anything trailing, a sign or another base is rejected, not
+// read as the number it starts with.
+func TestRegisterSpellings(t *testing.T) {
+	o := mustAssemble(t, "main:\n\tadd $t0, $31, $r05\n\tfadd $f31, $f0, $f07\n")
+	want := []isa.Inst{
+		{Op: isa.ADD, Rd: isa.T0, Rs: isa.RA, Rt: isa.A1},
+		{Op: isa.FADD, Rd: 31, Rs: 0, Rt: 7},
+	}
+	for i, w := range want {
+		if o.Text[i] != w {
+			t.Errorf("inst %d = %+v, want %+v", i, o.Text[i], w)
+		}
+	}
+	for _, src := range []string{
+		"add $t0, $0x1f, $t1",
+		"lw $t0, 4($29garbage)",
+		"add $t0, $r31.5, $t1",
+		"add $t0, $5abc, $t1",
+		"add $t0, $+5, $t1",
+		"add $t0, $32, $t1",
+		"add $t0, $r, $t1",
+		"add $t0, $, $t1",
+		"fadd $f0, $f+2, $f4",
+		"fadd $f0, $f-0, $f4",
+		"fadd $f0, $f32, $f4",
+		"fadd $f0, $f2x, $f4",
+	} {
+		_, err := Assemble("main:\n\t" + src + "\n")
+		if err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Errorf("Assemble(%q) = %v, want an unknown-register error", src, err)
+		}
+	}
+}

@@ -10,9 +10,6 @@ import (
 	"repro/internal/prog"
 )
 
-// lookupMnemonic resolves a real (non-pseudo) mnemonic.
-func lookupMnemonic(name string) (isa.Op, bool) { return isa.OpByName(name) }
-
 func parseInt32(s string, line int) (int32, error) {
 	v, err := strconv.ParseInt(strings.TrimSpace(s), 0, 64)
 	if err != nil || v < math.MinInt32 || v > math.MaxUint32 {
@@ -33,16 +30,16 @@ func parseReg(s string, line int) (isa.Reg, error) {
 	return r, nil
 }
 
-// parseFPReg parses "$fN".
+// parseFPReg parses an FP register operand, "$f0" to "$f31".
 func parseFPReg(s string, line int) (isa.Reg, error) {
 	if !strings.HasPrefix(s, "$f") {
 		return 0, errLine(line, "expected FP register, got %q", s)
 	}
-	n, err := strconv.Atoi(s[2:])
-	if err != nil || n < 0 || n >= isa.NumRegs {
+	r, ok := isa.FPRegByName(s[1:])
+	if !ok {
 		return 0, errLine(line, "unknown FP register %q", s)
 	}
-	return isa.Reg(n), nil
+	return r, nil
 }
 
 // immRef is an immediate that may carry a relocation.

@@ -79,232 +79,57 @@ func (a *assembler) emitInst(s stmt) error {
 		return nil
 	case "blt", "ble", "bgt", "bge", "bltu", "bleu", "bgtu", "bgeu":
 		return a.emitCmpBranch(s)
+	case "jalr":
+		if len(s.args) == 1 { // jalr $rs links through $ra
+			rs, err := parseReg(s.args[0], s.line)
+			if err != nil {
+				return err
+			}
+			a.push(s, isa.Inst{Op: isa.JALR, Rd: isa.RA, Rs: rs})
+			return nil
+		}
 	}
-	op, ok := lookupMnemonic(s.name)
+	op, ok := isa.OpByName(s.name)
 	if !ok {
 		return errLine(s.line, "unknown mnemonic %q", s.name)
 	}
-	switch {
-	case op.IsMem():
-		return a.emitMem(s, op)
-	case op == isa.SYSCALL:
-		a.push(s, isa.Inst{Op: op})
-		return nil
-	case op == isa.LUI:
-		if err := a.need(s, 2); err != nil {
-			return err
-		}
-		rd, err := parseReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		imm, err := parseImmRef(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		a.pushImm(s, isa.Inst{Op: op, Rd: rd}, imm)
-		return nil
-	case op == isa.J || op == isa.JAL:
-		if err := a.need(s, 1); err != nil {
-			return err
-		}
-		arg := s.args[0]
-		if isSymbolOperand(arg) {
-			a.relocs = append(a.relocs, prog.Reloc{Kind: prog.RelJump, Sym: arg, InstIndex: len(a.text)})
-			a.push(s, isa.Inst{Op: op})
-			return nil
-		}
-		v, err := parseInt32(arg, s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Imm: v})
-		return nil
-	case op == isa.JR:
-		if err := a.need(s, 1); err != nil {
-			return err
-		}
-		rs, err := parseReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rs: rs})
-		return nil
-	case op == isa.JALR:
-		var rdArg, rsArg string
-		switch len(s.args) {
-		case 1:
-			rdArg, rsArg = "$ra", s.args[0]
-		case 2:
-			rdArg, rsArg = s.args[0], s.args[1]
-		default:
-			return errLine(s.line, "jalr needs 1 or 2 operands")
-		}
-		rd, err := parseReg(rdArg, s.line)
-		if err != nil {
-			return err
-		}
-		rs, err := parseReg(rsArg, s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rd: rd, Rs: rs})
-		return nil
-	case op == isa.BEQ || op == isa.BNE:
-		if err := a.need(s, 3); err != nil {
-			return err
-		}
-		rs, err := parseReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		rt, err := parseReg(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		disp, err := a.branchDisp(s.args[2], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rs: rs, Rt: rt, Imm: disp})
-		return nil
-	case op == isa.BLEZ || op == isa.BGTZ || op == isa.BLTZ || op == isa.BGEZ:
-		if err := a.need(s, 2); err != nil {
-			return err
-		}
-		rs, err := parseReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		disp, err := a.branchDisp(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rs: rs, Imm: disp})
-		return nil
-	case op == isa.BC1T || op == isa.BC1F:
-		if err := a.need(s, 1); err != nil {
-			return err
-		}
-		disp, err := a.branchDisp(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Imm: disp})
-		return nil
-	case op == isa.MTC1:
-		if err := a.need(s, 2); err != nil {
-			return err
-		}
-		fd, err := parseFPReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		rs, err := parseReg(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rd: fd, Rs: rs})
-		return nil
-	case op == isa.MFC1:
-		if err := a.need(s, 2); err != nil {
-			return err
-		}
-		rd, err := parseReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		fs, err := parseFPReg(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rd: rd, Rs: fs})
-		return nil
-	case op == isa.FCLT || op == isa.FCLE || op == isa.FCEQ:
-		if err := a.need(s, 2); err != nil {
-			return err
-		}
-		fs, err := parseFPReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		ft, err := parseFPReg(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rs: fs, Rt: ft})
-		return nil
-	case op == isa.FNEG || op == isa.FABS || op == isa.FMOV || op == isa.CVTDW || op == isa.CVTWD:
-		if err := a.need(s, 2); err != nil {
-			return err
-		}
-		fd, err := parseFPReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		fs, err := parseFPReg(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rd: fd, Rs: fs})
-		return nil
-	case op.FPDest(): // fadd etc.
-		if err := a.need(s, 3); err != nil {
-			return err
-		}
-		fd, err := parseFPReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		fs, err := parseFPReg(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		ft, err := parseFPReg(s.args[2], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rd: fd, Rs: fs, Rt: ft})
-		return nil
-	case op == isa.SLL || op == isa.SRL || op == isa.SRA ||
-		op == isa.ADDI || op == isa.ANDI || op == isa.ORI || op == isa.XORI ||
-		op == isa.SLTI || op == isa.SLTIU:
-		if err := a.need(s, 3); err != nil {
-			return err
-		}
-		rd, err := parseReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		rs, err := parseReg(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		imm, err := parseImmRef(s.args[2], s.line)
-		if err != nil {
-			return err
-		}
-		a.pushImm(s, isa.Inst{Op: op, Rd: rd, Rs: rs}, imm)
-		return nil
-	default: // three-register ALU
-		if err := a.need(s, 3); err != nil {
-			return err
-		}
-		rd, err := parseReg(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		rs, err := parseReg(s.args[1], s.line)
-		if err != nil {
-			return err
-		}
-		rt, err := parseReg(s.args[2], s.line)
-		if err != nil {
-			return err
-		}
-		a.push(s, isa.Inst{Op: op, Rd: rd, Rs: rs, Rt: rt})
-		return nil
+	syntax := op.Syntax()
+	if err := a.need(s, len(syntax)); err != nil {
+		return err
 	}
+	in := isa.Inst{Op: op}
+	var imm immRef
+	for i, o := range syntax {
+		arg := s.args[i]
+		var err error
+		switch o {
+		case isa.OpndImm, isa.OpndHi:
+			imm, err = parseImmRef(arg, s.line)
+		case isa.OpndDisp:
+			imm.val, err = a.branchDisp(arg, s.line)
+		case isa.OpndTarget:
+			if isSymbolOperand(arg) {
+				imm = immRef{kind: prog.RelJump, sym: arg, reloc: true}
+			} else {
+				imm.val, err = parseInt32(arg, s.line)
+			}
+		case isa.OpndMem:
+			return a.emitMem(s, in, arg)
+		default:
+			var r isa.Reg
+			if o.FP() {
+				r, err = parseFPReg(arg, s.line)
+			} else {
+				r, err = parseReg(arg, s.line)
+			}
+			in.SetField(o, r)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	a.pushImm(s, in, imm)
+	return nil
 }
 
 func (a *assembler) emitLI(s stmt) error {
@@ -399,112 +224,40 @@ func (a *assembler) emitCmpBranch(s stmt) error {
 	return nil
 }
 
-// emitMem handles loads and stores in all addressing forms, including bare
-// symbol operands.
-func (a *assembler) emitMem(s stmt, op isa.Op) error {
-	if err := a.need(s, 2); err != nil {
-		return err
-	}
-	fp := op.FPDest() || op.FPSrc()
-	var data isa.Reg
-	var err error
-	if fp {
-		data, err = parseFPReg(s.args[0], s.line)
-	} else {
-		data, err = parseReg(s.args[0], s.line)
-	}
+// emitMem finishes a load or store from its memory operand; in holds the
+// mnemonic's op and data register. It picks the op's variant for the
+// operand's addressing mode and expands a bare symbol operand.
+func (a *assembler) emitMem(s stmt, in isa.Inst, arg string) error {
+	m, err := parseMemOperand(arg, s.line)
 	if err != nil {
 		return err
 	}
-	m, err := parseMemOperand(s.args[1], s.line)
-	if err != nil {
-		return err
-	}
-
-	build := func(o isa.Op, base isa.Reg, imm immRef, index isa.Reg) {
-		in := isa.Inst{Op: o, Rs: base}
-		switch o.Mode() {
-		case isa.AMReg:
-			in.Rt = index
-			in.Rd = data
-			a.push(s, in)
-		default:
-			if o.IsStore() {
-				in.Rt = data
-			} else {
-				in.Rd = data
-			}
-			a.pushImm(s, in, imm)
-		}
-	}
-
-	switch m.form {
-	case isa.AMConst:
-		o, err := modeVariant(op, isa.AMConst, s.line)
-		if err != nil {
-			return err
-		}
-		build(o, m.base, m.off, 0)
-	case isa.AMReg:
-		o, err := modeVariant(op, isa.AMReg, s.line)
-		if err != nil {
-			return err
-		}
-		build(o, m.base, immRef{}, m.index)
-	case isa.AMPost:
-		o, err := modeVariant(op, isa.AMPost, s.line)
-		if err != nil {
-			return err
-		}
-		build(o, m.base, m.off, 0)
-	case isa.AMNone: // bare symbol
+	mode := m.form
+	if mode == isa.AMNone { // bare symbol
 		if _, ok := a.syms[m.sym]; !ok {
 			return errLine(s.line, "undefined symbol %q", m.sym)
 		}
-		o, err := modeVariant(op, isa.AMConst, s.line)
-		if err != nil {
-			return err
-		}
-		if a.symIsSmall(m.sym) {
-			build(o, isa.GP, immRef{val: m.add, kind: prog.RelGPRel, sym: m.sym, reloc: true}, 0)
-			return nil
-		}
+		mode = isa.AMConst
+	}
+	op := in.Op.Variant(mode)
+	if op == isa.BAD {
+		return errLine(s.line, "%v does not support this addressing mode", in.Op)
+	}
+	// The variant may keep its data register in another field.
+	data := in.Field(in.Op.Syntax()[0])
+	in = isa.Inst{Op: op, Rs: m.base, Rt: m.index}
+	in.SetField(op.Syntax()[0], data)
+	switch {
+	case m.form != isa.AMNone:
+		a.pushImm(s, in, m.off)
+	case a.symIsSmall(m.sym):
+		in.Rs = isa.GP
+		a.pushImm(s, in, immRef{val: m.add, kind: prog.RelGPRel, sym: m.sym, reloc: true})
+	default:
 		a.pushImm(s, isa.Inst{Op: isa.LUI, Rd: isa.AT},
 			immRef{val: m.add, kind: prog.RelHi16, sym: m.sym, reloc: true})
-		build(o, isa.AT, immRef{val: m.add, kind: prog.RelLo16, sym: m.sym, reloc: true}, 0)
+		in.Rs = isa.AT
+		a.pushImm(s, in, immRef{val: m.add, kind: prog.RelLo16, sym: m.sym, reloc: true})
 	}
 	return nil
-}
-
-// modeVariant maps a base memory op to the requested addressing-mode
-// variant (e.g. LW + AMReg -> LWX).
-func modeVariant(op isa.Op, mode isa.AddrMode, line int) (isa.Op, error) {
-	if op.Mode() == mode {
-		return op, nil
-	}
-	type key struct {
-		op   isa.Op
-		mode isa.AddrMode
-	}
-	variants := map[key]isa.Op{
-		{isa.LB, isa.AMReg}:    isa.LBX,
-		{isa.LBU, isa.AMReg}:   isa.LBUX,
-		{isa.LH, isa.AMReg}:    isa.LHX,
-		{isa.LHU, isa.AMReg}:   isa.LHUX,
-		{isa.LW, isa.AMReg}:    isa.LWX,
-		{isa.SB, isa.AMReg}:    isa.SBX,
-		{isa.SH, isa.AMReg}:    isa.SHX,
-		{isa.SW, isa.AMReg}:    isa.SWX,
-		{isa.LFD, isa.AMReg}:   isa.LFDX,
-		{isa.SFD, isa.AMReg}:   isa.SFDX,
-		{isa.LW, isa.AMPost}:   isa.LWPI,
-		{isa.SW, isa.AMPost}:   isa.SWPI,
-		{isa.LFD, isa.AMPost}:  isa.LFDPI,
-		{isa.SFD, isa.AMPost}:  isa.SFDPI,
-		{isa.LWPI, isa.AMPost}: isa.LWPI,
-	}
-	if v, ok := variants[key{op, mode}]; ok {
-		return v, nil
-	}
-	return isa.BAD, errLine(line, "%v does not support this addressing mode", op)
 }

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/isa"
 	"repro/internal/prog"
 )
 
@@ -265,7 +266,7 @@ func (a *assembler) instSize(s stmt) (int, error) {
 	case "blt", "ble", "bgt", "bge", "bltu", "bleu", "bgtu", "bgeu":
 		return 2, nil
 	default:
-		if op, ok := lookupMnemonic(s.name); ok && op.IsMem() {
+		if op, ok := isa.OpByName(s.name); ok && op.IsMem() {
 			// A symbol operand expands to gp-relative (1) or lui+access (2).
 			if len(s.args) == 2 && isSymbolOperand(s.args[1]) {
 				sym, _, err := splitSymRef(s.args[1], s.line)

@@ -9,71 +9,33 @@ import (
 	"repro/internal/isa"
 )
 
-// TestDisassemblyReassembles: every instruction the disassembler prints is
-// accepted by the assembler and reassembles to the identical instruction —
-// the two tools agree on the surface syntax.
-func TestDisassemblyReassembles(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	reg := func() isa.Reg { return isa.Reg(r.Intn(32)) }
-	imm16 := func() int32 { return int32(int16(r.Uint32())) }
-
-	// Build a pool of random instructions covering every non-control,
-	// non-pseudo shape (branches/jumps print raw displacements/targets,
-	// which reassemble through the numeric path).
-	var insts []isa.Inst
-	for i := 0; i < 3000; i++ {
-		switch r.Intn(12) {
-		case 0:
-			ops := []isa.Op{isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.AND, isa.OR,
-				isa.XOR, isa.NOR, isa.SLT, isa.SLTU, isa.SLLV, isa.SRLV, isa.SRAV,
-				isa.REM, isa.REMU, isa.DIVU}
-			insts = append(insts, isa.Inst{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Rt: reg()})
-		case 1:
-			ops := []isa.Op{isa.ADDI, isa.SLTI, isa.SLTIU}
-			insts = append(insts, isa.Inst{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Imm: imm16()})
-		case 2:
-			ops := []isa.Op{isa.ANDI, isa.ORI, isa.XORI}
-			insts = append(insts, isa.Inst{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Imm: int32(r.Intn(1 << 16))})
-		case 3:
-			ops := []isa.Op{isa.SLL, isa.SRL, isa.SRA}
-			insts = append(insts, isa.Inst{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Imm: int32(r.Intn(32))})
-		case 4:
-			insts = append(insts, isa.Inst{Op: isa.LUI, Rd: reg(), Imm: int32(r.Intn(1 << 16))})
-		case 5:
-			ops := []isa.Op{isa.LB, isa.LBU, isa.LH, isa.LHU, isa.LW}
-			insts = append(insts, isa.Inst{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Imm: imm16()})
-		case 6:
-			ops := []isa.Op{isa.SB, isa.SH, isa.SW}
-			insts = append(insts, isa.Inst{Op: ops[r.Intn(len(ops))], Rt: reg(), Rs: reg(), Imm: imm16()})
-		case 7:
-			ops := []isa.Op{isa.LBX, isa.LBUX, isa.LHX, isa.LHUX, isa.LWX, isa.SBX, isa.SHX, isa.SWX}
-			insts = append(insts, isa.Inst{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Rt: reg()})
-		case 8:
-			insts = append(insts,
-				isa.Inst{Op: isa.LWPI, Rd: reg(), Rs: reg(), Imm: imm16()},
-				isa.Inst{Op: isa.SWPI, Rt: reg(), Rs: reg(), Imm: imm16()})
-		case 9:
-			insts = append(insts,
-				isa.Inst{Op: isa.LFD, Rd: reg(), Rs: reg(), Imm: imm16()},
-				isa.Inst{Op: isa.SFD, Rt: reg(), Rs: reg(), Imm: imm16()},
-				isa.Inst{Op: isa.LFDX, Rd: reg(), Rs: reg(), Rt: reg()},
-				isa.Inst{Op: isa.SFDX, Rd: reg(), Rs: reg(), Rt: reg()})
-		case 10:
-			ops := []isa.Op{isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV}
-			insts = append(insts, isa.Inst{Op: ops[r.Intn(len(ops))], Rd: reg(), Rs: reg(), Rt: reg()})
-			insts = append(insts, isa.Inst{Op: isa.FMOV, Rd: reg(), Rs: reg()})
-			insts = append(insts, isa.Inst{Op: isa.FCLT, Rs: reg(), Rt: reg()})
-		case 11:
-			insts = append(insts,
-				isa.Inst{Op: isa.MTC1, Rd: reg(), Rs: reg()},
-				isa.Inst{Op: isa.MFC1, Rd: reg(), Rs: reg()},
-				isa.Inst{Op: isa.CVTDW, Rd: reg(), Rs: reg()},
-				isa.Inst{Op: isa.SYSCALL},
-				isa.Inst{Op: isa.JR, Rs: reg()},
-				isa.Inst{Op: isa.JALR, Rd: reg(), Rs: reg()})
+// syntaxInst builds op's instruction with each operand of its assembly
+// syntax drawn from reg or imm. Fields the syntax does not name stay zero,
+// as the assembler leaves them.
+func syntaxInst(op isa.Op, reg func() isa.Reg, imm func(isa.Operand) int32) isa.Inst {
+	in := isa.Inst{Op: op}
+	for _, o := range op.Syntax() {
+		switch o {
+		case isa.OpndImm, isa.OpndHi, isa.OpndDisp, isa.OpndTarget:
+			in.Imm = imm(o)
+		case isa.OpndMem:
+			in.Rs = reg()
+			if op.Mode() == isa.AMReg {
+				in.Rt = reg()
+			} else {
+				in.Imm = imm(o)
+			}
+		default:
+			in.SetField(o, reg())
 		}
 	}
+	return in
+}
 
+// reassemble assembles the disassembly of insts and checks that it
+// yields insts again.
+func reassemble(t *testing.T, insts []isa.Inst) {
+	t.Helper()
 	var src strings.Builder
 	src.WriteString("main:\n")
 	for _, in := range insts {
@@ -88,39 +50,51 @@ func TestDisassemblyReassembles(t *testing.T) {
 	}
 	for i := range insts {
 		if o.Text[i] != insts[i] {
-			t.Fatalf("instruction %d: %v reassembled as %v (%+v vs %+v)",
-				i, insts[i], o.Text[i], insts[i], o.Text[i])
+			t.Errorf("instruction %d: %v reassembled as %+v (want %+v)", i, insts[i], o.Text[i], insts[i])
 		}
 	}
 }
 
-// TestBranchAndJumpDisassemblyReassembles covers the control-transfer
-// shapes, whose operands print as raw numbers.
-func TestBranchAndJumpDisassemblyReassembles(t *testing.T) {
-	insts := []isa.Inst{
-		{Op: isa.BEQ, Rs: isa.T0, Rt: isa.T1, Imm: -8},
-		{Op: isa.BNE, Rs: isa.T2, Rt: isa.Zero, Imm: 16},
-		{Op: isa.BLEZ, Rs: isa.T0, Imm: 4},
-		{Op: isa.BGTZ, Rs: isa.T0, Imm: -4},
-		{Op: isa.BLTZ, Rs: isa.T0, Imm: 8},
-		{Op: isa.BGEZ, Rs: isa.T0, Imm: 12},
-		{Op: isa.BC1T, Imm: 8},
-		{Op: isa.BC1F, Imm: -12},
-		{Op: isa.J, Imm: 0x400000},
-		{Op: isa.JAL, Imm: 0x400010},
+// TestDisassemblyReassembles: every instruction the disassembler prints is
+// accepted by the assembler and reassembles to the identical instruction —
+// the two tools agree on the surface syntax. The pool holds every op with
+// random operands.
+func TestDisassemblyReassembles(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	reg := func() isa.Reg { return isa.Reg(r.Intn(32)) }
+	imm := func(o isa.Operand) int32 {
+		switch o {
+		case isa.OpndHi:
+			return int32(r.Intn(1 << 16))
+		case isa.OpndDisp:
+			return int32(int16(r.Uint32())) << 2
+		case isa.OpndTarget:
+			return int32(r.Uint32() &^ 3)
+		}
+		return int32(int16(r.Uint32()))
 	}
-	var src strings.Builder
-	src.WriteString("main:\n")
-	for _, in := range insts {
-		fmt.Fprintf(&src, "\t%s\n", in.String())
-	}
-	o, err := Assemble(src.String())
-	if err != nil {
-		t.Fatalf("reassembly failed: %v\n%s", err, src.String())
-	}
-	for i := range insts {
-		if o.Text[i] != insts[i] {
-			t.Errorf("instruction %d: %v reassembled as %+v", i, insts[i], o.Text[i])
+	var insts []isa.Inst
+	for i := 0; i < 40; i++ {
+		for op := isa.Op(1); op < isa.NumOps; op++ {
+			insts = append(insts, syntaxInst(op, reg, imm))
 		}
 	}
+	reassemble(t, insts)
+}
+
+// TestBranchAndJumpDisassemblyReassembles covers the control-transfer
+// shapes at the edges of their operands' ranges: displacements and
+// targets print as raw numbers and reassemble through the numeric path.
+func TestBranchAndJumpDisassemblyReassembles(t *testing.T) {
+	var insts []isa.Inst
+	for op := isa.Op(1); op < isa.NumOps; op++ {
+		if !op.IsControl() {
+			continue
+		}
+		for _, v := range []int32{-131072, -8, 0, 12, 131068, 0x00400000, 0x0ffffffc, -4} {
+			reg := func() isa.Reg { return isa.Reg(v) & 31 }
+			insts = append(insts, syntaxInst(op, reg, func(isa.Operand) int32 { return v }))
+		}
+	}
+	reassemble(t, insts)
 }

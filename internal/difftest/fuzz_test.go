@@ -94,25 +94,45 @@ func FuzzFACPredict(f *testing.F) {
 	})
 }
 
+// opSeeds returns one encodable instruction per op, with every operand
+// of its assembly syntax filled in.
+func opSeeds() []isa.Inst {
+	var insts []isa.Inst
+	for op := isa.Op(1); op < isa.NumOps; op++ {
+		in := isa.Inst{Op: op}
+		for i, o := range op.Syntax() {
+			switch o {
+			case isa.OpndImm:
+				in.Imm = 4
+			case isa.OpndHi:
+				in.Imm = 0x1000
+			case isa.OpndDisp:
+				in.Imm = -8
+			case isa.OpndTarget:
+				in.Imm = 0x00400008
+			case isa.OpndMem:
+				in.Rs = 29
+				if op.Mode() == isa.AMReg {
+					in.Rt = 10
+				} else {
+					in.Imm = -4
+				}
+			default:
+				in.SetField(o, isa.Reg(8+i))
+			}
+		}
+		insts = append(insts, in)
+	}
+	return insts
+}
+
 // FuzzEncodeDecode checks the binary fixpoint: any word that decodes must
 // re-encode, and the re-encoded word must decode to the identical
-// instruction (one canonicalization step at most).
+// instruction (one canonicalization step at most). It is seeded with one
+// word per op.
 func FuzzEncodeDecode(f *testing.F) {
 	pcs := []uint32{0x00400000, 0x00400abc}
-	seeds := []isa.Inst{
-		{Op: isa.ADD, Rd: 8, Rs: 9, Rt: 10},
-		{Op: isa.ADDI, Rd: 8, Rs: 28, Imm: -32768},
-		{Op: isa.ANDI, Rd: 8, Rs: 9, Imm: 0xFFFF},
-		{Op: isa.LW, Rd: 8, Rs: 29, Imm: 4},
-		{Op: isa.SWX, Rd: 8, Rs: 9, Rt: 10},
-		{Op: isa.LWPI, Rd: 8, Rs: 9, Imm: -4},
-		{Op: isa.BEQ, Rs: 8, Rt: 9, Imm: -8},
-		{Op: isa.J, Imm: 0x00400008},
-		{Op: isa.SYSCALL},
-		{Op: isa.LUI, Rd: 28, Imm: 0x1000},
-		{Op: isa.SFD, Rt: 2, Rs: 29, Imm: 8},
-	}
-	for _, in := range seeds {
+	for _, in := range opSeeds() {
 		w, err := isa.Encode(in, pcs[0])
 		if err != nil {
 			f.Fatalf("seed %v does not encode: %v", in, err)
@@ -158,6 +178,12 @@ func FuzzAsmRoundtrip(f *testing.F) {
 	// loop that defeats PC-indexed last-address prediction.
 	f.Add(chaseSeedSrc)
 	f.Add(alternateSeedSrc)
+	// The disassembly of every op.
+	all := "main:\n"
+	for _, in := range opSeeds() {
+		all += "\t" + in.String() + "\n"
+	}
+	f.Add(all)
 	// Memory-domain seed programs (see TestMemoryDomainCorpus): a
 	// memory-resident global loop limit, a spilled-local limit, and an
 	// address-taken escape — mutations explore the store/load/escape

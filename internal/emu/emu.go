@@ -1,3 +1,5 @@
+//lint:hotpath StepInto runs once per emulated instruction, and memOp reads the ISA op table per access.
+
 // Package emu implements the user-level functional emulator for the
 // extended MIPS-like ISA. It executes linked programs, services the small
 // syscall set used by the runtime library, and produces per-instruction

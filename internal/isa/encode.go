@@ -13,252 +13,122 @@ import "fmt"
 //
 // Branch displacements are encoded in words relative to the address of the
 // next instruction, as in MIPS, but there are no architected delay slots.
-const (
-	opcR = 0 // major opcode of all R-form instructions
-
-	opcJ    = 1
-	opcJAL  = 2
-	opcBEQ  = 3
-	opcBNE  = 4
-	opcBLEZ = 5
-	opcBGTZ = 6
-	opcBLTZ = 7
-	opcBGEZ = 8
-
-	opcADDI  = 9
-	opcANDI  = 10
-	opcORI   = 11
-	opcXORI  = 12
-	opcSLTI  = 13
-	opcSLTIU = 14
-	opcLUI   = 15
-
-	opcLB  = 16
-	opcLBU = 17
-	opcLH  = 18
-	opcLHU = 19
-	opcLW  = 20
-	opcSB  = 21
-	opcSH  = 22
-	opcSW  = 23
-	opcLFD = 24
-	opcSFD = 25
-
-	opcLWPI  = 26
-	opcSWPI  = 27
-	opcLFDPI = 28
-	opcSFDPI = 29
-
-	opcBC1T = 30
-	opcBC1F = 31
-)
-
-// funct codes for R-form instructions.
-const (
-	fnADD = iota
-	fnSUB
-	fnMUL
-	fnDIV
-	fnDIVU
-	fnREM
-	fnREMU
-	fnAND
-	fnOR
-	fnXOR
-	fnNOR
-	fnSLT
-	fnSLTU
-	fnSLLV
-	fnSRLV
-	fnSRAV
-	fnSLL
-	fnSRL
-	fnSRA
-	fnJR
-	fnJALR
-	fnSYSCALL
-	fnLBX
-	fnLBUX
-	fnLHX
-	fnLHUX
-	fnLWX
-	fnSBX
-	fnSHX
-	fnSWX
-	fnLFDX
-	fnSFDX
-	fnFADD
-	fnFSUB
-	fnFMUL
-	fnFDIV
-	fnFNEG
-	fnFABS
-	fnFMOV
-	fnFCLT
-	fnFCLE
-	fnFCEQ
-	fnMTC1
-	fnMFC1
-	fnCVTDW
-	fnCVTWD
-)
-
-var iOpcOf = map[Op]uint32{
-	J: opcJ, JAL: opcJAL,
-	BEQ: opcBEQ, BNE: opcBNE, BLEZ: opcBLEZ, BGTZ: opcBGTZ, BLTZ: opcBLTZ, BGEZ: opcBGEZ,
-	ADDI: opcADDI, ANDI: opcANDI, ORI: opcORI, XORI: opcXORI,
-	SLTI: opcSLTI, SLTIU: opcSLTIU, LUI: opcLUI,
-	LB: opcLB, LBU: opcLBU, LH: opcLH, LHU: opcLHU, LW: opcLW,
-	SB: opcSB, SH: opcSH, SW: opcSW, LFD: opcLFD, SFD: opcSFD,
-	LWPI: opcLWPI, SWPI: opcSWPI, LFDPI: opcLFDPI, SFDPI: opcSFDPI,
-	BC1T: opcBC1T, BC1F: opcBC1F,
-}
-
-var iOpOf = func() map[uint32]Op {
-	m := make(map[uint32]Op, len(iOpcOf))
-	for op, c := range iOpcOf {
-		m[c] = op
-	}
-	return m
-}()
-
-var functOf = map[Op]uint32{
-	ADD: fnADD, SUB: fnSUB, MUL: fnMUL, DIV: fnDIV, DIVU: fnDIVU,
-	REM: fnREM, REMU: fnREMU, AND: fnAND, OR: fnOR, XOR: fnXOR, NOR: fnNOR,
-	SLT: fnSLT, SLTU: fnSLTU, SLLV: fnSLLV, SRLV: fnSRLV, SRAV: fnSRAV,
-	SLL: fnSLL, SRL: fnSRL, SRA: fnSRA,
-	JR: fnJR, JALR: fnJALR, SYSCALL: fnSYSCALL,
-	LBX: fnLBX, LBUX: fnLBUX, LHX: fnLHX, LHUX: fnLHUX, LWX: fnLWX,
-	SBX: fnSBX, SHX: fnSHX, SWX: fnSWX, LFDX: fnLFDX, SFDX: fnSFDX,
-	FADD: fnFADD, FSUB: fnFSUB, FMUL: fnFMUL, FDIV: fnFDIV,
-	FNEG: fnFNEG, FABS: fnFABS, FMOV: fnFMOV,
-	FCLT: fnFCLT, FCLE: fnFCLE, FCEQ: fnFCEQ,
-	MTC1: fnMTC1, MFC1: fnMFC1, CVTDW: fnCVTDW, CVTWD: fnCVTWD,
-}
-
-var opOfFunct = func() map[uint32]Op {
-	m := make(map[uint32]Op, len(functOf))
-	for op, f := range functOf {
-		m[f] = op
-	}
-	return m
-}()
+// Each op's form, opcode, funct, I-form bits 20:16 and immediate kind
+// come from opTable.
 
 // Encode packs the instruction into its 32-bit binary form. pc is the
 // address of the instruction, needed to encode PC-relative branch
 // displacements and region-relative jump targets.
 func Encode(in Inst, pc uint32) (uint32, error) {
-	rfield := func(r Reg) uint32 { return uint32(r) & 31 }
-	switch in.Op {
-	case J, JAL:
-		target := uint32(in.Imm)
-		if target&3 != 0 {
-			return 0, fmt.Errorf("isa: jump target %#x not word aligned", target)
-		}
-		next := pc + InstBytes
-		if target&0xF0000000 != next&0xF0000000 {
-			return 0, fmt.Errorf("isa: jump target %#x outside region of pc %#x", target, pc)
-		}
-		return iOpcOf[in.Op]<<26 | (target>>2)&0x03FFFFFF, nil
-	}
-	if funct, ok := functOf[in.Op]; ok {
-		sa := uint32(0)
-		switch in.Op {
-		case SLL, SRL, SRA:
-			if in.Imm < 0 || in.Imm > 31 {
-				return 0, fmt.Errorf("isa: shift amount %d out of range", in.Imm)
-			}
-			sa = uint32(in.Imm)
-		}
-		return rfield(in.Rs)<<21 | rfield(in.Rt)<<16 | rfield(in.Rd)<<11 | sa<<6 | funct, nil
-	}
-	opc, ok := iOpcOf[in.Op]
-	if !ok {
+	if in.Op >= NumOps || opTable[in.Op].form == formNone {
 		return 0, fmt.Errorf("isa: cannot encode op %v", in.Op)
 	}
-	// Bits [20:16] hold the second register operand: Rt for the two-register
-	// branches and for const/post-form stores (the data register), Rd for
-	// everything else.
-	second := in.Rd
-	if in.Op == BEQ || in.Op == BNE || (in.Op.IsStore() && in.Op.Mode() != AMReg) {
-		second = in.Rt
+	info := &opTable[in.Op]
+	imm, err := info.encodeImm(in, pc)
+	if err != nil {
+		return 0, err
 	}
+	rfield := func(r Reg) uint32 { return uint32(r) & 31 }
+	opc := uint32(info.opc) << 26
+	switch info.form {
+	case formR:
+		return opc | rfield(in.Rs)<<21 | rfield(in.Rt)<<16 | rfield(in.Rd)<<11 | imm<<6 | uint32(info.funct), nil
+	case formI:
+		return opc | rfield(in.Rs)<<21 | rfield(in.Field(info.second))<<16 | imm, nil
+	}
+	return opc | imm, nil
+}
+
+// encodeImm range-checks in.Imm and returns its bits: 16 for the I form,
+// a 5-bit shift amount, or a 26-bit jump target.
+func (f *format) encodeImm(in Inst, pc uint32) (uint32, error) {
 	imm := in.Imm
-	var imm16 uint32
-	switch {
-	case in.Op.IsBranch():
-		disp := imm
-		if disp&3 != 0 {
-			return 0, fmt.Errorf("isa: branch displacement %d not word aligned", disp)
-		}
-		w := disp >> 2
-		if w < -32768 || w > 32767 {
-			return 0, fmt.Errorf("isa: branch displacement %d out of range", disp)
-		}
-		imm16 = uint32(w) & 0xFFFF
-	case in.Op == ANDI || in.Op == ORI || in.Op == XORI || in.Op == LUI:
-		if imm < 0 || imm > 0xFFFF {
-			return 0, fmt.Errorf("isa: unsigned immediate %d out of range for %v", imm, in.Op)
-		}
-		imm16 = uint32(imm)
-	default:
+	switch f.imm {
+	case immSigned:
 		if imm < -32768 || imm > 32767 {
 			return 0, fmt.Errorf("isa: immediate %d out of range for %v", imm, in.Op)
 		}
-		imm16 = uint32(imm) & 0xFFFF
+		return uint32(imm) & 0xFFFF, nil
+	case immUnsigned:
+		if imm < 0 || imm > 0xFFFF {
+			return 0, fmt.Errorf("isa: unsigned immediate %d out of range for %v", imm, in.Op)
+		}
+		return uint32(imm), nil
+	case immShift:
+		if imm < 0 || imm > 31 {
+			return 0, fmt.Errorf("isa: shift amount %d out of range", imm)
+		}
+		return uint32(imm), nil
+	case immBranch:
+		if imm&3 != 0 {
+			return 0, fmt.Errorf("isa: branch displacement %d not word aligned", imm)
+		}
+		w := imm >> 2
+		if w < -32768 || w > 32767 {
+			return 0, fmt.Errorf("isa: branch displacement %d out of range", imm)
+		}
+		return uint32(w) & 0xFFFF, nil
+	case immJump:
+		target := uint32(imm)
+		if target&3 != 0 {
+			return 0, fmt.Errorf("isa: jump target %#x not word aligned", target)
+		}
+		if target&0xF0000000 != (pc+InstBytes)&0xF0000000 {
+			return 0, fmt.Errorf("isa: jump target %#x outside region of pc %#x", target, pc)
+		}
+		return target >> 2 & 0x03FFFFFF, nil
 	}
-	return opc<<26 | rfield(in.Rs)<<21 | rfield(second)<<16 | imm16, nil
+	return 0, nil
 }
+
+// byOpcode and byFunct invert opTable's encodings: the I- or J-form op
+// with each major opcode, and the R-form op with each funct. BAD marks a
+// number no op has.
+var byOpcode, byFunct = func() (opc, funct [64]Op) {
+	for op := Op(1); op < NumOps; op++ {
+		if info := &opTable[op]; info.form == formR {
+			funct[info.funct] = op
+		} else {
+			opc[info.opc] = op
+		}
+	}
+	return opc, funct
+}()
 
 // Decode unpacks a 32-bit binary instruction. pc is the address of the
 // instruction, used to materialize absolute branch and jump targets in Imm.
 func Decode(word, pc uint32) (Inst, error) {
 	opc := word >> 26
-	if opc == opcR {
-		funct := word & 63
-		op, ok := opOfFunct[funct]
-		if !ok {
-			return Inst{}, fmt.Errorf("isa: bad funct %d in word %#08x", funct, word)
+	op := byOpcode[opc]
+	if opc == 0 { // the R form: the funct field names the op
+		if op = byFunct[word&63]; op == BAD {
+			return Inst{}, fmt.Errorf("isa: bad funct %d in word %#08x", word&63, word)
 		}
-		in := Inst{
-			Op: op,
-			Rs: Reg(word >> 21 & 31),
-			Rt: Reg(word >> 16 & 31),
-			Rd: Reg(word >> 11 & 31),
-		}
-		switch op {
-		case SLL, SRL, SRA:
-			in.Imm = int32(word >> 6 & 31)
-		}
-		return in, nil
-	}
-	if opc == opcJ || opc == opcJAL {
-		target := (pc+InstBytes)&0xF0000000 | (word&0x03FFFFFF)<<2
-		op := J
-		if opc == opcJAL {
-			op = JAL
-		}
-		return Inst{Op: op, Imm: int32(target)}, nil
-	}
-	op, ok := iOpOf[opc]
-	if !ok {
+	} else if op == BAD {
 		return Inst{}, fmt.Errorf("isa: bad opcode %d in word %#08x", opc, word)
 	}
-	in := Inst{Op: op, Rs: Reg(word >> 21 & 31)}
-	secondReg := Reg(word >> 16 & 31)
-	if op == BEQ || op == BNE || (op.IsStore() && op.Mode() != AMReg) {
-		in.Rt = secondReg
-	} else {
-		in.Rd = secondReg
-	}
-	imm16 := word & 0xFFFF
-	switch {
-	case op.IsBranch():
-		in.Imm = int32(int16(imm16)) << 2
-	case op == ANDI || op == ORI || op == XORI || op == LUI:
-		in.Imm = int32(imm16)
-	default:
-		in.Imm = int32(int16(imm16))
+	info := &opTable[op]
+	in := Inst{Op: op}
+	switch info.form {
+	case formR:
+		in.Rs, in.Rt, in.Rd = Reg(word>>21&31), Reg(word>>16&31), Reg(word>>11&31)
+		if info.imm == immShift {
+			in.Imm = int32(word >> 6 & 31)
+		}
+	case formI:
+		in.Rs = Reg(word >> 21 & 31)
+		in.SetField(info.second, Reg(word>>16&31))
+		imm16 := word & 0xFFFF
+		switch info.imm {
+		case immBranch:
+			in.Imm = int32(int16(imm16)) << 2
+		case immUnsigned:
+			in.Imm = int32(imm16)
+		default:
+			in.Imm = int32(int16(imm16))
+		}
+	case formJ:
+		in.Imm = int32((pc+InstBytes)&0xF0000000 | (word&0x03FFFFFF)<<2)
 	}
 	return in, nil
 }

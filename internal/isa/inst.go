@@ -1,32 +1,15 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
-// Field usage conventions by instruction form:
-//
-//	ALU r-type:   Rd = dest, Rs/Rt = sources
-//	ALU i-type:   Rd = dest, Rs = source, Imm = immediate (shift amount for
-//	              SLL/SRL/SRA)
-//	BEQ/BNE:      Rs/Rt compared, Imm = signed byte displacement from the
-//	              address of the next instruction
-//	BLEZ etc:     Rs tested, Imm = displacement
-//	BC1T/BC1F:    Imm = displacement (reads the FP condition flag)
-//	J/JAL:        Imm = absolute byte target address
-//	JR:           Rs = target;  JALR: Rd = link register, Rs = target
-//	load const:   Rd = dest, Rs = base, Imm = signed offset
-//	store const:  Rt = data, Rs = base, Imm = signed offset
-//	load reg+reg: Rd = dest, Rs = base, Rt = index
-//	store reg+reg: Rd = data, Rs = base, Rt = index
-//	post-inc:     as const form with effective address = base; after the
-//	              access the base register receives base+Imm
-//	FP r-type:    Rd = dest, Rs/Rt = sources (FP register file)
-//	MTC1:         Rd = FP dest, Rs = integer source
-//	MFC1:         Rd = integer dest, Rs = FP source
-//
-// Every instruction occupies 4 bytes of text.
+// InstBytes is the size of every instruction in text.
 const InstBytes = 4
 
-// Inst is a decoded instruction.
+// Inst is a decoded instruction. Which fields an op reads, writes,
+// encodes and prints is its format's business (see opTable).
 type Inst struct {
 	Op     Op
 	Rd     Reg
@@ -49,121 +32,66 @@ func UInt(r Reg) uint8 { return uint8(r) }
 // UFP returns the unified id of an FP register.
 func UFP(r Reg) uint8 { return uint8(r) + UFPBase }
 
-// Uses appends the unified ids of all registers the instruction reads and
-// returns the extended slice. Register 0 (hardwired zero) is never reported.
-func (in Inst) Uses(buf []uint8) []uint8 {
-	addInt := func(r Reg) {
-		if r != Zero {
-			buf = append(buf, UInt(r))
-		}
+// Field returns the register a register operand names: the Inst field's
+// contents, or the implicit register. Other operands name register 0.
+func (in Inst) Field(o Operand) Reg {
+	switch o {
+	case OpndRd, OpndFd:
+		return in.Rd
+	case OpndRs, OpndFs:
+		return in.Rs
+	case OpndRt, OpndFt:
+		return in.Rt
+	case opndV0:
+		return V0
+	case opndA0:
+		return A0
+	case opndRA:
+		return RA
 	}
-	addFP := func(r Reg) { buf = append(buf, UFP(r)) }
+	return Zero
+}
 
-	switch in.Op {
-	case ADD, SUB, MUL, DIV, DIVU, REM, REMU, AND, OR, XOR, NOR, SLT, SLTU, SLLV, SRLV, SRAV:
-		addInt(in.Rs)
-		addInt(in.Rt)
-	case ADDI, ANDI, ORI, XORI, SLTI, SLTIU, SLL, SRL, SRA:
-		addInt(in.Rs)
-	case LUI, J, JAL, SYSCALL:
-		// SYSCALL conventionally reads V0/A0..A2 and F12; model the common ones.
-		if in.Op == SYSCALL {
-			addInt(V0)
-			addInt(A0)
+// SetField stores r in the Inst field a register operand names; other
+// operands leave in unchanged.
+func (in *Inst) SetField(o Operand, r Reg) {
+	switch o {
+	case OpndRd, OpndFd:
+		in.Rd = r
+	case OpndRs, OpndFs:
+		in.Rs = r
+	case OpndRt, OpndFt:
+		in.Rt = r
+	}
+}
+
+// appendUnified appends the unified ids of the registers in list.
+// Integer register 0 (hardwired zero) is never reported.
+func (in Inst) appendUnified(buf []uint8, list *opnds) []uint8 {
+	for _, o := range list {
+		switch {
+		case o == opndNone:
+			return buf
+		case o == opndFCC:
+			buf = append(buf, UFCC)
+		case o.FP():
+			buf = append(buf, UFP(in.Field(o)))
+		default:
+			if r := in.Field(o); r != Zero {
+				buf = append(buf, UInt(r))
+			}
 		}
-	case BEQ, BNE:
-		addInt(in.Rs)
-		addInt(in.Rt)
-	case BLEZ, BGTZ, BLTZ, BGEZ:
-		addInt(in.Rs)
-	case JR, JALR:
-		addInt(in.Rs)
-	case LB, LBU, LH, LHU, LW:
-		addInt(in.Rs)
-	case LFD:
-		addInt(in.Rs)
-	case SB, SH, SW:
-		addInt(in.Rs)
-		addInt(in.Rt)
-	case SFD:
-		addInt(in.Rs)
-		addFP(in.Rt)
-	case LBX, LBUX, LHX, LHUX, LWX, LFDX:
-		addInt(in.Rs)
-		addInt(in.Rt)
-	case SBX, SHX, SWX:
-		addInt(in.Rs)
-		addInt(in.Rt)
-		addInt(in.Rd)
-	case SFDX:
-		addInt(in.Rs)
-		addInt(in.Rt)
-		addFP(in.Rd)
-	case LWPI, LFDPI:
-		addInt(in.Rs)
-	case SWPI:
-		addInt(in.Rs)
-		addInt(in.Rt)
-	case SFDPI:
-		addInt(in.Rs)
-		addFP(in.Rt)
-	case FADD, FSUB, FMUL, FDIV:
-		addFP(in.Rs)
-		addFP(in.Rt)
-	case FNEG, FABS, FMOV, CVTDW, CVTWD:
-		addFP(in.Rs)
-	case FCLT, FCLE, FCEQ:
-		addFP(in.Rs)
-		addFP(in.Rt)
-	case BC1T, BC1F:
-		buf = append(buf, UFCC)
-	case MTC1:
-		addInt(in.Rs)
-	case MFC1:
-		addFP(in.Rs)
 	}
 	return buf
 }
+
+// Uses appends the unified ids of all registers the instruction reads and
+// returns the extended slice. Register 0 (hardwired zero) is never reported.
+func (in Inst) Uses(buf []uint8) []uint8 { return in.appendUnified(buf, &opTable[in.Op].uses) }
 
 // Defs appends the unified ids of all registers the instruction writes and
 // returns the extended slice. Writes to register 0 are suppressed.
-func (in Inst) Defs(buf []uint8) []uint8 {
-	addInt := func(r Reg) {
-		if r != Zero {
-			buf = append(buf, UInt(r))
-		}
-	}
-	switch in.Op {
-	case ADD, SUB, MUL, DIV, DIVU, REM, REMU, AND, OR, XOR, NOR, SLT, SLTU,
-		SLLV, SRLV, SRAV, ADDI, ANDI, ORI, XORI, SLTI, SLTIU, SLL, SRL, SRA, LUI:
-		addInt(in.Rd)
-	case JAL:
-		addInt(RA)
-	case JALR:
-		addInt(in.Rd)
-	case LB, LBU, LH, LHU, LW, LBX, LBUX, LHX, LHUX, LWX:
-		addInt(in.Rd)
-	case LFD, LFDX:
-		buf = append(buf, UFP(in.Rd))
-	case LWPI:
-		addInt(in.Rd)
-		addInt(in.Rs)
-	case LFDPI:
-		buf = append(buf, UFP(in.Rd))
-		addInt(in.Rs)
-	case SWPI, SFDPI:
-		addInt(in.Rs)
-	case FADD, FSUB, FMUL, FDIV, FNEG, FABS, FMOV, CVTDW, CVTWD, MTC1:
-		buf = append(buf, UFP(in.Rd))
-	case MFC1:
-		addInt(in.Rd)
-	case FCLT, FCLE, FCEQ:
-		buf = append(buf, UFCC)
-	case SYSCALL:
-		addInt(V0) // result of sbrk etc.
-	}
-	return buf
-}
+func (in Inst) Defs(buf []uint8) []uint8 { return in.appendUnified(buf, &opTable[in.Op].defs) }
 
 // ControlTarget returns the statically-known target address of a direct
 // control transfer located at pc: conditional branches (Imm is the signed
@@ -187,87 +115,48 @@ func (in Inst) BaseReg() Reg { return in.Rs }
 // instruction.
 func (in Inst) IndexReg() Reg { return in.Rt }
 
-// StoreDataReg returns the register supplying the value of a store.
-func (in Inst) StoreDataReg() Reg {
-	switch in.Op.Mode() {
-	case AMReg:
-		return in.Rd
-	default:
-		return in.Rt
-	}
-}
+// StoreDataReg returns the register supplying the value of a store: the
+// first operand of its assembly syntax.
+func (in Inst) StoreDataReg() Reg { return in.Field(opTable[in.Op].syntax[0]) }
 
 // String disassembles the instruction using conventional syntax.
 func (in Inst) String() string {
-	op := in.Op
-	info := opTable[op]
-	switch {
-	case op == SYSCALL:
-		return "syscall"
-	case op == LUI:
-		return fmt.Sprintf("lui %s, %#x", in.Rd, uint16(in.Imm))
-	case op == SLL || op == SRL || op == SRA:
-		return fmt.Sprintf("%s %s, %s, %d", info.name, in.Rd, in.Rs, in.Imm)
-	case op == J || op == JAL:
-		return fmt.Sprintf("%s %#x", info.name, uint32(in.Imm))
-	case op == JR:
-		return fmt.Sprintf("jr %s", in.Rs)
-	case op == JALR:
-		return fmt.Sprintf("jalr %s, %s", in.Rd, in.Rs)
-	case op == BEQ || op == BNE:
-		return fmt.Sprintf("%s %s, %s, %d", info.name, in.Rs, in.Rt, in.Imm)
-	case op == BLEZ || op == BGTZ || op == BLTZ || op == BGEZ:
-		return fmt.Sprintf("%s %s, %d", info.name, in.Rs, in.Imm)
-	case op == BC1T || op == BC1F:
-		return fmt.Sprintf("%s %d", info.name, in.Imm)
-	case op == MTC1:
-		return fmt.Sprintf("mtc1 %s, %s", in.Rd.FPName(), in.Rs)
-	case op == MFC1:
-		return fmt.Sprintf("mfc1 %s, %s", in.Rd, in.Rs.FPName())
-	case op.IsMem():
-		return in.memString()
-	case info.fpDest && info.fpSrc:
-		switch op {
-		case FNEG, FABS, FMOV, CVTDW, CVTWD:
-			return fmt.Sprintf("%s %s, %s", info.name, in.Rd.FPName(), in.Rs.FPName())
+	info := &opTable[in.Op]
+	b := append(make([]byte, 0, 32), info.name...)
+	for i, o := range info.syntax {
+		switch {
+		case o == opndNone:
+			return string(b)
+		case i == 0:
+			b = append(b, ' ')
+		default:
+			b = append(b, ", "...)
 		}
-		return fmt.Sprintf("%s %s, %s, %s", info.name, in.Rd.FPName(), in.Rs.FPName(), in.Rt.FPName())
-	case op == FCLT || op == FCLE || op == FCEQ:
-		return fmt.Sprintf("%s %s, %s", info.name, in.Rs.FPName(), in.Rt.FPName())
-	case op == ADDI || op == ANDI || op == ORI || op == XORI || op == SLTI || op == SLTIU:
-		return fmt.Sprintf("%s %s, %s, %d", info.name, in.Rd, in.Rs, in.Imm)
-	default:
-		return fmt.Sprintf("%s %s, %s, %s", info.name, in.Rd, in.Rs, in.Rt)
+		b = in.appendOperand(b, o)
 	}
+	return string(b)
 }
 
-func (in Inst) memString() string {
-	op := in.Op
-	info := opTable[op]
-	dataName := func(r Reg) string {
-		if info.fpDest || info.fpSrc {
-			return r.FPName()
+// appendOperand appends the assembly spelling of one syntax operand.
+func (in Inst) appendOperand(b []byte, o Operand) []byte {
+	switch o {
+	case OpndImm, OpndDisp:
+		return strconv.AppendInt(b, int64(in.Imm), 10)
+	case OpndHi:
+		return fmt.Appendf(b, "%#x", uint16(in.Imm))
+	case OpndTarget:
+		return fmt.Appendf(b, "%#x", uint32(in.Imm))
+	case OpndMem:
+		switch in.Op.Mode() {
+		case AMReg:
+			return fmt.Appendf(b, "(%s+%s)", in.BaseReg(), in.IndexReg())
+		case AMPost:
+			return fmt.Appendf(b, "(%s)+%d", in.BaseReg(), in.Imm)
 		}
-		return r.String()
+		return fmt.Appendf(b, "%d(%s)", in.Imm, in.BaseReg())
 	}
-	switch op.Mode() {
-	case AMReg:
-		data := in.Rd
-		if op.IsStore() {
-			return fmt.Sprintf("%s %s, (%s+%s)", info.name, dataName(data), in.Rs, in.Rt)
-		}
-		return fmt.Sprintf("%s %s, (%s+%s)", info.name, dataName(in.Rd), in.Rs, in.Rt)
-	case AMPost:
-		data := in.Rd
-		if op.IsStore() {
-			data = in.Rt
-		}
-		return fmt.Sprintf("%s %s, (%s)+%d", info.name, dataName(data), in.Rs, in.Imm)
-	default:
-		data := in.Rd
-		if op.IsStore() {
-			data = in.Rt
-		}
-		return fmt.Sprintf("%s %s, %d(%s)", info.name, dataName(data), in.Imm, in.Rs)
+	if o.FP() {
+		return append(b, in.Field(o).FPName()...)
 	}
+	return append(b, in.Field(o).String()...)
 }

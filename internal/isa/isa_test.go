@@ -35,8 +35,18 @@ func TestRegByName(t *testing.T) {
 	if _, ok := RegByName("bogus"); ok {
 		t.Error("RegByName(bogus) succeeded")
 	}
-	if _, ok := RegByName("r32"); ok {
-		t.Error("RegByName(r32) succeeded")
+	for _, bad := range []string{"r32", "0x1f", "29garbage", "r31.5", "5abc", "+5", "-0", "r", "", "r+1"} {
+		if r, ok := RegByName(bad); ok {
+			t.Errorf("RegByName(%q) = %v, want failure", bad, r)
+		}
+	}
+	if r, ok := FPRegByName("f31"); !ok || r != 31 {
+		t.Errorf("FPRegByName(f31) = %v, %v", r, ok)
+	}
+	for _, bad := range []string{"f32", "f+2", "f-0", "f", "f1x", "fp", "r2", "2"} {
+		if r, ok := FPRegByName(bad); ok {
+			t.Errorf("FPRegByName(%q) = %v, want failure", bad, r)
+		}
 	}
 }
 
@@ -225,63 +235,28 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// randInst builds a random but encodable instruction.
+// randInst builds a random but encodable instruction: any op, with the
+// fields its format names filled in and an immediate of its kind.
 func randInst(r *rand.Rand, pc uint32) Inst {
-	ops := []Op{
-		ADD, SUB, MUL, DIV, AND, OR, XOR, NOR, SLT, SLTU, SLLV, SRLV, SRAV,
-		ADDI, ANDI, ORI, XORI, SLTI, SLTIU, SLL, SRL, SRA, LUI,
-		BEQ, BNE, BLEZ, BGTZ, BLTZ, BGEZ, J, JAL, JR, JALR, SYSCALL,
-		LB, LBU, LH, LHU, LW, SB, SH, SW, LFD, SFD,
-		LBX, LBUX, LHX, LHUX, LWX, SBX, SHX, SWX, LFDX, SFDX,
-		LWPI, SWPI, LFDPI, SFDPI,
-		FADD, FSUB, FMUL, FDIV, FNEG, FABS, FMOV, FCLT, FCLE, FCEQ,
-		BC1T, BC1F, MTC1, MFC1, CVTDW, CVTWD,
-	}
-	op := ops[r.Intn(len(ops))]
+	op := Op(1 + r.Intn(int(NumOps)-1))
 	in := Inst{Op: op}
-	reg := func() Reg { return Reg(r.Intn(32)) }
-	switch {
-	case op == J || op == JAL:
-		in.Imm = int32(pc&0xF0000000 | uint32(r.Intn(1<<24))<<2)
-	case op == SLL || op == SRL || op == SRA:
-		in.Rd, in.Rs, in.Imm = reg(), reg(), int32(r.Intn(32))
-	case op == LUI:
-		in.Rd, in.Imm = reg(), int32(r.Intn(1<<16))
-	case op == ANDI || op == ORI || op == XORI:
-		in.Rd, in.Rs, in.Imm = reg(), reg(), int32(r.Intn(1<<16))
-	case op == ADDI || op == SLTI || op == SLTIU:
-		in.Rd, in.Rs, in.Imm = reg(), reg(), int32(int16(r.Uint32()))
-	case op.IsBranch():
+	f := &opTable[op].format
+	for _, list := range []opnds{f.uses, f.defs, f.syntax} {
+		for _, o := range list {
+			in.SetField(o, Reg(r.Intn(32)))
+		}
+	}
+	switch f.imm {
+	case immSigned:
+		in.Imm = int32(int16(r.Uint32()))
+	case immUnsigned:
+		in.Imm = int32(r.Intn(1 << 16))
+	case immShift:
+		in.Imm = int32(r.Intn(32))
+	case immBranch:
 		in.Imm = int32(int16(r.Uint32())) << 2
-		if op == BEQ || op == BNE {
-			in.Rs, in.Rt = reg(), reg()
-		} else if op != BC1T && op != BC1F {
-			in.Rs = reg()
-		}
-	case op == JR:
-		in.Rs = reg()
-	case op == JALR:
-		in.Rd, in.Rs = reg(), reg()
-	case op == SYSCALL:
-	case op.IsMem():
-		in.Rs = reg()
-		switch op.Mode() {
-		case AMReg:
-			in.Rd, in.Rt = reg(), reg()
-		default:
-			if op.IsStore() {
-				in.Rt = reg()
-			} else {
-				in.Rd = reg()
-			}
-			in.Imm = int32(int16(r.Uint32()))
-		}
-	case op == FCLT || op == FCLE || op == FCEQ:
-		in.Rs, in.Rt = reg(), reg()
-	case op == FNEG || op == FABS || op == FMOV || op == CVTDW || op == CVTWD || op == MTC1 || op == MFC1:
-		in.Rd, in.Rs = reg(), reg()
-	default: // three-register forms
-		in.Rd, in.Rs, in.Rt = reg(), reg(), reg()
+	case immJump:
+		in.Imm = int32(pc&0xF0000000 | uint32(r.Intn(1<<24))<<2)
 	}
 	return in
 }

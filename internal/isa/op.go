@@ -125,15 +125,6 @@ const (
 	ClassSyscall
 )
 
-type opInfo struct {
-	name    string
-	class   OpClass
-	mode    AddrMode // meaningful for loads/stores only
-	memSize uint8    // access width in bytes (0 for non-memory)
-	fpDest  bool     // destination register is an FP register
-	fpSrc   bool     // source value registers are FP registers
-}
-
 // AddrMode is the addressing mode of a memory operation.
 type AddrMode uint8
 
@@ -144,92 +135,233 @@ const (
 	AMPost           // effective address = base; base += imm16 afterwards
 )
 
+// Operand names one operand of an instruction: an Inst register field
+// read in the integer or FP register file, an implicit register, or the
+// immediate in one of its assembly spellings.
+type Operand uint8
+
+const (
+	opndNone   Operand = iota
+	OpndRd             // integer register in Rd
+	OpndRs             // integer register in Rs
+	OpndRt             // integer register in Rt
+	OpndFd             // FP register in Rd
+	OpndFs             // FP register in Rs
+	OpndFt             // FP register in Rt
+	OpndImm            // immediate, in decimal
+	OpndHi             // upper 16-bit immediate, in hex
+	OpndDisp           // branch displacement: a label or a byte count
+	OpndTarget         // jump target: a symbol or an absolute address
+	OpndMem            // memory operand, spelled per addressing mode
+
+	// Implicit registers, which appear only among uses and defs.
+	opndFCC // the FP condition flag
+	opndV0
+	opndA0
+	opndRA
+)
+
+// FP reports whether o names a register field read in the FP file.
+func (o Operand) FP() bool { return o >= OpndFd && o <= OpndFt }
+
+// encForm is an instruction's binary layout (see encode.go).
+type encForm uint8
+
+const (
+	formNone encForm = iota // not encodable (BAD)
+	formR
+	formI
+	formJ
+)
+
+// immKind is how an instruction's Imm is range-checked and encoded.
+type immKind uint8
+
+const (
+	immNone     immKind = iota // no immediate; Imm is not encoded
+	immSigned                  // 16-bit, sign-extended
+	immUnsigned                // 16-bit, zero-extended
+	immShift                   // R-form shift amount, 0..31
+	immBranch                  // byte displacement from the next instruction, encoded in words
+	immJump                    // absolute byte target in the next instruction's 256MB region
+)
+
+// opnds is an operand list, packed from the front; unused entries are zero.
+type opnds [3]Operand
+
+// A format is the operand shape a group of ops shares. Uses, Defs,
+// Encode, Decode, String and the assembler all read it; none of them
+// knows an op's shape any other way.
+type format struct {
+	uses, defs opnds // registers read and written, in Uses and Defs order
+	syntax     opnds // assembly operands, in order
+	form       encForm
+	second     Operand // the field in I-form bits 20:16 (OpndRd or OpndRt)
+	imm        immKind
+	mode       AddrMode // addressing mode of a memory format
+}
+
+// The formats. Every memory format takes its base register from Rs and,
+// in the register+register forms, its index from Rt. The data register
+// is Rd, except in register+constant and post-increment stores, where it
+// is Rt, so I-form bits 20:16 always hold it.
+var (
+	fmtR3    = format{form: formR, uses: opnds{OpndRs, OpndRt}, defs: opnds{OpndRd}, syntax: opnds{OpndRd, OpndRs, OpndRt}}
+	fmtShift = format{form: formR, imm: immShift, uses: opnds{OpndRs}, defs: opnds{OpndRd}, syntax: opnds{OpndRd, OpndRs, OpndImm}}
+	fmtImm   = format{form: formI, second: OpndRd, imm: immSigned, uses: opnds{OpndRs}, defs: opnds{OpndRd}, syntax: opnds{OpndRd, OpndRs, OpndImm}}
+	fmtUImm  = format{form: formI, second: OpndRd, imm: immUnsigned, uses: opnds{OpndRs}, defs: opnds{OpndRd}, syntax: opnds{OpndRd, OpndRs, OpndImm}}
+	fmtLUI   = format{form: formI, second: OpndRd, imm: immUnsigned, defs: opnds{OpndRd}, syntax: opnds{OpndRd, OpndHi}}
+
+	fmtBr2     = format{form: formI, second: OpndRt, imm: immBranch, uses: opnds{OpndRs, OpndRt}, syntax: opnds{OpndRs, OpndRt, OpndDisp}}
+	fmtBr1     = format{form: formI, second: OpndRd, imm: immBranch, uses: opnds{OpndRs}, syntax: opnds{OpndRs, OpndDisp}}
+	fmtBrFCC   = format{form: formI, second: OpndRd, imm: immBranch, uses: opnds{opndFCC}, syntax: opnds{OpndDisp}}
+	fmtJ       = format{form: formJ, imm: immJump, syntax: opnds{OpndTarget}}
+	fmtJAL     = format{form: formJ, imm: immJump, defs: opnds{opndRA}, syntax: opnds{OpndTarget}}
+	fmtJR      = format{form: formR, uses: opnds{OpndRs}, syntax: opnds{OpndRs}}
+	fmtJALR    = format{form: formR, uses: opnds{OpndRs}, defs: opnds{OpndRd}, syntax: opnds{OpndRd, OpndRs}}
+	fmtSyscall = format{form: formR, uses: opnds{opndV0, opndA0}, defs: opnds{opndV0}}
+
+	fmtLoad     = format{mode: AMConst, form: formI, second: OpndRd, imm: immSigned, uses: opnds{OpndRs}, defs: opnds{OpndRd}, syntax: opnds{OpndRd, OpndMem}}
+	fmtLoadF    = format{mode: AMConst, form: formI, second: OpndRd, imm: immSigned, uses: opnds{OpndRs}, defs: opnds{OpndFd}, syntax: opnds{OpndFd, OpndMem}}
+	fmtStore    = format{mode: AMConst, form: formI, second: OpndRt, imm: immSigned, uses: opnds{OpndRs, OpndRt}, syntax: opnds{OpndRt, OpndMem}}
+	fmtStoreF   = format{mode: AMConst, form: formI, second: OpndRt, imm: immSigned, uses: opnds{OpndRs, OpndFt}, syntax: opnds{OpndFt, OpndMem}}
+	fmtLoadX    = format{mode: AMReg, form: formR, uses: opnds{OpndRs, OpndRt}, defs: opnds{OpndRd}, syntax: opnds{OpndRd, OpndMem}}
+	fmtLoadXF   = format{mode: AMReg, form: formR, uses: opnds{OpndRs, OpndRt}, defs: opnds{OpndFd}, syntax: opnds{OpndFd, OpndMem}}
+	fmtStoreX   = format{mode: AMReg, form: formR, uses: opnds{OpndRs, OpndRt, OpndRd}, syntax: opnds{OpndRd, OpndMem}}
+	fmtStoreXF  = format{mode: AMReg, form: formR, uses: opnds{OpndRs, OpndRt, OpndFd}, syntax: opnds{OpndFd, OpndMem}}
+	fmtLoadPI   = format{mode: AMPost, form: formI, second: OpndRd, imm: immSigned, uses: opnds{OpndRs}, defs: opnds{OpndRd, OpndRs}, syntax: opnds{OpndRd, OpndMem}}
+	fmtLoadPIF  = format{mode: AMPost, form: formI, second: OpndRd, imm: immSigned, uses: opnds{OpndRs}, defs: opnds{OpndFd, OpndRs}, syntax: opnds{OpndFd, OpndMem}}
+	fmtStorePI  = format{mode: AMPost, form: formI, second: OpndRt, imm: immSigned, uses: opnds{OpndRs, OpndRt}, defs: opnds{OpndRs}, syntax: opnds{OpndRt, OpndMem}}
+	fmtStorePIF = format{mode: AMPost, form: formI, second: OpndRt, imm: immSigned, uses: opnds{OpndRs, OpndFt}, defs: opnds{OpndRs}, syntax: opnds{OpndFt, OpndMem}}
+
+	fmtFP3  = format{form: formR, uses: opnds{OpndFs, OpndFt}, defs: opnds{OpndFd}, syntax: opnds{OpndFd, OpndFs, OpndFt}}
+	fmtFP2  = format{form: formR, uses: opnds{OpndFs}, defs: opnds{OpndFd}, syntax: opnds{OpndFd, OpndFs}}
+	fmtFCmp = format{form: formR, uses: opnds{OpndFs, OpndFt}, defs: opnds{opndFCC}, syntax: opnds{OpndFs, OpndFt}}
+	fmtMTC1 = format{form: formR, uses: opnds{OpndRs}, defs: opnds{OpndFd}, syntax: opnds{OpndFd, OpndRs}}
+	fmtMFC1 = format{form: formR, uses: opnds{OpndFs}, defs: opnds{OpndRd}, syntax: opnds{OpndRd, OpndFs}}
+)
+
+// opInfo is one op's row of opTable.
+type opInfo struct {
+	name    string
+	class   OpClass
+	memSize uint8 // access width in bytes (0 for non-memory)
+	format
+	opc   uint8 // major opcode; 0 for every R-form op
+	funct uint8 // R-form function code
+	// variantOf is, for a register+register or post-increment op, the
+	// register+constant op the assembler spells it with.
+	variantOf Op
+
+	// Derived from the format's defs and uses when the table is built.
+	fpDest, fpSrc bool
+}
+
+// opTable is the instruction set: each op's mnemonic, functional-unit
+// class, access width, format, and opcode or funct. It is the one place
+// an op's shape is written down.
 var opTable = [NumOps]opInfo{
 	BAD: {name: "bad", class: ClassIntALU},
 
-	ADD:  {name: "add", class: ClassIntALU},
-	SUB:  {name: "sub", class: ClassIntALU},
-	MUL:  {name: "mul", class: ClassIntMul},
-	DIV:  {name: "div", class: ClassIntDiv},
-	DIVU: {name: "divu", class: ClassIntDiv},
-	REM:  {name: "rem", class: ClassIntDiv},
-	REMU: {name: "remu", class: ClassIntDiv},
-	AND:  {name: "and", class: ClassIntALU},
-	OR:   {name: "or", class: ClassIntALU},
-	XOR:  {name: "xor", class: ClassIntALU},
-	NOR:  {name: "nor", class: ClassIntALU},
-	SLT:  {name: "slt", class: ClassIntALU},
-	SLTU: {name: "sltu", class: ClassIntALU},
-	SLLV: {name: "sllv", class: ClassIntALU},
-	SRLV: {name: "srlv", class: ClassIntALU},
-	SRAV: {name: "srav", class: ClassIntALU},
+	ADD:  {name: "add", class: ClassIntALU, format: fmtR3, funct: 0},
+	SUB:  {name: "sub", class: ClassIntALU, format: fmtR3, funct: 1},
+	MUL:  {name: "mul", class: ClassIntMul, format: fmtR3, funct: 2},
+	DIV:  {name: "div", class: ClassIntDiv, format: fmtR3, funct: 3},
+	DIVU: {name: "divu", class: ClassIntDiv, format: fmtR3, funct: 4},
+	REM:  {name: "rem", class: ClassIntDiv, format: fmtR3, funct: 5},
+	REMU: {name: "remu", class: ClassIntDiv, format: fmtR3, funct: 6},
+	AND:  {name: "and", class: ClassIntALU, format: fmtR3, funct: 7},
+	OR:   {name: "or", class: ClassIntALU, format: fmtR3, funct: 8},
+	XOR:  {name: "xor", class: ClassIntALU, format: fmtR3, funct: 9},
+	NOR:  {name: "nor", class: ClassIntALU, format: fmtR3, funct: 10},
+	SLT:  {name: "slt", class: ClassIntALU, format: fmtR3, funct: 11},
+	SLTU: {name: "sltu", class: ClassIntALU, format: fmtR3, funct: 12},
+	SLLV: {name: "sllv", class: ClassIntALU, format: fmtR3, funct: 13},
+	SRLV: {name: "srlv", class: ClassIntALU, format: fmtR3, funct: 14},
+	SRAV: {name: "srav", class: ClassIntALU, format: fmtR3, funct: 15},
 
-	ADDI:  {name: "addi", class: ClassIntALU},
-	ANDI:  {name: "andi", class: ClassIntALU},
-	ORI:   {name: "ori", class: ClassIntALU},
-	XORI:  {name: "xori", class: ClassIntALU},
-	SLTI:  {name: "slti", class: ClassIntALU},
-	SLTIU: {name: "sltiu", class: ClassIntALU},
-	SLL:   {name: "sll", class: ClassIntALU},
-	SRL:   {name: "srl", class: ClassIntALU},
-	SRA:   {name: "sra", class: ClassIntALU},
-	LUI:   {name: "lui", class: ClassIntALU},
+	ADDI:  {name: "addi", class: ClassIntALU, format: fmtImm, opc: 9},
+	ANDI:  {name: "andi", class: ClassIntALU, format: fmtUImm, opc: 10},
+	ORI:   {name: "ori", class: ClassIntALU, format: fmtUImm, opc: 11},
+	XORI:  {name: "xori", class: ClassIntALU, format: fmtUImm, opc: 12},
+	SLTI:  {name: "slti", class: ClassIntALU, format: fmtImm, opc: 13},
+	SLTIU: {name: "sltiu", class: ClassIntALU, format: fmtImm, opc: 14},
+	SLL:   {name: "sll", class: ClassIntALU, format: fmtShift, funct: 16},
+	SRL:   {name: "srl", class: ClassIntALU, format: fmtShift, funct: 17},
+	SRA:   {name: "sra", class: ClassIntALU, format: fmtShift, funct: 18},
+	LUI:   {name: "lui", class: ClassIntALU, format: fmtLUI, opc: 15},
 
-	BEQ:     {name: "beq", class: ClassBranch},
-	BNE:     {name: "bne", class: ClassBranch},
-	BLEZ:    {name: "blez", class: ClassBranch},
-	BGTZ:    {name: "bgtz", class: ClassBranch},
-	BLTZ:    {name: "bltz", class: ClassBranch},
-	BGEZ:    {name: "bgez", class: ClassBranch},
-	J:       {name: "j", class: ClassJump},
-	JAL:     {name: "jal", class: ClassJump},
-	JR:      {name: "jr", class: ClassJump},
-	JALR:    {name: "jalr", class: ClassJump},
-	SYSCALL: {name: "syscall", class: ClassSyscall},
+	BEQ:     {name: "beq", class: ClassBranch, format: fmtBr2, opc: 3},
+	BNE:     {name: "bne", class: ClassBranch, format: fmtBr2, opc: 4},
+	BLEZ:    {name: "blez", class: ClassBranch, format: fmtBr1, opc: 5},
+	BGTZ:    {name: "bgtz", class: ClassBranch, format: fmtBr1, opc: 6},
+	BLTZ:    {name: "bltz", class: ClassBranch, format: fmtBr1, opc: 7},
+	BGEZ:    {name: "bgez", class: ClassBranch, format: fmtBr1, opc: 8},
+	J:       {name: "j", class: ClassJump, format: fmtJ, opc: 1},
+	JAL:     {name: "jal", class: ClassJump, format: fmtJAL, opc: 2},
+	JR:      {name: "jr", class: ClassJump, format: fmtJR, funct: 19},
+	JALR:    {name: "jalr", class: ClassJump, format: fmtJALR, funct: 20},
+	SYSCALL: {name: "syscall", class: ClassSyscall, format: fmtSyscall, funct: 21},
 
-	LB:  {name: "lb", class: ClassLoad, mode: AMConst, memSize: 1},
-	LBU: {name: "lbu", class: ClassLoad, mode: AMConst, memSize: 1},
-	LH:  {name: "lh", class: ClassLoad, mode: AMConst, memSize: 2},
-	LHU: {name: "lhu", class: ClassLoad, mode: AMConst, memSize: 2},
-	LW:  {name: "lw", class: ClassLoad, mode: AMConst, memSize: 4},
-	SB:  {name: "sb", class: ClassStore, mode: AMConst, memSize: 1},
-	SH:  {name: "sh", class: ClassStore, mode: AMConst, memSize: 2},
-	SW:  {name: "sw", class: ClassStore, mode: AMConst, memSize: 4},
-	LFD: {name: "lfd", class: ClassLoad, mode: AMConst, memSize: 8, fpDest: true},
-	SFD: {name: "sfd", class: ClassStore, mode: AMConst, memSize: 8, fpSrc: true},
+	LB:  {name: "lb", class: ClassLoad, memSize: 1, format: fmtLoad, opc: 16},
+	LBU: {name: "lbu", class: ClassLoad, memSize: 1, format: fmtLoad, opc: 17},
+	LH:  {name: "lh", class: ClassLoad, memSize: 2, format: fmtLoad, opc: 18},
+	LHU: {name: "lhu", class: ClassLoad, memSize: 2, format: fmtLoad, opc: 19},
+	LW:  {name: "lw", class: ClassLoad, memSize: 4, format: fmtLoad, opc: 20},
+	SB:  {name: "sb", class: ClassStore, memSize: 1, format: fmtStore, opc: 21},
+	SH:  {name: "sh", class: ClassStore, memSize: 2, format: fmtStore, opc: 22},
+	SW:  {name: "sw", class: ClassStore, memSize: 4, format: fmtStore, opc: 23},
+	LFD: {name: "lfd", class: ClassLoad, memSize: 8, format: fmtLoadF, opc: 24},
+	SFD: {name: "sfd", class: ClassStore, memSize: 8, format: fmtStoreF, opc: 25},
 
-	LBX:  {name: "lbx", class: ClassLoad, mode: AMReg, memSize: 1},
-	LBUX: {name: "lbux", class: ClassLoad, mode: AMReg, memSize: 1},
-	LHX:  {name: "lhx", class: ClassLoad, mode: AMReg, memSize: 2},
-	LHUX: {name: "lhux", class: ClassLoad, mode: AMReg, memSize: 2},
-	LWX:  {name: "lwx", class: ClassLoad, mode: AMReg, memSize: 4},
-	SBX:  {name: "sbx", class: ClassStore, mode: AMReg, memSize: 1},
-	SHX:  {name: "shx", class: ClassStore, mode: AMReg, memSize: 2},
-	SWX:  {name: "swx", class: ClassStore, mode: AMReg, memSize: 4},
-	LFDX: {name: "lfdx", class: ClassLoad, mode: AMReg, memSize: 8, fpDest: true},
-	SFDX: {name: "sfdx", class: ClassStore, mode: AMReg, memSize: 8, fpSrc: true},
+	LBX:  {name: "lbx", class: ClassLoad, memSize: 1, format: fmtLoadX, funct: 22, variantOf: LB},
+	LBUX: {name: "lbux", class: ClassLoad, memSize: 1, format: fmtLoadX, funct: 23, variantOf: LBU},
+	LHX:  {name: "lhx", class: ClassLoad, memSize: 2, format: fmtLoadX, funct: 24, variantOf: LH},
+	LHUX: {name: "lhux", class: ClassLoad, memSize: 2, format: fmtLoadX, funct: 25, variantOf: LHU},
+	LWX:  {name: "lwx", class: ClassLoad, memSize: 4, format: fmtLoadX, funct: 26, variantOf: LW},
+	SBX:  {name: "sbx", class: ClassStore, memSize: 1, format: fmtStoreX, funct: 27, variantOf: SB},
+	SHX:  {name: "shx", class: ClassStore, memSize: 2, format: fmtStoreX, funct: 28, variantOf: SH},
+	SWX:  {name: "swx", class: ClassStore, memSize: 4, format: fmtStoreX, funct: 29, variantOf: SW},
+	LFDX: {name: "lfdx", class: ClassLoad, memSize: 8, format: fmtLoadXF, funct: 30, variantOf: LFD},
+	SFDX: {name: "sfdx", class: ClassStore, memSize: 8, format: fmtStoreXF, funct: 31, variantOf: SFD},
 
-	LWPI:  {name: "lwpi", class: ClassLoad, mode: AMPost, memSize: 4},
-	SWPI:  {name: "swpi", class: ClassStore, mode: AMPost, memSize: 4},
-	LFDPI: {name: "lfdpi", class: ClassLoad, mode: AMPost, memSize: 8, fpDest: true},
-	SFDPI: {name: "sfdpi", class: ClassStore, mode: AMPost, memSize: 8, fpSrc: true},
+	LWPI:  {name: "lwpi", class: ClassLoad, memSize: 4, format: fmtLoadPI, opc: 26, variantOf: LW},
+	SWPI:  {name: "swpi", class: ClassStore, memSize: 4, format: fmtStorePI, opc: 27, variantOf: SW},
+	LFDPI: {name: "lfdpi", class: ClassLoad, memSize: 8, format: fmtLoadPIF, opc: 28, variantOf: LFD},
+	SFDPI: {name: "sfdpi", class: ClassStore, memSize: 8, format: fmtStorePIF, opc: 29, variantOf: SFD},
 
-	FADD:  {name: "fadd", class: ClassFPAdd, fpDest: true, fpSrc: true},
-	FSUB:  {name: "fsub", class: ClassFPAdd, fpDest: true, fpSrc: true},
-	FMUL:  {name: "fmul", class: ClassFPMul, fpDest: true, fpSrc: true},
-	FDIV:  {name: "fdiv", class: ClassFPDiv, fpDest: true, fpSrc: true},
-	FNEG:  {name: "fneg", class: ClassFPAdd, fpDest: true, fpSrc: true},
-	FABS:  {name: "fabs", class: ClassFPAdd, fpDest: true, fpSrc: true},
-	FMOV:  {name: "fmov", class: ClassFPAdd, fpDest: true, fpSrc: true},
-	FCLT:  {name: "fclt", class: ClassFPAdd, fpSrc: true},
-	FCLE:  {name: "fcle", class: ClassFPAdd, fpSrc: true},
-	FCEQ:  {name: "fceq", class: ClassFPAdd, fpSrc: true},
-	BC1T:  {name: "bc1t", class: ClassBranch},
-	BC1F:  {name: "bc1f", class: ClassBranch},
-	MTC1:  {name: "mtc1", class: ClassFPAdd, fpDest: true},
-	MFC1:  {name: "mfc1", class: ClassFPAdd, fpSrc: true},
-	CVTDW: {name: "cvtdw", class: ClassFPAdd, fpDest: true, fpSrc: true},
-	CVTWD: {name: "cvtwd", class: ClassFPAdd, fpDest: true, fpSrc: true},
+	FADD:  {name: "fadd", class: ClassFPAdd, format: fmtFP3, funct: 32},
+	FSUB:  {name: "fsub", class: ClassFPAdd, format: fmtFP3, funct: 33},
+	FMUL:  {name: "fmul", class: ClassFPMul, format: fmtFP3, funct: 34},
+	FDIV:  {name: "fdiv", class: ClassFPDiv, format: fmtFP3, funct: 35},
+	FNEG:  {name: "fneg", class: ClassFPAdd, format: fmtFP2, funct: 36},
+	FABS:  {name: "fabs", class: ClassFPAdd, format: fmtFP2, funct: 37},
+	FMOV:  {name: "fmov", class: ClassFPAdd, format: fmtFP2, funct: 38},
+	FCLT:  {name: "fclt", class: ClassFPAdd, format: fmtFCmp, funct: 39},
+	FCLE:  {name: "fcle", class: ClassFPAdd, format: fmtFCmp, funct: 40},
+	FCEQ:  {name: "fceq", class: ClassFPAdd, format: fmtFCmp, funct: 41},
+	BC1T:  {name: "bc1t", class: ClassBranch, format: fmtBrFCC, opc: 30},
+	BC1F:  {name: "bc1f", class: ClassBranch, format: fmtBrFCC, opc: 31},
+	MTC1:  {name: "mtc1", class: ClassFPAdd, format: fmtMTC1, funct: 42},
+	MFC1:  {name: "mfc1", class: ClassFPAdd, format: fmtMFC1, funct: 43},
+	CVTDW: {name: "cvtdw", class: ClassFPAdd, format: fmtFP2, funct: 44},
+	CVTWD: {name: "cvtwd", class: ClassFPAdd, format: fmtFP2, funct: 45},
+}
+
+func init() {
+	for op := range opTable {
+		info := &opTable[op]
+		info.fpDest, info.fpSrc = hasFP(info.defs), hasFP(info.uses)
+	}
+}
+
+func hasFP(list opnds) bool {
+	for _, o := range list {
+		if o.FP() {
+			return true
+		}
+	}
+	return false
 }
 
 // String returns the assembly mnemonic.
@@ -267,11 +399,42 @@ func (o Op) IsJump() bool { return opTable[o].class == ClassJump }
 // IsControl reports whether the operation can redirect the PC.
 func (o Op) IsControl() bool { return o.IsBranch() || o.IsJump() }
 
-// FPDest reports whether the destination register number names an FP register.
+// FPDest reports whether a register the operation writes is an FP register.
 func (o Op) FPDest() bool { return opTable[o].fpDest }
 
-// FPSrc reports whether the value source register numbers name FP registers.
+// FPSrc reports whether a register the operation reads is an FP register.
 func (o Op) FPSrc() bool { return opTable[o].fpSrc }
+
+// Syntax returns the operands of the operation's assembly syntax, in
+// order. The slice is the table's own; callers must not modify it.
+func (o Op) Syntax() []Operand {
+	s := opTable[o].syntax[:]
+	for n, opnd := range s {
+		if opnd == opndNone {
+			return s[:n:n]
+		}
+	}
+	return s
+}
+
+// Variant returns memory operation o's form in addressing mode m: o
+// itself when o has mode m, the register+register or post-increment form
+// of a register+constant operation, and BAD when there is none.
+func (o Op) Variant(m AddrMode) Op { return variants[o][m] }
+
+var variants = func() (v [NumOps][AMPost + 1]Op) {
+	for op := Op(1); op < NumOps; op++ {
+		info := &opTable[op]
+		if info.mode == AMNone {
+			continue
+		}
+		v[op][info.mode] = op
+		if info.variantOf != BAD {
+			v[info.variantOf][info.mode] = op
+		}
+	}
+	return v
+}()
 
 // OpByName maps an assembly mnemonic to its Op.
 func OpByName(name string) (Op, bool) {

@@ -9,7 +9,10 @@
 // binary encoding and a disassembler.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Reg names one of the 32 integer registers or, in FP instruction fields,
 // one of the 32 floating-point registers.
@@ -80,19 +83,41 @@ func (r Reg) FPName() string { return fmt.Sprintf("$f%d", uint8(r)) }
 
 // RegByName maps an assembly register name (without the leading '$') to its
 // number. Both conventional names ("sp") and numeric names ("r29", "29")
-// are accepted.
+// are accepted; a number is decimal digits only, 0 to 31.
 func RegByName(name string) (Reg, bool) {
 	for i, n := range regNames {
 		if n == name {
 			return Reg(i), true
 		}
 	}
-	var n int
-	if _, err := fmt.Sscanf(name, "r%d", &n); err == nil && n >= 0 && n < NumRegs {
-		return Reg(n), true
+	return regNumber(strings.TrimPrefix(name, "r"))
+}
+
+// FPRegByName maps an FP register name (without the leading '$'), "f0"
+// to "f31", to its number.
+func FPRegByName(name string) (Reg, bool) {
+	n, ok := strings.CutPrefix(name, "f")
+	if !ok {
+		return 0, false
 	}
-	if _, err := fmt.Sscanf(name, "%d", &n); err == nil && n >= 0 && n < NumRegs {
-		return Reg(n), true
+	return regNumber(n)
+}
+
+// regNumber parses a register number: decimal digits only, no sign and
+// nothing trailing, with a value below NumRegs.
+func regNumber(s string) (Reg, bool) {
+	if s == "" {
+		return 0, false
 	}
-	return 0, false
+	n := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if n = n*10 + int(c-'0'); n >= NumRegs {
+			return 0, false
+		}
+	}
+	return Reg(n), true
 }

@@ -37,8 +37,10 @@
 // Without arguments it lints the packages where emission order matters
 // (internal/minic, internal/asm, internal/prog, internal/experiments,
 // internal/simsvc), the hot-path-marked simulator core (internal/pipeline,
-// internal/predict) and functional pass (internal/profile, internal/ltb),
-// and the schema-bearing packages (internal/staticfac, internal/obs).
+// internal/predict), emulator (internal/emu) and functional pass
+// (internal/profile, internal/ltb), the ISA table the emulator consults
+// per memory access (internal/isa), and the schema-bearing packages
+// (internal/staticfac, internal/obs).
 package main
 
 import (
@@ -60,8 +62,8 @@ import (
 // output must not depend on map iteration order (the compiler, the
 // assembler, the linker, the experiment harness and the simulation
 // service), those with hot-path-marked files (the timing model, the
-// predictors, the reference profiler and the load target buffer), and the
-// schema-bearing ones.
+// predictors, the emulator, the reference profiler and the load target
+// buffer), the ISA table the emulator reads, and the schema-bearing ones.
 var defaultTargets = []string{
 	"internal/minic",
 	"internal/asm",
@@ -70,6 +72,8 @@ var defaultTargets = []string{
 	"internal/simsvc",
 	"internal/pipeline",
 	"internal/predict",
+	"internal/emu",
+	"internal/isa",
 	"internal/profile",
 	"internal/ltb",
 	"internal/staticfac",
