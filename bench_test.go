@@ -1,12 +1,9 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation. Each benchmark regenerates its experiment end to end
-// (building, profiling, and simulating the full workload suite) and reports
-// the experiment's headline numbers as custom metrics, so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the entire evaluation and prints the measured analogues of the
-// paper's results alongside the harness cost.
+// Benchmark harness: simulator throughput on the compress workload
+// (BenchmarkPipeline, BenchmarkEmulator, BenchmarkTimingSimulator) and
+// toolchain speed (BenchmarkCompiler). BenchmarkPipeline also writes the
+// BENCH_pipeline.json perf-trajectory artifact (docs/PERFORMANCE.md).
+// The evaluation's tables are not benchmarked here: cmd/experiments
+// regenerates them, and internal/experiments' TestTablesGolden pins them.
 package repro
 
 import (
@@ -21,155 +18,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
-
-// BenchmarkTable1 regenerates Table 1 (program reference behaviour) and
-// reports the suite-wide general-pointer share of loads.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		r, err := s.Table1()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var general, loads float64
-		for _, row := range r.Rows {
-			general += row.GeneralPct * float64(row.Refs)
-			loads += float64(row.Refs)
-		}
-		b.ReportMetric(100*general/loads, "%general-loads")
-	}
-}
-
-// BenchmarkFigure2 regenerates Figure 2 (impact of load latency on IPC) and
-// reports the weighted-average integer IPC gain of 1-cycle loads.
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		r, err := s.Figure2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.IntAvg[1]/r.IntAvg[0], "int-1cyc-gain")
-		b.ReportMetric(r.IntAvg[2]/r.IntAvg[0], "int-perfect-gain")
-	}
-}
-
-// BenchmarkFigure3 regenerates Figure 3 (load offset distributions) and
-// reports the zero-offset share of general-pointer loads (averaged over the
-// plotted benchmarks).
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		r, err := s.Figure3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var zero float64
-		var n int
-		for _, sr := range r.Series {
-			if sr.RefType.String() == "general" {
-				zero += sr.Cumulative[0]
-				n++
-			}
-		}
-		b.ReportMetric(100*zero/float64(n), "%zero-offset-general")
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3 (statistics and prediction failure
-// rates without software support) and reports the mean load failure rate.
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		r, err := s.Table3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var fail float64
-		for _, row := range r.Rows {
-			fail += row.LoadFail32
-		}
-		b.ReportMetric(100*fail/float64(len(r.Rows)), "%load-fail-hw")
-	}
-}
-
-// BenchmarkTable4 regenerates Table 4 (software support) and reports the
-// mean remaining load failure rate and its no-R+R column.
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		r, err := s.Table4()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var all, norr float64
-		for _, row := range r.Rows {
-			all += row.LoadFailAll
-			norr += row.LoadFailNoRR
-		}
-		n := float64(len(r.Rows))
-		b.ReportMetric(100*all/n, "%load-fail-sw")
-		b.ReportMetric(100*norr/n, "%load-fail-sw-noRR")
-	}
-}
-
-// BenchmarkFigure6 regenerates Figure 6 (speedups) and reports the paper's
-// headline numbers: weighted-average integer and FP speedups with hardware
-// only and with software support (32-byte blocks).
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		r, err := s.Figure6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.IntAvg[2], "int-speedup-hw")
-		b.ReportMetric(r.IntAvg[3], "int-speedup-hwsw")
-		b.ReportMetric(r.FPAvg[2], "fp-speedup-hw")
-		b.ReportMetric(r.FPAvg[3], "fp-speedup-hwsw")
-	}
-}
-
-// BenchmarkTable6 regenerates Table 6 (bandwidth overhead) and reports the
-// worst-case overhead with software support, with and without R+R
-// speculation.
-func BenchmarkTable6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		r, err := s.Table6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		maxRR, maxNoRR := 0.0, 0.0
-		for _, row := range r.Rows {
-			if row.SWRR > maxRR {
-				maxRR = row.SWRR
-			}
-			if row.SWNoRR > maxNoRR {
-				maxNoRR = row.SWNoRR
-			}
-		}
-		b.ReportMetric(100*maxRR, "%max-bw-sw-rr")
-		b.ReportMetric(100*maxNoRR, "%max-bw-sw-norr")
-	}
-}
-
-// BenchmarkAblations regenerates the ablation study and reports the
-// geometric-mean cost of restricting the cache to one outstanding miss.
-func BenchmarkAblations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		r, err := s.Ablations()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var mshr float64
-		for _, row := range r.Rows {
-			mshr += row.MSHR1Rel
-		}
-		b.ReportMetric(mshr/float64(len(r.Rows)), "mshr1-rel-cycles")
-	}
-}
 
 // BenchmarkPipeline is the repo's perf-trajectory benchmark: it measures
 // timing-simulator throughput (cycles simulated per second) on the
@@ -290,31 +138,5 @@ func BenchmarkCompiler(b *testing.B) {
 		if _, err := workload.Build(w, workload.FACToolchain()); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRelatedWork regenerates the Section 6 comparisons: fast address
-// calculation vs the Golden-Mudge load target buffer, and the LUI vs AGI
-// pipeline organizations.
-func BenchmarkRelatedWork(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite()
-		ltbRes, err := s.CompareLTB()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var facWins int
-		for _, row := range ltbRes.Rows {
-			if row.FACSW >= row.LTBLast {
-				facWins++
-			}
-		}
-		b.ReportMetric(float64(facWins), "fac-beats-ltb-last")
-		agiRes, err := s.CompareAGI()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(agiRes.IntAvg[0], "agi-int-speedup")
-		b.ReportMetric(agiRes.IntAvg[2], "facsw-int-speedup")
 	}
 }

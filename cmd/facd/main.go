@@ -22,10 +22,11 @@
 // scheduled in weighted-fair order and held to per-tenant queue and
 // in-flight quotas.
 //
-// With -coordinator, the daemon simulates nothing itself: each job is
-// dispatched to the worker daemon owning the job's content-addressed
-// cache key on a consistent-hash ring, with failover and hedged
-// re-dispatch around the ring when a worker dies or straggles. The API
+// With -coordinator, the daemon simulates nothing itself: each job it
+// cannot serve from its own -cache is dispatched to the worker daemon
+// owning the job's content-addressed cache key on a consistent-hash ring,
+// with failover and hedged re-dispatch around the ring when a worker dies
+// or straggles. Identical concurrent jobs share one dispatch. The API
 // (including batch progress streams) is identical either way, and so —
 // byte for byte — are the reports.
 //
@@ -218,7 +219,6 @@ func run(o options) error {
 		runner.Cache = dc
 	}
 
-	var jobRunner simsvc.JobRunner = runner
 	if o.coordinator != "" {
 		urls := strings.Split(o.coordinator, ",")
 		for i := range urls {
@@ -227,7 +227,6 @@ func run(o options) error {
 		disp, err := fleet.New(fleet.Config{
 			Workers:    urls,
 			Token:      o.workerToken,
-			Local:      runner,
 			HedgeAfter: o.hedgeAfter,
 		})
 		if err != nil {
@@ -239,7 +238,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		jobRunner = disp
+		runner.Remote = disp
 	}
 
 	var clients []simsvc.TenantConfig
@@ -278,7 +277,7 @@ func run(o options) error {
 		DefaultMaxInFlight: o.maxInFlightPer,
 		MaxBodyBytes:       o.maxBodyBytes,
 		AccessLog:          accessLog,
-	}, jobRunner)
+	}, runner)
 	if err != nil {
 		return err
 	}

@@ -328,6 +328,27 @@ helper:	jr $ra
 	}
 }
 
+// TestJumpRelocAddend: a jump to sym±N links to the symbol's address
+// plus the addend, as la, .word and memory operands do.
+func TestJumpRelocAddend(t *testing.T) {
+	src := `
+main:	j main+4
+	jal f-4
+	jr $ra
+f:	jr $ra
+`
+	p := mustLink(t, src, prog.DefaultConfig())
+	if got, want := uint32(p.Insts[0].Imm), p.Symbols["main"]+4; got != want {
+		t.Errorf("j main+4 target = %#x, want %#x", got, want)
+	}
+	if got, want := uint32(p.Insts[1].Imm), p.Symbols["f"]-4; got != want {
+		t.Errorf("jal f-4 target = %#x, want %#x", got, want)
+	}
+	if _, err := Assemble("main:\n\tj main+x\n"); err == nil {
+		t.Error("Assemble accepted j main+x")
+	}
+}
+
 func TestErrors(t *testing.T) {
 	cases := []string{
 		"main:\n\tbogus $t0, $t1\n",

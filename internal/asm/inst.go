@@ -109,7 +109,8 @@ func (a *assembler) emitInst(s stmt) error {
 			imm.val, err = a.branchDisp(arg, s.line)
 		case isa.OpndTarget:
 			if isSymbolOperand(arg) {
-				imm = immRef{kind: prog.RelJump, sym: arg, reloc: true}
+				imm = immRef{kind: prog.RelJump, reloc: true}
+				imm.sym, imm.val, err = splitSymRef(arg, s.line)
 			} else {
 				imm.val, err = parseInt32(arg, s.line)
 			}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -18,7 +20,7 @@ import (
 
 // runPass runs a fixed two-run grid through a fresh Suite wired to the
 // given cache directory, and returns the counts plus the encoded report.
-func runPass(t *testing.T, cacheDir string) (RunCounts, []byte, obs.RunRecord) {
+func runPass(t *testing.T, cacheDir string) (simsvc.RunCounts, []byte, obs.RunRecord) {
 	t.Helper()
 	c, err := simsvc.OpenDiskCache(cacheDir, 0)
 	if err != nil {
@@ -159,8 +161,40 @@ func TestSuiteRemoteBusy(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if c := s.Counts(); c != (RunCounts{Remote: 2}) {
+	if c := s.Counts(); c != (simsvc.RunCounts{Remote: 2}) {
 		t.Fatalf("counts = %+v, want 2 remote", c)
+	}
+}
+
+// TestSuiteRemoteWrongRecord: a daemon that answers a run with another
+// run's record is an error. The suite neither memoizes the record nor
+// stores it in its persistent cache, so it cannot poison a later run.
+func TestSuiteRemoteWrongRecord(t *testing.T) {
+	w := testWorkload(t, "queens")
+	liar := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		var spec simsvc.JobSpec
+		json.NewDecoder(r.Body).Decode(&spec)
+		rec := obs.RunRecord{Schema: obs.RunRecordSchema, Benchmark: spec.Workload, Toolchain: spec.Toolchain,
+			Machine: string(MFAC32), Cycles: 1, Insts: 1, IPC: 1}
+		json.NewEncoder(rw).Encode(map[string]any{"cache_hit": false, "record": rec})
+	}))
+	defer liar.Close()
+
+	cache, err := simsvc.OpenDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSuite()
+	s.SetCache(cache)
+	s.SetRemote(&simsvc.Client{Base: liar.URL})
+	if rec, err := s.Timing(w, "base", MBase32); err == nil {
+		t.Fatalf("Timing accepted the record of %s for queens|base|base32", rec.Key())
+	}
+	if st := cache.Stats(); st.Entries != 0 {
+		t.Fatalf("the wrong record reached the cache: %+v", st)
+	}
+	if n := len(s.Report("test").Records); n != 0 {
+		t.Fatalf("the report holds %d records, want none", n)
 	}
 }
 
@@ -184,7 +218,7 @@ func TestSuiteRunnerShareCache(t *testing.T) {
 			Cache:   open(dir),
 		}
 	}
-	suiteRun := func(dir string) (obs.RunRecord, RunCounts) {
+	suiteRun := func(dir string) (obs.RunRecord, simsvc.RunCounts) {
 		s := NewSuite()
 		s.SetCache(open(dir))
 		rec, err := s.Timing(w, spec.Toolchain, MBase32)
@@ -197,7 +231,7 @@ func TestSuiteRunnerShareCache(t *testing.T) {
 	// Suite first, then the Runner.
 	dir := t.TempDir()
 	rec1, c1 := suiteRun(dir)
-	if c1 != (RunCounts{Simulated: 1}) {
+	if c1 != (simsvc.RunCounts{Simulated: 1}) {
 		t.Fatalf("suite counts = %+v, want 1 simulated", c1)
 	}
 	out2, err := newRunner(dir).Run(context.Background(), spec)
@@ -223,7 +257,7 @@ func TestSuiteRunnerShareCache(t *testing.T) {
 		t.Fatal("Runner hit an empty cache")
 	}
 	rec4, c4 := suiteRun(dir)
-	if c4 != (RunCounts{CacheHits: 1}) {
+	if c4 != (simsvc.RunCounts{CacheHits: 1}) {
 		t.Fatalf("suite counts = %+v, want 1 cache hit and 0 simulated", c4)
 	}
 	if !reflect.DeepEqual(rec3, rec4) {
@@ -243,7 +277,7 @@ func TestUnknownToolchain(t *testing.T) {
 	if _, err := s.Functional(w, "FAC"); err == nil || !strings.Contains(err.Error(), `"FAC"`) {
 		t.Errorf("Functional(FAC) = %v; want an error naming the toolchain", err)
 	}
-	if c := s.Counts(); c != (RunCounts{}) {
+	if c := s.Counts(); c != (simsvc.RunCounts{}) {
 		t.Errorf("counts = %+v after two rejected runs, want none", c)
 	}
 }

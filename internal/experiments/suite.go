@@ -136,22 +136,14 @@ type FuncResult struct {
 type Suite struct {
 	MaxInsts uint64
 
-	// flight collapses concurrent identical work (profiles, timing runs)
-	// onto one leader, so each is computed, memoized and counted once. The
-	// memo maps alone cannot do this: they are consulted under mu but
-	// filled only after the work completes, so two workers racing on the
-	// same key both used to run it.
-	flight simsvc.Flight
-
-	// runner turns each local timing run into a validated record through
-	// the persistent cache, the same path facd's jobs take.
+	// runner turns each timing run into a validated record: it keys,
+	// deduplicates, caches, executes (locally or on a remote daemon) and
+	// counts the run, the same path facd's jobs take.
 	runner simsvc.Runner
 
-	mu     sync.Mutex
-	funcs  map[string]*FuncResult
-	runs   map[string]timingRun
-	remote *simsvc.Client
-	counts RunCounts
+	mu    sync.Mutex
+	funcs map[string]*FuncResult
+	runs  map[string]timingRun
 }
 
 // timingRun is one memoized timing result. exported reports whether it
@@ -162,25 +154,15 @@ type timingRun struct {
 	exported bool
 }
 
-// RunCounts is the suite's execution accounting for one process: where
-// each timing run's result actually came from. An unchanged grid re-run
-// over a persistent cache reports Simulated == 0 with every run a cache
-// hit.
-type RunCounts struct {
-	// Simulated counts fresh local simulations.
-	Simulated int `json:"simulated"`
-	// Remote counts runs served by a remote daemon or fleet coordinator.
-	Remote int `json:"remote"`
-	// CacheHits counts runs served by the persistent disk cache.
-	CacheHits int `json:"cache_hits"`
-}
-
 // NewSuite creates an experiment suite.
 func NewSuite() *Suite {
 	return &Suite{
 		MaxInsts: simsvc.DefaultMaxInsts,
-		funcs:    make(map[string]*FuncResult),
-		runs:     make(map[string]timingRun),
+		runner: simsvc.Runner{Resolve: func(m string) (pipeline.Config, error) {
+			return MachineConfig(Machine(m))
+		}},
+		funcs: make(map[string]*FuncResult),
+		runs:  make(map[string]timingRun),
 	}
 }
 
@@ -198,18 +180,15 @@ func (s *Suite) SetCache(c *simsvc.DiskCache) {
 // the substitution invisible: the daemon returns the exact RunRecord a
 // local run would produce, so reports are byte-identical either way.
 // Ad-hoc sweep configurations outside the named machine table still run
-// locally — a remote daemon only resolves machine names.
+// locally — a remote daemon only resolves machine names. Call it before
+// the suite runs anything.
 func (s *Suite) SetRemote(c *simsvc.Client) {
-	s.mu.Lock()
-	s.remote = c
-	s.mu.Unlock()
+	s.runner.Remote = c
 }
 
 // Counts snapshots the suite's execution accounting.
-func (s *Suite) Counts() RunCounts {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts
+func (s *Suite) Counts() simsvc.RunCounts {
+	return s.runner.Counts()
 }
 
 // CacheStats reports the attached persistent cache's statistics, if any.
@@ -220,158 +199,91 @@ func (s *Suite) CacheStats() (simsvc.DiskCacheStats, bool) {
 // Functional runs a workload once on the emulator and validates its
 // output. The one trace stream feeds every functional measurement: the
 // reference profile over the FuncResult geometries and both load target
-// buffers. Concurrent callers for the same key share one build and run.
+// buffers. The result is memoized; Suite.grid declares each pass once,
+// so no two callers race on one.
 func (s *Suite) Functional(w workload.Workload, tc string) (*FuncResult, error) {
 	key := w.Name + "|" + tc
 	s.mu.Lock()
-	if r, ok := s.funcs[key]; ok {
-		s.mu.Unlock()
+	r, ok := s.funcs[key]
+	s.mu.Unlock()
+	if ok {
 		return r, nil
 	}
-	s.mu.Unlock()
-	v, _, err := s.flight.Do("func|"+key, func() (any, error) {
-		s.mu.Lock()
-		if r, ok := s.funcs[key]; ok {
-			s.mu.Unlock()
-			return r, nil
-		}
-		s.mu.Unlock()
-		toolchain, err := workload.ToolchainByName(tc)
-		if err != nil {
-			return nil, err
-		}
-		p, err := workload.Build(w, toolchain)
-		if err != nil {
-			return nil, err
-		}
-		e := emu.New(p)
-		e.MaxInsts = s.MaxInsts
-		prof := profile.New(Geo16, Geo32, geoTag, geo64)
-		last := ltb.New(ltb.Config{Entries: 1024})
-		stride := ltb.New(ltb.Config{Entries: 1024, Stride: true})
-		var tr emu.Trace
-		for !e.Halted {
-			if err := e.StepInto(&tr); err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", w.Name, tc, err)
-			}
-			prof.Note(&tr)
-			if tr.Pre.IsLoad() {
-				last.Access(tr.PC, tr.EffAddr)
-				stride.Access(tr.PC, tr.EffAddr)
-			}
-		}
-		if e.Out.String() != w.Expected {
-			return nil, fmt.Errorf("%s/%s: output %q != expected %q", w.Name, tc, e.Out.String(), w.Expected)
-		}
-		r := &FuncResult{
-			Profile: &prof.P, Insts: e.InstCount, MemUse: e.Mem.Footprint(), Output: e.Out.String(),
-			LTBLast: last.Accuracy(), LTBStride: stride.Accuracy(),
-		}
-		s.mu.Lock()
-		s.funcs[key] = r
-		s.mu.Unlock()
-		return r, nil
-	})
+	toolchain, err := workload.ToolchainByName(tc)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*FuncResult), nil
+	p, err := workload.Build(w, toolchain)
+	if err != nil {
+		return nil, err
+	}
+	e := emu.New(p)
+	e.MaxInsts = s.MaxInsts
+	prof := profile.New(Geo16, Geo32, geoTag, geo64)
+	last := ltb.New(ltb.Config{Entries: 1024})
+	stride := ltb.New(ltb.Config{Entries: 1024, Stride: true})
+	var tr emu.Trace
+	for !e.Halted {
+		if err := e.StepInto(&tr); err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", w.Name, tc, err)
+		}
+		prof.Note(&tr)
+		if tr.Pre.IsLoad() {
+			last.Access(tr.PC, tr.EffAddr)
+			stride.Access(tr.PC, tr.EffAddr)
+		}
+	}
+	if e.Out.String() != w.Expected {
+		return nil, fmt.Errorf("%s/%s: output %q != expected %q", w.Name, tc, e.Out.String(), w.Expected)
+	}
+	r = &FuncResult{
+		Profile: &prof.P, Insts: e.InstCount, MemUse: e.Mem.Footprint(), Output: e.Out.String(),
+		LTBLast: last.Accuracy(), LTBStride: stride.Accuracy(),
+	}
+	s.mu.Lock()
+	s.funcs[key] = r
+	s.mu.Unlock()
+	return r, nil
 }
 
 // Timing runs a workload on a machine (with caching and output validation)
 // and returns the run's canonical record.
 func (s *Suite) Timing(w workload.Workload, tc string, m Machine) (obs.RunRecord, error) {
-	cfg, err := MachineConfig(m)
-	if err != nil {
-		return obs.RunRecord{}, err
-	}
-	return s.timing(nil, w, tc, m, cfg, true)
+	return s.timing(context.TODO(), w, tc, m, nil)
 }
 
-// timing is the single path behind Timing and the grid. The suite
-// memoizes each record and counts where it came from; concurrent
-// identical calls share one leader, so a run is counted once. Local runs
-// go through the runner (simsvc.Runner.RunConfig); named machines go to
-// the remote daemon when one is set. ctx reaches the pipeline's cycle
-// loop (nil disables the checks). record controls whether the run joins
-// the suite's exportable report — named machines do, ad-hoc sweep
-// configurations do not.
-func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Machine, cfg pipeline.Config, record bool) (obs.RunRecord, error) {
+// timing is the single path behind Timing and the grid: a memo lookup,
+// then the runner, then a memo store. A named machine (adhoc nil) runs
+// through Runner.Run, which resolves it and may execute it remotely, and
+// joins the suite's exportable report. An ad-hoc configuration runs
+// locally through Runner.RunConfig and stays out of the report. Disk and
+// remote records are memoized verbatim, so a cache hit and a fresh
+// simulation export the same bytes. ctx reaches the execution.
+func (s *Suite) timing(ctx context.Context, w workload.Workload, tc string, m Machine, adhoc *pipeline.Config) (obs.RunRecord, error) {
 	key := w.Name + "|" + tc + "|" + string(m)
 	s.mu.Lock()
-	if r, ok := s.runs[key]; ok {
-		s.mu.Unlock()
+	r, ok := s.runs[key]
+	s.mu.Unlock()
+	if ok {
 		return r.rec, nil
 	}
-	remote := s.remote
-	s.mu.Unlock()
-
-	v, _, err := s.flight.Do("timing|"+key, func() (any, error) {
-		s.mu.Lock()
-		if r, ok := s.runs[key]; ok {
-			s.mu.Unlock()
-			return r.rec, nil
+	var out simsvc.Served
+	var err error
+	if adhoc == nil {
+		out, err = s.runner.Run(ctx, simsvc.JobSpec{Workload: w.Name, Toolchain: tc, Machine: string(m), MaxInsts: s.MaxInsts})
+	} else {
+		var toolchain workload.Toolchain
+		if toolchain, err = workload.ToolchainByName(tc); err == nil {
+			out, err = s.runner.RunConfig(ctx, w, toolchain, string(m), *adhoc, s.MaxInsts)
 		}
-		s.mu.Unlock()
-		toolchain, err := workload.ToolchainByName(tc)
-		if err != nil {
-			return nil, err
-		}
-		// finish memoizes a finished run. Disk and remote records are
-		// stored verbatim, so a cache hit and a fresh simulation export
-		// the same bytes.
-		finish := func(rec obs.RunRecord, bump func(*RunCounts)) (any, error) {
-			s.mu.Lock()
-			s.runs[key] = timingRun{rec: rec, exported: record}
-			bump(&s.counts)
-			s.mu.Unlock()
-			return rec, nil
-		}
-		cacheHit := func(c *RunCounts) { c.CacheHits++ }
-
-		// Remote execution: named machines resolve on the daemon; ad-hoc
-		// sweep configurations (record=false) only exist locally. The
-		// local cache is probed first and keeps what the daemon returns.
-		if remote != nil && record {
-			disk := s.runner.Cache
-			var diskKey string
-			if disk != nil {
-				if diskKey, err = simsvc.CacheKey(w, tc, string(m), cfg, s.MaxInsts); err != nil {
-					return nil, err
-				}
-				if rec, ok := disk.Get(diskKey); ok {
-					return finish(rec, cacheHit)
-				}
-			}
-			rctx := ctx
-			if rctx == nil {
-				rctx = context.Background()
-			}
-			rec, _, err := remote.RunSync(rctx, simsvc.JobSpec{
-				Workload: w.Name, Toolchain: tc, Machine: string(m), MaxInsts: s.MaxInsts,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s/%s: remote: %w", w.Name, tc, m, err)
-			}
-			if disk != nil {
-				disk.Put(diskKey, rec) // share the fetch with future local passes
-			}
-			return finish(rec, func(c *RunCounts) { c.Remote++ })
-		}
-
-		rec, hit, err := s.runner.RunConfig(ctx, w, toolchain, string(m), cfg, s.MaxInsts)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			return finish(rec, cacheHit)
-		}
-		return finish(rec, func(c *RunCounts) { c.Simulated++ })
-	})
+	}
 	if err != nil {
 		return obs.RunRecord{}, err
 	}
-	return v.(obs.RunRecord), nil
+	s.mu.Lock()
+	s.runs[key] = timingRun{rec: out.Rec, exported: adhoc == nil}
+	s.mu.Unlock()
+	return out.Rec, nil
 }
 
 // Report collects every timing run performed so far into a sorted,
@@ -526,14 +438,11 @@ func (s *Suite) grid(g grid) (*gridRuns, error) {
 	for _, w := range ws {
 		for _, r := range g.timing {
 			jobs = append(jobs, func(ctx context.Context) error {
-				cfg, adhoc := g.adhoc[r.Machine]
-				if !adhoc {
-					var err error
-					if cfg, err = MachineConfig(r.Machine); err != nil {
-						return err
-					}
+				var adhoc *pipeline.Config
+				if cfg, ok := g.adhoc[r.Machine]; ok {
+					adhoc = &cfg
 				}
-				rec, err := s.timing(ctx, w, r.Toolchain, r.Machine, cfg, !adhoc)
+				rec, err := s.timing(ctx, w, r.Toolchain, r.Machine, adhoc)
 				if err != nil {
 					return err
 				}

@@ -16,11 +16,6 @@ type Config struct {
 	Workers []string
 	// Token is the bearer token the coordinator presents to workers.
 	Token string
-	// Local resolves and validates specs and derives shard keys. Its
-	// Resolve table and MaxInsts default must match the workers' so the
-	// coordinator's keys equal the keys the workers cache under; it never
-	// simulates.
-	Local *simsvc.Runner
 	// HedgeAfter is how long the primary attempt may run before a backup
 	// dispatch is launched on the next ring owner (work-stealing for
 	// stragglers). 0 = 30s; negative disables hedging.
@@ -31,12 +26,12 @@ type Config struct {
 	CoolOff time.Duration
 }
 
-// Dispatcher is the coordinator's JobRunner: Run ships the job to the
+// Dispatcher is the coordinator's executor: Exec ships the job to the
 // worker owning its cache key, failing over (and hedging) around the
-// ring instead of executing locally. Plugging it into simsvc.Server
+// ring. As the Remote of the simsvc.Runner a simsvc.Server serves, it
 // gives the coordinator the whole single-daemon surface — auth, quotas,
-// fair scheduling, batches, progress streams — for free; only execution
-// is remote.
+// fair scheduling, batches, progress streams, single-flight and the
+// persistent cache — for free; only execution is remote.
 type Dispatcher struct {
 	cfg     Config
 	ring    *Ring
@@ -57,9 +52,6 @@ type workerState struct {
 
 // New builds a dispatcher over the configured workers.
 func New(cfg Config) (*Dispatcher, error) {
-	if cfg.Local == nil {
-		return nil, errors.New("fleet: config needs a local resolver runner")
-	}
 	ring, err := NewRing(cfg.Workers)
 	if err != nil {
 		return nil, err
@@ -93,13 +85,6 @@ func (d *Dispatcher) Ping(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// Validate delegates to the local resolver; a spec that validates here
-// validates on every worker because all share the workload table and
-// machine configurations.
-func (d *Dispatcher) Validate(spec simsvc.JobSpec) error {
-	return d.cfg.Local.Validate(spec)
 }
 
 // FleetStats snapshots per-worker dispatch accounting for /metrics.
@@ -168,20 +153,16 @@ type attempt struct {
 	err error
 }
 
-// Run dispatches one job. The job's cache key picks its owner on the
-// ring; the attempt fails over to the next distinct owner on transport
-// errors (the failed worker enters a cool-off), and a hedged backup
-// dispatch is launched when the leader straggles past HedgeAfter. The
-// first successful attempt wins and cancels the rest — safe because
-// every worker computes the identical content-addressed record, so
-// completion is at-most-once even when execution is not. Deterministic
-// (semantic) failures return immediately without failover: every worker
-// would fail the same way. The result names the worker that served it.
-func (d *Dispatcher) Run(ctx context.Context, spec simsvc.JobSpec) (simsvc.Served, error) {
-	key, err := d.cfg.Local.Key(spec)
-	if err != nil {
-		return simsvc.Served{}, err
-	}
+// Exec dispatches one job. Its cache key picks its owner on the ring;
+// the attempt fails over to the next distinct owner on transport errors
+// (the failed worker enters a cool-off), and a hedged backup dispatch is
+// launched when the leader straggles past HedgeAfter. The first
+// successful attempt wins and cancels the rest — safe because every
+// worker computes the identical content-addressed record, so completion
+// is at-most-once even when execution is not. Deterministic (semantic)
+// failures return immediately without failover: every worker would fail
+// the same way. The result names the worker that served it.
+func (d *Dispatcher) Exec(ctx context.Context, key string, spec simsvc.JobSpec) (simsvc.Served, error) {
 	owners := d.orderOwners(d.ring.Owners(key))
 	primary := owners[0]
 
@@ -249,8 +230,7 @@ func (d *Dispatcher) Run(ctx context.Context, spec simsvc.JobSpec) (simsvc.Serve
 			if next < len(owners) {
 				launch(false)
 			} else if inFlight == 0 {
-				return simsvc.Served{}, fmt.Errorf("fleet: all %d workers failed for %s: %w",
-					len(owners), spec, lastErr)
+				return simsvc.Served{}, fmt.Errorf("fleet: all %d workers failed: %w", len(owners), lastErr)
 			}
 		}
 	}

@@ -16,12 +16,24 @@ import (
 	"repro/internal/workload"
 )
 
-// testLocal is a resolver-only runner: the dispatcher uses it for spec
-// validation and shard-key derivation, never to simulate.
-func testLocal() *simsvc.Runner {
-	return &simsvc.Runner{
+// testKey derives a spec's shard key as a coordinator's Runner does,
+// through a resolver-only runner.
+func testKey(t *testing.T, spec simsvc.JobSpec) string {
+	t.Helper()
+	r := &simsvc.Runner{
 		Resolve: func(machine string) (pipeline.Config, error) { return pipeline.Config{}, nil },
 	}
+	key, err := r.Key(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// exec dispatches spec under its shard key.
+func exec(t *testing.T, d *Dispatcher, spec simsvc.JobSpec) (simsvc.Served, error) {
+	t.Helper()
+	return d.Exec(context.Background(), testKey(t, spec), spec)
 }
 
 func testSpec(maxInsts uint64) simsvc.JobSpec {
@@ -33,13 +45,16 @@ func testSpec(maxInsts uint64) simsvc.JobSpec {
 	}
 }
 
-// serveRecord writes a well-formed synchronous-run response.
-func serveRecord(w http.ResponseWriter, cycles uint64) {
+// serveRecord writes a well-formed synchronous-run response: a record of
+// the requested spec.
+func serveRecord(w http.ResponseWriter, r *http.Request, cycles uint64) {
+	var spec simsvc.JobSpec
+	json.NewDecoder(r.Body).Decode(&spec)
 	rec := obs.RunRecord{
 		Schema:    obs.RunRecordSchema,
-		Benchmark: "stub",
-		Toolchain: "base",
-		Machine:   "base32",
+		Benchmark: spec.Workload,
+		Toolchain: spec.Toolchain,
+		Machine:   spec.Machine,
 		Cycles:    cycles,
 	}
 	json.NewEncoder(w).Encode(map[string]any{"cache_hit": false, "record": rec})
@@ -51,11 +66,7 @@ func specOwnedBy(t *testing.T, d *Dispatcher, worker string) simsvc.JobSpec {
 	t.Helper()
 	for i := uint64(1); i < 10_000; i++ {
 		spec := testSpec(i)
-		key, err := d.cfg.Local.Key(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.ring.Owner(key) == worker {
+		if d.ring.Owner(testKey(t, spec)) == worker {
 			return spec
 		}
 	}
@@ -73,19 +84,18 @@ func TestDispatcherShardAffinity(t *testing.T) {
 		i := i
 		s := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			counts[i].Add(1)
-			serveRecord(w, 1)
+			serveRecord(w, r, 1)
 		}))
 		defer s.Close()
 		urls = append(urls, s.URL)
 	}
-	d, err := New(Config{Workers: urls, Local: testLocal(), HedgeAfter: -1})
+	d, err := New(Config{Workers: urls, HedgeAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	spec := testSpec(7)
 	for i := 0; i < 5; i++ {
-		if _, err := d.Run(ctx, spec); err != nil {
+		if _, err := exec(t, d, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +113,7 @@ func TestDispatcherShardAffinity(t *testing.T) {
 	}
 
 	for i := uint64(1); i <= 30; i++ {
-		if _, err := d.Run(ctx, testSpec(i)); err != nil {
+		if _, err := exec(t, d, testSpec(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,17 +140,17 @@ func TestDispatcherFailover(t *testing.T) {
 	defer bad.Close()
 	good := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		goodCalls.Add(1)
-		serveRecord(w, 42)
+		serveRecord(w, r, 42)
 	}))
 	defer good.Close()
 
-	d, err := New(Config{Workers: []string{bad.URL, good.URL}, Local: testLocal(), HedgeAfter: -1})
+	d, err := New(Config{Workers: []string{bad.URL, good.URL}, HedgeAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := specOwnedBy(t, d, bad.URL)
 
-	out, err := d.Run(context.Background(), spec)
+	out, err := exec(t, d, spec)
 	if err != nil {
 		t.Fatalf("failover run failed: %v", err)
 	}
@@ -171,7 +181,7 @@ func TestDispatcherFailover(t *testing.T) {
 
 	// The dead worker is now in cool-off: a second run of the same spec
 	// must go straight to the healthy worker without retrying it.
-	if _, err := d.Run(context.Background(), spec); err != nil {
+	if _, err := exec(t, d, spec); err != nil {
 		t.Fatal(err)
 	}
 	if badCalls.Load() != 1 {
@@ -194,11 +204,11 @@ func TestDispatcherSemanticErrorNoFailover(t *testing.T) {
 		defer s.Close()
 		urls = append(urls, s.URL)
 	}
-	d, err := New(Config{Workers: urls, Local: testLocal(), HedgeAfter: -1})
+	d, err := New(Config{Workers: urls, HedgeAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.Run(context.Background(), testSpec(3))
+	_, err = exec(t, d, testSpec(3))
 	if err == nil || !strings.Contains(err.Error(), "no such machine") {
 		t.Fatalf("err = %v, want the worker's 400", err)
 	}
@@ -216,18 +226,17 @@ func TestDispatcherHedging(t *testing.T) {
 		case <-r.Context().Done():
 			return
 		case <-time.After(5 * time.Second):
-			serveRecord(w, 1)
+			serveRecord(w, r, 1)
 		}
 	}))
 	defer slow.Close()
 	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		serveRecord(w, 2)
+		serveRecord(w, r, 2)
 	}))
 	defer fast.Close()
 
 	d, err := New(Config{
 		Workers:    []string{slow.URL, fast.URL},
-		Local:      testLocal(),
 		HedgeAfter: 30 * time.Millisecond,
 	})
 	if err != nil {
@@ -236,7 +245,7 @@ func TestDispatcherHedging(t *testing.T) {
 	spec := specOwnedBy(t, d, slow.URL)
 
 	start := time.Now()
-	out, err := d.Run(context.Background(), spec)
+	out, err := exec(t, d, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,14 +283,14 @@ func TestDispatcherAbsorbsBackpressure(t *testing.T) {
 			http.Error(w, `{"error":"over quota"}`, http.StatusTooManyRequests)
 			return
 		}
-		serveRecord(w, 9)
+		serveRecord(w, r, 9)
 	}))
 	defer s.Close()
-	d, err := New(Config{Workers: []string{s.URL}, Local: testLocal(), HedgeAfter: -1})
+	d, err := New(Config{Workers: []string{s.URL}, HedgeAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := d.Run(context.Background(), testSpec(1))
+	out, err := exec(t, d, testSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +306,11 @@ func TestDispatcherAllWorkersFailed(t *testing.T) {
 		http.Error(w, `{"error":"disk on fire"}`, http.StatusServiceUnavailable)
 	}))
 	defer s.Close()
-	d, err := New(Config{Workers: []string{s.URL}, Local: testLocal(), HedgeAfter: -1})
+	d, err := New(Config{Workers: []string{s.URL}, HedgeAfter: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.Run(context.Background(), testSpec(1))
+	_, err = exec(t, d, testSpec(1))
 	if err == nil || !strings.Contains(err.Error(), "all 1 workers failed") {
 		t.Fatalf("err = %v, want all-workers-failed", err)
 	}

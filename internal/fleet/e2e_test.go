@@ -23,16 +23,11 @@ func resolveMachine(m string) (pipeline.Config, error) {
 	return experiments.MachineConfig(experiments.Machine(m))
 }
 
-// newWorkerDaemon starts one real worker facd: a full simsvc server over
-// a simulating runner with its own persistent cache.
-func newWorkerDaemon(t *testing.T) *httptest.Server {
+// serve starts a full simsvc server over runner with the given worker
+// pool, drained when the test ends.
+func serve(t *testing.T, runner *simsvc.Runner, workers int) *httptest.Server {
 	t.Helper()
-	cache, err := simsvc.OpenDiskCache(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts, Cache: cache}
-	s, err := simsvc.NewServer(simsvc.ServerConfig{Workers: 2, QueueDepth: 64}, runner)
+	s, err := simsvc.NewServer(simsvc.ServerConfig{Workers: workers, QueueDepth: 64}, runner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,54 +42,39 @@ func newWorkerDaemon(t *testing.T) *httptest.Server {
 	return hs
 }
 
-// newCoordinator starts a coordinator facd whose JobRunner is a fleet
-// dispatcher over the given workers — the same server surface as a
+// newWorkerDaemon starts one real worker facd: a full simsvc server over
+// a simulating runner with its own persistent cache.
+func newWorkerDaemon(t *testing.T) *httptest.Server {
+	t.Helper()
+	cache, err := simsvc.OpenDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serve(t, &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts, Cache: cache}, 2)
+}
+
+// newCoordinator starts a coordinator facd: a Runner whose Remote is a
+// fleet dispatcher over the given workers — the same server surface as a
 // single daemon, with execution sharded across the fleet.
 func newCoordinator(t *testing.T, workers []string, hedge, coolOff time.Duration) (string, *fleet.Dispatcher) {
 	t.Helper()
-	local := &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts}
 	d, err := fleet.New(fleet.Config{
 		Workers:    workers,
-		Local:      local,
 		HedgeAfter: hedge,
 		CoolOff:    coolOff,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := simsvc.NewServer(simsvc.ServerConfig{Workers: 4, QueueDepth: 64}, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	})
-	return hs.URL, d
+	runner := &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts, Remote: d}
+	return serve(t, runner, 4).URL, d
 }
 
 // newSingleDaemon is the fleet's reference: one daemon simulating
 // locally, no dispatcher in the path.
 func newSingleDaemon(t *testing.T) string {
 	t.Helper()
-	runner := &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts}
-	s, err := simsvc.NewServer(simsvc.ServerConfig{Workers: 2, QueueDepth: 64}, runner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s.Drain(ctx)
-	})
-	return hs.URL
+	return serve(t, &simsvc.Runner{Resolve: resolveMachine, MaxInsts: e2eMaxInsts}, 2).URL
 }
 
 // e2eJobs builds a job set whose shard keys cover every worker on the

@@ -112,10 +112,14 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 
 // RunSync runs one spec synchronously (POST /v1/run), returning the
 // canonical RunRecord and whether the daemon served it from its
-// persistent cache. A 429 (the tenant at its in-flight cap) is waited out
-// for its Retry-After and the run resubmitted, until ctx ends; RunSync
-// never returns a RetryError. Cancelling ctx tears down the connection,
-// which cancels the simulation on the daemon.
+// persistent cache. The record must carry the run-record schema and the
+// spec's own benchmark|toolchain|machine key; any other answer is an
+// error naming both, so a daemon that answers with another run's record
+// never reaches a caller's memo or cache. A 429 (the tenant at its
+// in-flight cap) is waited out for its Retry-After and the run
+// resubmitted, until ctx ends; RunSync never returns a RetryError.
+// Cancelling ctx tears down the connection, which cancels the simulation
+// on the daemon.
 func (c *Client) RunSync(ctx context.Context, spec JobSpec) (obs.RunRecord, bool, error) {
 	var resp struct {
 		CacheHit bool          `json:"cache_hit"`
@@ -141,7 +145,18 @@ func (c *Client) RunSync(ctx context.Context, spec JobSpec) (obs.RunRecord, bool
 		return obs.RunRecord{}, false, fmt.Errorf("simsvc: daemon returned record schema %q (want %q)",
 			resp.Record.Schema, obs.RunRecordSchema)
 	}
+	if got := resp.Record.Key(); got != spec.String() {
+		return obs.RunRecord{}, false, fmt.Errorf("simsvc: daemon returned the record of %s for %s", got, spec)
+	}
 	return resp.Record, resp.CacheHit, nil
+}
+
+// Exec runs spec on the daemon through RunSync, making a Client a
+// Runner's Remote executor. The daemon keys the run itself, so key is
+// unused.
+func (c *Client) Exec(ctx context.Context, key string, spec JobSpec) (Served, error) {
+	rec, hit, err := c.RunSync(ctx, spec)
+	return Served{Rec: rec, CacheHit: hit}, err
 }
 
 // Submit posts a batch (POST /v1/batches) and returns the batch id and

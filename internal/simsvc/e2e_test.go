@@ -316,8 +316,48 @@ func TestE2EConcurrentIdenticalSubmits(t *testing.T) {
 	}
 	// Exactly one copy simulated; the rest were deduplicated onto it or
 	// served from the cache it filled.
-	if got := runner.DedupCount() + st.Hits; got != copies-1 {
+	shared := uint64(runner.Counts().Shared)
+	if got := shared + st.Hits; got != copies-1 {
 		t.Fatalf("dedup (%d) + cache hits (%d) = %d, want %d short-circuited copies",
-			runner.DedupCount(), st.Hits, got, copies-1)
+			shared, st.Hits, got, copies-1)
+	}
+}
+
+// executorFunc adapts a function to simsvc.Executor.
+type executorFunc func(ctx context.Context, key string, spec simsvc.JobSpec) (simsvc.Served, error)
+
+func (f executorFunc) Exec(ctx context.Context, key string, spec simsvc.JobSpec) (simsvc.Served, error) {
+	return f(ctx, key, spec)
+}
+
+// TestRunConfigIgnoresRemote: a configuration outside the machine table
+// always simulates locally, even on a runner with a Remote, because a
+// daemon resolves machine names, not configurations.
+func TestRunConfigIgnoresRemote(t *testing.T) {
+	runner := &simsvc.Runner{
+		Resolve: resolveMachine,
+		Remote: executorFunc(func(context.Context, string, simsvc.JobSpec) (simsvc.Served, error) {
+			t.Error("RunConfig called the Remote executor")
+			return simsvc.Served{}, errors.New("remote called")
+		}),
+	}
+	w, err := workload.ByName("queens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := resolveMachine("base32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DCache.Size *= 2
+	out, err := runner.RunConfig(context.Background(), w, workload.BaseToolchain(), "adhoc", cfg, e2eMaxInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Rec.Key(); got != "queens|base|adhoc" {
+		t.Fatalf("record key = %q", got)
+	}
+	if c := runner.Counts(); c != (simsvc.RunCounts{Simulated: 1}) {
+		t.Fatalf("counts = %+v, want 1 simulated", c)
 	}
 }

@@ -2,20 +2,21 @@ package simsvc
 
 import "sync"
 
-// Flight deduplicates concurrent function calls by key: the first caller
+// flight deduplicates concurrent function calls by key: the first caller
 // for a key (the leader) runs fn; callers that arrive while the leader is
 // in flight block and share its result instead of repeating the work. It
-// is a minimal in-process singleflight for the two places the repository
-// was doing duplicate work — identical jobs racing in the service's
-// worker pool, and experiment workers racing on the same functional
-// profile or timing run in experiments.Suite.
+// is a minimal in-process singleflight, and the Runner is its one user:
+// identical runs racing in a daemon's worker pool, a coordinator's, or an
+// experiment grid's all meet in Runner.run.
 //
-// Keys are forgotten as soon as the leader finishes, so Flight is purely
+// Keys are forgotten as soon as the leader finishes, so flight is purely
 // a concurrency deduplicator — memoization stays the caller's job (and a
 // failed leader does not poison later attempts).
-type Flight struct {
+type flight struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
+	// shared counts the callers that joined a leader, as they join.
+	shared int
 
 	// testHookFollower, when set, runs after a caller has been committed
 	// as a follower but before it blocks on the leader. Tests use it to
@@ -34,12 +35,13 @@ type flightCall struct {
 // follower observes the leader's result even if its own circumstances
 // (e.g. its context) differ; callers that need per-caller cancellation
 // of shared work should check their own context after Do returns.
-func (f *Flight) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
+func (f *flight) Do(key string, fn func() (any, error)) (val any, shared bool, err error) {
 	f.mu.Lock()
 	if f.m == nil {
 		f.m = make(map[string]*flightCall)
 	}
 	if c, ok := f.m[key]; ok {
+		f.shared++
 		hook := f.testHookFollower
 		f.mu.Unlock()
 		if hook != nil {
@@ -62,4 +64,11 @@ func (f *Flight) Do(key string, fn func() (any, error)) (val any, shared bool, e
 	}()
 	c.val, c.err = fn()
 	return c.val, false, c.err
+}
+
+// joined reports how many callers have joined a leader.
+func (f *flight) joined() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.shared
 }

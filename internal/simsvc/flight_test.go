@@ -12,7 +12,7 @@ import (
 // hook sequences the interleaving so the test is deterministic: the
 // leader is only released once every follower is committed to waiting.
 func TestFlightDedup(t *testing.T) {
-	var f Flight
+	var f flight
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	release := make(chan struct{})
@@ -72,7 +72,7 @@ func TestFlightDedup(t *testing.T) {
 
 // TestFlightKeysIndependent: distinct keys do not share.
 func TestFlightKeysIndependent(t *testing.T) {
-	var f Flight
+	var f flight
 	var calls atomic.Int64
 	for _, k := range []string{"a", "b"} {
 		v, shared, err := f.Do(k, func() (any, error) {
@@ -91,7 +91,7 @@ func TestFlightKeysIndependent(t *testing.T) {
 // TestFlightErrorNotSticky: a failed leader does not poison the key; the
 // next call runs fn again.
 func TestFlightErrorNotSticky(t *testing.T) {
-	var f Flight
+	var f flight
 	boom := errors.New("boom")
 	if _, _, err := f.Do("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("first call err = %v, want boom", err)
@@ -105,7 +105,7 @@ func TestFlightErrorNotSticky(t *testing.T) {
 // TestFlightPanicReleasesFollowers: a panicking leader must not strand
 // followers on the done channel.
 func TestFlightPanicReleasesFollowers(t *testing.T) {
-	var f Flight
+	var f flight
 	gate := make(chan struct{})
 	joined := make(chan struct{})
 	f.testHookFollower = func(string) { close(joined) }

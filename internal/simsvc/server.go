@@ -47,9 +47,9 @@ type ServerConfig struct {
 	AccessLog obs.AccessSink
 }
 
-// Served is one job's result: its canonical record, whether the
+// Served is one job's result: its canonical record, whether a
 // persistent cache served it, and the fleet worker that ran it ("" when
-// the runner simulated locally).
+// the runner simulated locally or served it from its own cache).
 type Served struct {
 	Rec      obs.RunRecord
 	CacheHit bool
@@ -57,7 +57,7 @@ type Served struct {
 }
 
 // JobRunner executes and validates job specs. *Runner is the production
-// implementation; the fleet Dispatcher and tests substitute their own.
+// implementation, a coordinator's included; tests substitute their own.
 type JobRunner interface {
 	Validate(spec JobSpec) error
 	Run(ctx context.Context, spec JobSpec) (Served, error)
@@ -1020,7 +1020,8 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 }
 
 // WorkerStatus is one fleet worker's health and dispatch census,
-// surfaced in /metrics when the server's runner is a fleet dispatcher.
+// surfaced in /metrics when the server's Runner executes through a fleet
+// dispatcher.
 // It lives in this package (not internal/fleet) so the server can name
 // the interface without importing the fleet layer built on top of it.
 type WorkerStatus struct {
@@ -1100,17 +1101,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	m["runs"] = runs
 
-	if rs, ok := s.runner.(interface{ CacheStats() (DiskCacheStats, bool) }); ok {
-		if cs, attached := rs.CacheStats(); attached {
+	if r, ok := s.runner.(*Runner); ok {
+		if cs, attached := r.CacheStats(); attached {
 			m["cache"] = cs
 			m["cache_hit_rate"] = cs.HitRate()
 		}
-	}
-	if dc, ok := s.runner.(interface{ DedupCount() uint64 }); ok {
-		m["dedup_shared"] = dc.DedupCount()
-	}
-	if fs, ok := s.runner.(interface{ FleetStats() []WorkerStatus }); ok {
-		m["fleet"] = fs.FleetStats()
+		m["dedup_shared"] = r.Counts().Shared
+		if fs, ok := r.Remote.(interface{ FleetStats() []WorkerStatus }); ok {
+			m["fleet"] = fs.FleetStats()
+		}
 	}
 	writeJSON(w, http.StatusOK, m)
 }

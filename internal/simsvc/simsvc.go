@@ -4,11 +4,16 @@
 // core.RunCtx into the pipeline's cycle loop, singleflight deduplication
 // of identical in-flight jobs, and a content-addressed persistent result
 // cache holding canonical obs.RunRecord reports. cmd/facd exposes it over
-// HTTP/JSON. experiments.Suite holds a Runner of its own and sends every
-// local timing run through Runner.RunConfig, the one place that keys,
-// deduplicates, caches, builds, simulates, validates and records a run;
-// a table regeneration and the daemon therefore write the same cache
-// entries and each is served the other's prior runs.
+// HTTP/JSON.
+//
+// The Runner is the one place a run becomes a record: it resolves, keys,
+// deduplicates, probes the cache, executes, stores and counts every run.
+// Execution is local (build, simulate, validate) or, when the Runner's
+// Remote is set, another process's: a daemon's Client for
+// cmd/experiments -remote, the fleet Dispatcher for a facd coordinator.
+// experiments.Suite holds a Runner of its own, so a table regeneration,
+// a daemon and a coordinator write the same cache entries and each is
+// served the others' prior runs.
 //
 // Determinism is the contract throughout: a job's result is the exact
 // RunRecord an in-process core.Run of the same (workload, toolchain,
@@ -103,10 +108,23 @@ func CacheKey(w workload.Workload, toolchain, machine string, cfg pipeline.Confi
 	return hex.EncodeToString(h[:]), nil
 }
 
-// Runner executes jobs: resolve the spec, probe the persistent cache,
-// build and simulate on a miss, and store the canonical RunRecord back.
-// Identical concurrent jobs are deduplicated: only one simulates, the
-// rest share its record.
+// Executor runs a named spec in another process: a facd daemon
+// (*Client) or a fleet of them (fleet.Dispatcher). key is the spec's
+// cache key, computed with spec.MaxInsts; an executor may route by it.
+type Executor interface {
+	Exec(ctx context.Context, key string, spec JobSpec) (Served, error)
+}
+
+// RunCounts is a Runner's execution accounting: where each run's record
+// came from. Simulated, Remote and CacheHits count leaders only; Shared
+// counts the runs that joined an identical run in flight. An unchanged
+// grid re-run over a persistent cache reports Simulated == 0.
+type RunCounts struct {
+	Simulated, Remote, CacheHits, Shared int
+}
+
+// Runner executes jobs: it resolves a spec, then keys, single-flights,
+// caches, executes (locally or through Remote) and counts the run.
 type Runner struct {
 	// Resolve maps a machine name to its simulator configuration; cmd/facd
 	// wires experiments.MachineConfig here.
@@ -116,9 +134,14 @@ type Runner struct {
 	MaxInsts uint64
 	// Cache, when non-nil, persists results across jobs and processes.
 	Cache *DiskCache
+	// Remote, when non-nil, executes Run's specs elsewhere instead of
+	// simulating them here: a Client for cmd/experiments -remote, the
+	// fleet Dispatcher for a coordinator. RunConfig never uses it.
+	Remote Executor
 
-	flight Flight
-	dedup  atomic.Uint64
+	flight flight
+	// What the leaders' runs came from; flight counts the followers.
+	simulated, remote, cacheHits atomic.Int64
 }
 
 // resolved is a spec with its names looked up: the inputs of RunConfig.
@@ -166,9 +189,11 @@ func (r *Runner) Validate(spec JobSpec) error {
 	return err
 }
 
-// DedupCount reports how many jobs were served by joining an identical
-// in-flight job instead of simulating.
-func (r *Runner) DedupCount() uint64 { return r.dedup.Load() }
+// Counts snapshots the runner's execution accounting.
+func (r *Runner) Counts() RunCounts {
+	return RunCounts{Simulated: int(r.simulated.Load()), Remote: int(r.remote.Load()),
+		CacheHits: int(r.cacheHits.Load()), Shared: r.flight.joined()}
+}
 
 // CacheStats snapshots the persistent cache (ok=false when none is
 // attached).
@@ -221,69 +246,84 @@ func (r *Runner) Warm(ctx context.Context, specs []JobSpec) (simulated, hits int
 	return simulated, hits, nil
 }
 
-// Run executes one job: it resolves the spec's names and hands the
-// result to RunConfig.
+// Run executes one named job: it resolves the spec's names and runs it
+// through Remote when one is set, else locally. The remote receives the
+// spec with MaxInsts set to the bound its key was computed with.
 func (r *Runner) Run(ctx context.Context, spec JobSpec) (Served, error) {
 	rs, err := r.resolve(spec)
 	if err != nil {
 		return Served{}, err
 	}
-	rec, hit, err := r.RunConfig(ctx, rs.w, rs.tc, spec.Machine, rs.cfg, rs.maxInsts)
-	return Served{Rec: rec, CacheHit: hit}, err
+	return r.run(ctx, rs, spec.Machine, r.Remote != nil)
 }
 
 // RunConfig executes one run of workload w, built with toolchain tc, on
 // the machine configuration cfg recorded under the name machine, bounded
-// at maxInsts dynamic instructions. It is the one place a run becomes a
-// validated RunRecord: it keys the run, joins an identical in-flight run,
-// probes the persistent cache, and on a miss builds, simulates, checks
-// the output and stores the record. cacheHit reports that the record came
-// from the persistent cache rather than a fresh simulation. ctx
-// cancellation or deadline aborts the simulation's cycle loop promptly;
-// the error then wraps ctx.Err().
-func (r *Runner) RunConfig(ctx context.Context, w workload.Workload, tc workload.Toolchain, machine string, cfg pipeline.Config, maxInsts uint64) (rec obs.RunRecord, cacheHit bool, err error) {
-	key, err := CacheKey(w, tc.Name, machine, cfg, maxInsts)
+// at maxInsts dynamic instructions. Only configurations outside the named
+// machine table (the cache sweep) need it. It always simulates locally,
+// even when Remote is set, because a daemon resolves machine names, not
+// configurations.
+func (r *Runner) RunConfig(ctx context.Context, w workload.Workload, tc workload.Toolchain, machine string, cfg pipeline.Config, maxInsts uint64) (Served, error) {
+	return r.run(ctx, resolved{w: w, tc: tc, cfg: cfg, maxInsts: maxInsts}, machine, false)
+}
+
+// run is the one place a run becomes a validated RunRecord: it keys the
+// run, joins an identical in-flight run, probes the persistent cache, and
+// on a miss executes the run — through Remote, or by building, simulating
+// and checking the output — then stores and counts the record.
+// Served.CacheHit reports that a persistent cache served the record, this
+// runner's or the remote's. ctx cancellation or deadline aborts the
+// execution promptly; the error then wraps ctx.Err().
+func (r *Runner) run(ctx context.Context, rs resolved, machine string, remote bool) (Served, error) {
+	key, err := CacheKey(rs.w, rs.tc.Name, machine, rs.cfg, rs.maxInsts)
 	if err != nil {
-		return obs.RunRecord{}, false, err
+		return Served{}, err
 	}
-	spec := JobSpec{Workload: w.Name, Toolchain: tc.Name, Machine: machine}
+	spec := JobSpec{Workload: rs.w.Name, Toolchain: rs.tc.Name, Machine: machine, MaxInsts: rs.maxInsts}
 	v, shared, err := r.flight.Do(key, func() (any, error) {
 		if r.Cache != nil {
 			if rec, ok := r.Cache.Get(key); ok {
+				r.cacheHits.Add(1)
 				return Served{Rec: rec, CacheHit: true}, nil
 			}
 		}
-		p, err := workload.Build(w, tc)
-		if err != nil {
-			return nil, err
+		var out Served
+		if remote {
+			var err error
+			if out, err = r.Remote.Exec(ctx, key, spec); err != nil {
+				return nil, fmt.Errorf("%s: remote: %w", spec, err)
+			}
+			r.remote.Add(1)
+		} else {
+			p, err := workload.Build(rs.w, rs.tc)
+			if err != nil {
+				return nil, err
+			}
+			res, err := core.RunCtx(ctx, p, rs.cfg, rs.maxInsts, nil)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", spec, err)
+			}
+			if res.Output != rs.w.Expected {
+				return nil, fmt.Errorf("%s: output %q != expected %q", spec, res.Output, rs.w.Expected)
+			}
+			out.Rec = res.Stats.Record(rs.w.Name, rs.w.Class.String(), rs.tc.Name, machine)
+			r.simulated.Add(1)
 		}
-		res, err := core.RunCtx(ctx, p, cfg, maxInsts, nil)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", spec, err)
-		}
-		if res.Output != w.Expected {
-			return nil, fmt.Errorf("%s: output %q != expected %q", spec, res.Output, w.Expected)
-		}
-		rec := res.Stats.Record(w.Name, w.Class.String(), tc.Name, machine)
 		if r.Cache != nil {
 			// A failed write only costs future hits; the run itself is good.
-			_ = r.Cache.Put(key, rec)
+			_ = r.Cache.Put(key, out.Rec)
 		}
-		return Served{Rec: rec}, nil
+		return out, nil
 	})
-	if shared {
-		r.dedup.Add(1)
-	}
 	if err != nil {
 		// A follower can inherit the leader's cancellation even though its
 		// own context is fine; label that so callers know a retry would
-		// simulate rather than fail again.
-		if shared && ctx != nil && ctx.Err() == nil &&
+		// run rather than fail again.
+		if shared && ctx.Err() == nil &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			return obs.RunRecord{}, false, fmt.Errorf("simsvc: deduplicated onto a canceled identical job, retry: %w", err)
+			return Served{}, fmt.Errorf("simsvc: deduplicated onto a canceled identical job, retry: %w", err)
 		}
-		return obs.RunRecord{}, false, err
+		return Served{}, err
 	}
-	out := v.(Served)
-	return out.Rec, out.CacheHit, nil
+	return v.(Served), nil
 }

@@ -26,10 +26,12 @@
 #                                    every early exit, nothing allocated per
 #                                    chunk — repeated 10 times under the race
 #                                    detector; measured 43s on 2 vCPUs)
-#   fuzz smoke                ~50s  (5 targets x 5s plus instrumented builds:
-#                                    difftest's four differential targets and
+#   fuzz smoke                ~60s  (6 targets x 5s plus instrumented builds:
+#                                    difftest's four differential targets,
 #                                    simsvc's FuzzParseID, the bounds check of
-#                                    facd's job and batch ids)
+#                                    facd's job and batch ids, and
+#                                    FuzzRemoteRecord, a daemon's answer to
+#                                    a Runner's remote run)
 #   faclint smoke             ~10s  (static FAC-predictability analysis over
 #                                    the 19-benchmark suite must classify at
 #                                    least 68% of all load/store sites — the
@@ -103,7 +105,8 @@ go test -race -count=10 \
 
 echo "== fuzz smoke =="
 for target in difftest:FuzzFACPredict difftest:FuzzEncodeDecode \
-    difftest:FuzzAsmRoundtrip difftest:FuzzEmuVsPipeline simsvc:FuzzParseID; do
+    difftest:FuzzAsmRoundtrip difftest:FuzzEmuVsPipeline simsvc:FuzzParseID \
+    simsvc:FuzzRemoteRecord; do
     pkg=${target%%:*}
     name=${target#*:}
     echo "-- $pkg $name"

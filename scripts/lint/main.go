@@ -36,7 +36,8 @@
 // Usage: go run ./scripts/lint [package-dir ...]
 // Without arguments it lints the packages where emission order matters
 // (internal/minic, internal/asm, internal/prog, internal/experiments,
-// internal/simsvc), the hot-path-marked simulator core (internal/pipeline,
+// internal/simsvc, and internal/fleet, which builds /metrics' fleet
+// section), the hot-path-marked simulator core (internal/pipeline,
 // internal/predict), emulator (internal/emu) and functional pass
 // (internal/profile, internal/ltb), the ISA table the emulator consults
 // per memory access (internal/isa), and the schema-bearing packages
@@ -60,8 +61,8 @@ import (
 
 // defaultTargets are the packages linted without arguments: those whose
 // output must not depend on map iteration order (the compiler, the
-// assembler, the linker, the experiment harness and the simulation
-// service), those with hot-path-marked files (the timing model, the
+// assembler, the linker, the experiment harness, the simulation service
+// and the fleet dispatcher), those with hot-path-marked files (the timing model, the
 // predictors, the emulator, the reference profiler and the load target
 // buffer), the ISA table the emulator reads, and the schema-bearing ones.
 var defaultTargets = []string{
@@ -70,6 +71,7 @@ var defaultTargets = []string{
 	"internal/prog",
 	"internal/experiments",
 	"internal/simsvc",
+	"internal/fleet",
 	"internal/pipeline",
 	"internal/predict",
 	"internal/emu",
