@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/simsvc"
 	"repro/internal/stats"
 )
 
@@ -31,6 +32,11 @@ func readGolden(t *testing.T, file string) map[string]string {
 // one "experiment sha256" line each. A table depends only on the runs its
 // experiment declares, so the shared suite serves. An intended change
 // regenerates the file from the lines this test reports.
+//
+// The "records" line pins the records `cmd/experiments -json` writes
+// (the report without its Go version) together with simsvc.Version,
+// which addresses cached records: records that move under an unchanged
+// Version would be served stale from every result cache.
 func TestTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the full grid")
@@ -64,7 +70,22 @@ func TestTablesGolden(t *testing.T) {
 			t.Errorf("%s: table differs from the golden; the new line is %q", e.name, e.name+" "+sum)
 		}
 	}
-	if len(experiments) != len(golden) {
-		t.Errorf("%d experiments, golden has %d", len(experiments), len(golden))
+	rep := shared.Report("cmd/experiments")
+	rep.Go = ""
+	data, err := rep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := fmt.Sprintf("%x", sha256.Sum256(data))
+	version, want, _ := strings.Cut(golden["records"], " ")
+	switch {
+	case sum != want && version == simsvc.Version:
+		t.Errorf("the records moved under simsvc.Version %q: bump simsvc.Version, then golden's records line is %q",
+			version, "records <new version> "+sum)
+	case sum != want || version != simsvc.Version:
+		t.Errorf("records differ from the golden; the new line is %q", "records "+simsvc.Version+" "+sum)
+	}
+	if len(experiments)+1 != len(golden) {
+		t.Errorf("%d experiments and the records, golden has %d lines", len(experiments), len(golden))
 	}
 }
