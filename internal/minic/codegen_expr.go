@@ -25,7 +25,7 @@ func (g *gen) stmt(st *stmt, epilogue string) error {
 			return nil
 		}
 		lhs := &expr{op: eVar, line: st.line, sval: st.decl.name, sym: st.decl, ty: st.decl.ty}
-		v, err := g.assign(lhs, st.init, st.line)
+		v, err := g.assign(lhs, st.init)
 		if err != nil {
 			return err
 		}
@@ -300,10 +300,10 @@ func (g *gen) expr(e *expr) (val, error) {
 		}
 		g.emit("la %s, %s", g.rn(v), g.stringLabel(e.sval))
 		return v, nil
-	case eVar:
-		return g.loadVar(e)
+	case eVar, eDeref, eIndex, eField:
+		return g.load(e)
 	case eAssign:
-		return g.assign(e.lhs, e.rhs, e.line)
+		return g.assign(e.lhs, e.rhs)
 	case eCall:
 		return g.call(e)
 	case eCvt:
@@ -342,8 +342,6 @@ func (g *gen) expr(e *expr) (val, error) {
 		return out, nil
 	case eAddr:
 		return g.addr(e.lhs)
-	case eDeref, eIndex, eField:
-		return g.loadLvalue(e)
 	case eCond:
 		return g.condValue(e)
 	case ePostInc:
@@ -365,147 +363,6 @@ func (g *gen) resultReg(v val, line int) (val, error) {
 		return g.allocFP(line)
 	}
 	return g.allocInt(line)
-}
-
-// loadVar reads a variable into a register.
-func (g *gen) loadVar(e *expr) (val, error) {
-	sym := e.sym
-	// Aggregates evaluate to their address.
-	if !sym.ty.isScalar() {
-		return g.addr(e)
-	}
-	if sym.reg >= 0 {
-		if sym.isFPReg {
-			return sfreg(sym.reg), nil
-		}
-		return sreg(sym.reg), nil
-	}
-	if sym.ty.kind == tyDouble {
-		v, err := g.allocFP(e.line)
-		if err != nil {
-			return val{}, err
-		}
-		if sym.global {
-			g.emit("lfd %s, %s", g.rn(v), sym.name)
-		} else {
-			g.emit("lfd %s, %d($sp)", g.rn(v), sym.frameOff)
-		}
-		return v, nil
-	}
-	v, err := g.allocInt(e.line)
-	if err != nil {
-		return val{}, err
-	}
-	op := "lw"
-	if sym.ty.kind == tyChar {
-		op = "lbu"
-	}
-	if sym.global {
-		g.emit("%s %s, %s", op, g.rn(v), sym.name)
-	} else {
-		g.emit("%s %s, %d($sp)", op, g.rn(v), sym.frameOff)
-	}
-	return v, nil
-}
-
-// addr computes the address of an lvalue into an integer temp.
-func (g *gen) addr(e *expr) (val, error) {
-	switch e.op {
-	case eVar:
-		v, err := g.allocInt(e.line)
-		if err != nil {
-			return val{}, err
-		}
-		if e.sym.global {
-			g.emit("la %s, %s", g.rn(v), e.sym.name)
-		} else {
-			g.emit("addi %s, $sp, %d", g.rn(v), e.sym.frameOff)
-		}
-		return v, nil
-	case eDeref:
-		return g.expr(e.lhs)
-	case eField:
-		base, err := g.addr(e.lhs)
-		if err != nil {
-			return val{}, err
-		}
-		out, err := g.resultReg(base, e.line)
-		if err != nil {
-			return val{}, err
-		}
-		g.emit("addi %s, %s, %d", g.rn(out), g.rn(base), e.field.off)
-		return out, nil
-	case eIndex:
-		base, idxc, idxv, hasIdx, err := g.indexParts(e)
-		if err != nil {
-			return val{}, err
-		}
-		elem := e.ty
-		out := base
-		if hasIdx {
-			out, err = g.resultReg(base, e.line)
-			if err != nil {
-				return val{}, err
-			}
-			g.emit("add %s, %s, %s", g.rn(out), g.rn(base), g.rn(idxv))
-			g.free(idxv)
-			if base != out {
-				g.free(base)
-			}
-		}
-		if idxc != 0 {
-			out2, err := g.resultReg(out, e.line)
-			if err != nil {
-				return val{}, err
-			}
-			g.emit("addi %s, %s, %d", g.rn(out2), g.rn(out), idxc*int32(elem.size()))
-			if out != out2 {
-				g.free(out)
-			}
-			out = out2
-		}
-		return out, nil
-	}
-	return val{}, errf(e.line, "internal: addr of non-lvalue")
-}
-
-// indexParts evaluates the pieces of an eIndex: the base address register,
-// a constant index part, and a scaled variable index register (hasScaled
-// false if the index is entirely constant). The split produces the paper's
-// "index constant" code shape for a[i+1].
-func (g *gen) indexParts(e *expr) (base val, idxConst int32, scaled val, hasScaled bool, err error) {
-	base, err = g.expr(e.lhs) // pointer or decayed array -> address
-	if err != nil {
-		return
-	}
-	elemSize := e.ty.size()
-
-	idx := e.rhs
-	// Split idx into (variable part + constant part).
-	var varPart *expr
-	switch {
-	case idx.op == eIntLit:
-		idxConst = int32(idx.ival)
-	case idx.op == eAdd && idx.rhs.op == eIntLit:
-		varPart, idxConst = idx.lhs, int32(idx.rhs.ival)
-	case idx.op == eAdd && idx.lhs.op == eIntLit:
-		varPart, idxConst = idx.rhs, int32(idx.lhs.ival)
-	case idx.op == eSub && idx.rhs.op == eIntLit:
-		varPart, idxConst = idx.lhs, -int32(idx.rhs.ival)
-	default:
-		varPart = idx
-	}
-	if varPart == nil {
-		return base, idxConst, val{}, false, nil
-	}
-	iv, err2 := g.expr(varPart)
-	if err2 != nil {
-		err = err2
-		return
-	}
-	scaled, err = g.scaleIndex(iv, elemSize, e.line)
-	hasScaled = err == nil
-	return
 }
 
 // scaleIndex multiplies an index register by the element size.

@@ -3,196 +3,242 @@ package minic
 // voidVal is the placeholder result of void calls; it is never read.
 var voidVal = val{reg: -100}
 
-// memOps maps an element type to load/store mnemonics (const and
-// register+register forms).
-func memOps(t *ctype) (load, loadX, store, storeX string, fp bool) {
-	switch t.kind {
-	case tyChar:
-		return "lbu", "lbux", "sb", "sbx", false
-	case tyDouble:
-		return "lfd", "lfdx", "sfd", "sfdx", true
-	default:
-		return "lw", "lwx", "sw", "swx", false
+// One resolver decides where every lvalue lives and how code reaches it:
+// a variable, *p, s.f, p->f or a[i]. Loads, stores, address-of and
+// ++/-- (a load then a store) all read its answer, so the code shape the
+// paper measures for each access is decided in one place.
+
+// shape is where a resolved lvalue lives: in a register, or at one of
+// four memory operand forms.
+type shape uint8
+
+const (
+	inReg   shape = iota // a register-allocated local
+	atSym                // "sym": a global, gp-relative when small
+	atSP                 // "off($sp)": a memory local
+	atBase               // "off(base)": *p, s.f, p->f, a[c] and a[i+c]
+	atIndex              // "(base+index)": a[i], register+register
+)
+
+// lvalue is a resolved lvalue. It holds its base register (and, at
+// atIndex, its index register) until release.
+type lvalue struct {
+	shape shape
+	sym   *symbol // atSym
+	base  val     // inReg: the local's register; atBase, atIndex: the base
+	index val     // atIndex: the scaled index
+	off   int     // atSP, atBase
+	field bool    // atBase of a struct field: its address takes an addi even at offset 0
+}
+
+// resolve emits the code that computes e's base and index registers and
+// returns where e lives.
+func (g *gen) resolve(e *expr) (lvalue, error) {
+	switch e.op {
+	case eVar:
+		sym := e.sym
+		switch {
+		case sym.reg >= 0 && sym.isFPReg:
+			return lvalue{shape: inReg, base: sfreg(sym.reg)}, nil
+		case sym.reg >= 0:
+			return lvalue{shape: inReg, base: sreg(sym.reg)}, nil
+		case sym.global:
+			return lvalue{shape: atSym, sym: sym}, nil
+		}
+		return lvalue{shape: atSP, off: sym.frameOff}, nil
+	case eDeref:
+		p, err := g.expr(e.lhs)
+		return lvalue{shape: atBase, base: p}, err
+	case eField:
+		base, err := g.addr(e.lhs)
+		return lvalue{shape: atBase, base: base, off: e.field.off, field: true}, err
+	case eIndex:
+		return g.index(e)
+	}
+	return lvalue{}, errf(e.line, "internal: op %d is not an lvalue", e.op)
+}
+
+// index resolves a[idx]. A constant subscript, or a variable plus a
+// constant (the paper's "index constant", a[i+1], through a computed
+// pointer), is off(base); a variable alone is (base+index), the shape
+// the paper's compiler emits when strength reduction fails or is off.
+func (g *gen) index(e *expr) (lvalue, error) {
+	base, err := g.expr(e.lhs) // pointer or decayed array -> address
+	if err != nil {
+		return lvalue{}, err
+	}
+	size := e.ty.size()
+	v, c64 := splitIndex(e.rhs)
+	c := int32(c64)
+	off := int(c * int32(size))
+	if v == nil {
+		return lvalue{shape: atBase, base: base, off: off}, nil
+	}
+	iv, err := g.expr(v)
+	if err != nil {
+		return lvalue{}, err
+	}
+	scaled, err := g.scaleIndex(iv, size, e.line)
+	if err != nil {
+		return lvalue{}, err
+	}
+	if c == 0 {
+		return lvalue{shape: atIndex, base: base, index: scaled}, nil
+	}
+	sum, err := g.resultReg(base, e.line)
+	if err != nil {
+		return lvalue{}, err
+	}
+	g.emit("add %s, %s, %s", g.rn(sum), g.rn(base), g.rn(scaled))
+	g.free(scaled)
+	return lvalue{shape: atBase, base: sum, off: off}, nil
+}
+
+// splitIndex splits a subscript into a variable part and a constant: c,
+// v+c, c+v or v-c. v is nil for a constant subscript; any other subscript
+// is all variable.
+func splitIndex(idx *expr) (v *expr, c int64) {
+	switch {
+	case idx.op == eIntLit:
+		return nil, idx.ival
+	case idx.op == eAdd && idx.rhs.op == eIntLit:
+		return idx.lhs, idx.rhs.ival
+	case idx.op == eAdd && idx.lhs.op == eIntLit:
+		return idx.rhs, idx.lhs.ival
+	case idx.op == eSub && idx.rhs.op == eIntLit:
+		return idx.lhs, -idx.rhs.ival
+	}
+	return idx, 0
+}
+
+// release frees the registers a resolved lvalue holds.
+func (g *gen) release(lv lvalue) {
+	switch lv.shape {
+	case atIndex:
+		g.free(lv.index)
+		g.free(lv.base)
+	case atBase:
+		g.free(lv.base)
 	}
 }
 
-// loadLvalue loads the value of a deref/index/field lvalue.
-func (g *gen) loadLvalue(e *expr) (val, error) {
+// access emits op (a load or store mnemonic) of v through lv's memory
+// operand; the register+register form takes the op's x variant.
+func (g *gen) access(op string, v val, lv lvalue) {
+	switch lv.shape {
+	case atSym:
+		g.emit("%s %s, %s", op, g.rn(v), lv.sym.name)
+	case atSP:
+		g.emit("%s %s, %d($sp)", op, g.rn(v), lv.off)
+	case atBase:
+		g.emit("%s %s, %d(%s)", op, g.rn(v), lv.off, g.rn(lv.base))
+	case atIndex:
+		g.emit("%sx %s, (%s+%s)", op, g.rn(v), g.rn(lv.base), g.rn(lv.index))
+	}
+}
+
+// memOps names the load and store of a value of type t.
+func memOps(t *ctype) (load, store string) {
+	switch t.kind {
+	case tyChar:
+		return "lbu", "sb"
+	case tyDouble:
+		return "lfd", "sfd"
+	}
+	return "lw", "sw"
+}
+
+// load reads an lvalue's value into a register. An aggregate (a struct,
+// or an array row) evaluates to its address.
+func (g *gen) load(e *expr) (val, error) {
 	if !e.ty.isScalar() {
-		// Aggregate-typed lvalues (multi-dim array rows, struct values)
-		// evaluate to their address.
 		return g.addr(e)
 	}
-	load, loadX, _, _, fp := memOps(e.ty)
-	newOut := func() (val, error) {
-		if fp {
-			return g.allocFP(e.line)
-		}
-		return g.allocInt(e.line)
+	lv, err := g.resolve(e)
+	if err != nil || lv.shape == inReg {
+		return lv.base, err
 	}
-
-	switch e.op {
-	case eDeref:
-		p, err := g.expr(e.lhs)
-		if err != nil {
-			return val{}, err
-		}
-		out, err := newOut()
-		if err != nil {
-			return val{}, err
-		}
-		g.emit("%s %s, 0(%s)", load, g.rn(out), g.rn(p))
-		g.free(p)
-		return out, nil
-
-	case eField:
-		base, err := g.addr(e.lhs)
-		if err != nil {
-			return val{}, err
-		}
-		out, err := newOut()
-		if err != nil {
-			return val{}, err
-		}
-		g.emit("%s %s, %d(%s)", load, g.rn(out), e.field.off, g.rn(base))
-		g.free(base)
-		return out, nil
-
-	case eIndex:
-		base, idxc, scaled, hasScaled, err := g.indexParts(e)
-		if err != nil {
-			return val{}, err
-		}
-		elemSize := int32(e.ty.size())
-		switch {
-		case hasScaled && idxc == 0:
-			// Register+register addressing: the shape the paper's compiler
-			// emits when strength reduction fails or is off.
-			out, err := newOut()
-			if err != nil {
-				return val{}, err
-			}
-			g.emit("%s %s, (%s+%s)", loadX, g.rn(out), g.rn(base), g.rn(scaled))
-			g.free(base)
-			g.free(scaled)
-			return out, nil
-		case hasScaled:
-			// Index constant: pointer = base+scaled, small constant offset.
-			sum, err := g.resultReg(base, e.line)
-			if err != nil {
-				return val{}, err
-			}
-			g.emit("add %s, %s, %s", g.rn(sum), g.rn(base), g.rn(scaled))
-			g.free(scaled)
-			if sum != base {
-				g.free(base)
-			}
-			out, err := newOut()
-			if err != nil {
-				return val{}, err
-			}
-			g.emit("%s %s, %d(%s)", load, g.rn(out), idxc*elemSize, g.rn(sum))
-			g.free(sum)
-			return out, nil
-		default:
-			out, err := newOut()
-			if err != nil {
-				return val{}, err
-			}
-			g.emit("%s %s, %d(%s)", load, g.rn(out), idxc*elemSize, g.rn(base))
-			g.free(base)
-			return out, nil
-		}
+	var out val
+	if e.ty.kind == tyDouble {
+		out, err = g.allocFP(e.line)
+	} else {
+		out, err = g.allocInt(e.line)
 	}
-	return val{}, errf(e.line, "internal: loadLvalue on op %d", e.op)
+	if err != nil {
+		return val{}, err
+	}
+	load, _ := memOps(e.ty)
+	g.access(load, out, lv)
+	g.release(lv)
+	return out, nil
+}
+
+// store writes v into the lvalue lhs and returns where the value now
+// lives: a register-allocated local's register, v itself otherwise.
+func (g *gen) store(lhs *expr, v val) (val, error) {
+	lv, err := g.resolve(lhs)
+	if err != nil {
+		return val{}, err
+	}
+	if lv.shape == inReg {
+		move := "move"
+		if lv.base.fp {
+			move = "fmov"
+		}
+		g.emit("%s %s, %s", move, g.rn(lv.base), g.rn(v))
+		g.free(v)
+		return lv.base, nil
+	}
+	_, store := memOps(lhs.ty)
+	g.access(store, v, lv)
+	g.release(lv)
+	return v, nil
+}
+
+// addr computes an lvalue's address into a register.
+func (g *gen) addr(e *expr) (val, error) {
+	lv, err := g.resolve(e)
+	if err != nil {
+		return val{}, err
+	}
+	switch lv.shape {
+	case atSym, atSP:
+		v, err := g.allocInt(e.line)
+		if err != nil {
+			return val{}, err
+		}
+		if lv.shape == atSym {
+			g.emit("la %s, %s", g.rn(v), lv.sym.name)
+		} else {
+			g.emit("addi %s, $sp, %d", g.rn(v), lv.off)
+		}
+		return v, nil
+	case atBase, atIndex:
+		if lv.shape == atBase && lv.off == 0 && !lv.field {
+			return lv.base, nil
+		}
+		out, err := g.resultReg(lv.base, e.line)
+		if err != nil {
+			return val{}, err
+		}
+		if lv.shape == atIndex {
+			g.emit("add %s, %s, %s", g.rn(out), g.rn(lv.base), g.rn(lv.index))
+			g.free(lv.index)
+		} else {
+			g.emit("addi %s, %s, %d", g.rn(out), g.rn(lv.base), lv.off)
+		}
+		return out, nil
+	}
+	return val{}, errf(e.line, "internal: address of a register variable")
 }
 
 // assign stores rhs into the lvalue lhs and returns the stored value.
-func (g *gen) assign(lhs, rhs *expr, line int) (val, error) {
+func (g *gen) assign(lhs, rhs *expr) (val, error) {
 	v, err := g.expr(rhs)
 	if err != nil {
 		return val{}, err
 	}
-	return g.storeTo(lhs, v, line)
-}
-
-// storeTo writes an already-computed value into the lvalue lhs and returns
-// the canonical location of the stored value (the register for
-// register-allocated locals, v itself otherwise).
-func (g *gen) storeTo(lhs *expr, v val, line int) (val, error) {
-	switch lhs.op {
-	case eVar:
-		sym := lhs.sym
-		if sym.reg >= 0 {
-			dst := sreg(sym.reg)
-			if sym.isFPReg {
-				dst = sfreg(sym.reg)
-				g.emit("fmov %s, %s", g.rn(dst), g.rn(v))
-			} else {
-				g.emit("move %s, %s", g.rn(dst), g.rn(v))
-			}
-			g.free(v)
-			return dst, nil
-		}
-		_, _, store, _, _ := memOps(sym.ty)
-		if sym.global {
-			g.emit("%s %s, %s", store, g.rn(v), sym.name)
-		} else {
-			g.emit("%s %s, %d($sp)", store, g.rn(v), sym.frameOff)
-		}
-		return v, nil
-
-	case eDeref:
-		p, err := g.expr(lhs.lhs)
-		if err != nil {
-			return val{}, err
-		}
-		_, _, store, _, _ := memOps(lhs.ty)
-		g.emit("%s %s, 0(%s)", store, g.rn(v), g.rn(p))
-		g.free(p)
-		return v, nil
-
-	case eField:
-		base, err := g.addr(lhs.lhs)
-		if err != nil {
-			return val{}, err
-		}
-		_, _, store, _, _ := memOps(lhs.ty)
-		g.emit("%s %s, %d(%s)", store, g.rn(v), lhs.field.off, g.rn(base))
-		g.free(base)
-		return v, nil
-
-	case eIndex:
-		base, idxc, scaled, hasScaled, err := g.indexParts(lhs)
-		if err != nil {
-			return val{}, err
-		}
-		_, _, store, storeX, _ := memOps(lhs.ty)
-		elemSize := int32(lhs.ty.size())
-		switch {
-		case hasScaled && idxc == 0:
-			g.emit("%s %s, (%s+%s)", storeX, g.rn(v), g.rn(base), g.rn(scaled))
-			g.free(base)
-			g.free(scaled)
-		case hasScaled:
-			sum, err := g.resultReg(base, line)
-			if err != nil {
-				return val{}, err
-			}
-			g.emit("add %s, %s, %s", g.rn(sum), g.rn(base), g.rn(scaled))
-			g.free(scaled)
-			if sum != base {
-				g.free(base)
-			}
-			g.emit("%s %s, %d(%s)", store, g.rn(v), idxc*elemSize, g.rn(sum))
-			g.free(sum)
-		default:
-			g.emit("%s %s, %d(%s)", store, g.rn(v), idxc*elemSize, g.rn(base))
-			g.free(base)
-		}
-		return v, nil
-	}
-	return val{}, errf(line, "internal: assign to op %d", lhs.op)
+	return g.store(lhs, v)
 }
 
 // syscallCodes maps the inline builtin functions to syscall numbers.
@@ -683,7 +729,7 @@ func (g *gen) postIncDec(e *expr, negative bool) (val, error) {
 	if negative {
 		delta = -delta
 	}
-	cur, err := g.expr(e.lhs)
+	cur, err := g.load(e.lhs)
 	if err != nil {
 		return val{}, err
 	}
@@ -694,7 +740,7 @@ func (g *gen) postIncDec(e *expr, negative bool) (val, error) {
 	g.emit("move %s, %s", g.rn(old), g.rn(cur))
 	if cur.isTemp() {
 		g.emit("addi %s, %s, %d", g.rn(cur), g.rn(cur), delta)
-		if _, err := g.storeTo(e.lhs, cur, e.line); err != nil {
+		if _, err := g.store(e.lhs, cur); err != nil {
 			return val{}, err
 		}
 		g.free(cur)
@@ -705,7 +751,7 @@ func (g *gen) postIncDec(e *expr, negative bool) (val, error) {
 		return val{}, err
 	}
 	g.emit("addi %s, %s, %d", g.rn(nv), g.rn(cur), delta)
-	if _, err := g.storeTo(e.lhs, nv, e.line); err != nil {
+	if _, err := g.store(e.lhs, nv); err != nil {
 		return val{}, err
 	}
 	g.free(nv)

@@ -16,32 +16,45 @@ type Options struct {
 	// next power of two of their size, capped at 32 bytes.
 	AlignStatics bool
 	// AlignStructs rounds structure sizes to the next power of two when the
-	// padding does not exceed MaxStructPad bytes.
+	// padding does not exceed maxStructPad bytes.
 	AlignStructs bool
-	// MaxStructPad caps structure padding (default 16, the paper's bound).
-	MaxStructPad int
 	// MallocAlign is the dynamic allocation alignment (default 8; the
 	// paper's software support raises it to 32).
 	MallocAlign int
-	// SmallDataMax is the largest global placed in the gp-addressed small
-	// data region (default 8 bytes).
-	SmallDataMax int
 
 	// Peephole enables window-local assembly cleanups (store-to-load
 	// forwarding, dead moves, jumps to the next line). Off by default so
 	// the default toolchains produce exactly the code shapes the paper's
 	// experiments analyse.
 	Peephole bool
-
-	// OmitRuntime skips the runtime prelude (for unit tests that inspect
-	// bare code generation).
-	OmitRuntime bool
 }
+
+const (
+	// maxStructPad caps AlignStructs' padding: the paper's 16 bytes.
+	maxStructPad = 16
+	// smallDataMax is the size of the largest global placed in the
+	// gp-addressed small data region.
+	smallDataMax = 8
+	// defaultMallocAlign is the stock allocator's alignment, and the one
+	// a zero Options.MallocAlign selects.
+	defaultMallocAlign = 8
+)
 
 // BaseOptions is the paper's baseline toolchain: optimizing (strength
 // reduction on) but with no fast-address-calculation-specific alignment.
 func BaseOptions() Options {
-	return Options{StrengthReduce: true, MaxStructPad: 16, MallocAlign: 8, SmallDataMax: 8}
+	return Options{StrengthReduce: true, MallocAlign: defaultMallocAlign}
+}
+
+// staticAlign is the alignment of a global, or of a local in the frame,
+// of type t: its own, raised under AlignStatics to the next power of two
+// of its size, capped at 32 bytes. A scalar's size is its alignment, so
+// the rule moves aggregates only.
+func (o Options) staticAlign(t *ctype) int {
+	if !o.AlignStatics {
+		return t.alignment()
+	}
+	return max(t.alignment(), min(pow2Ceil(t.size()), 32))
 }
 
 // FACOptions is the paper's software-support toolchain: baseline plus all
@@ -56,20 +69,13 @@ func FACOptions() Options {
 	return o
 }
 
-// Compile translates a MiniC translation unit to assembly text (runtime
-// prelude included unless opts.OmitRuntime).
+// Compile translates a MiniC translation unit, prefixed with the runtime
+// library, to assembly text.
 func Compile(src string, opts Options) (string, error) {
-	if opts.MaxStructPad == 0 {
-		opts.MaxStructPad = 16
-	}
 	if opts.MallocAlign == 0 {
-		opts.MallocAlign = 8
+		opts.MallocAlign = defaultMallocAlign
 	}
-	full := src
-	if !opts.OmitRuntime {
-		full = runtimePrelude(opts.MallocAlign) + "\n" + src
-	}
-	u, err := parse(full, opts)
+	u, err := parse(runtimePrelude(opts.MallocAlign)+"\n"+src, opts)
 	if err != nil {
 		return "", err
 	}
@@ -86,10 +92,7 @@ func Compile(src string, opts Options) (string, error) {
 	if opts.Peephole {
 		asmText = peephole(asmText)
 	}
-	if !opts.OmitRuntime {
-		asmText += startStub
-	}
-	return asmText, nil
+	return asmText + startStub, nil
 }
 
 // startStub is the only hand-written assembly in the runtime: the program

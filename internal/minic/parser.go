@@ -279,7 +279,7 @@ func (p *parser) structDef() error {
 	if err := p.expect(";"); err != nil {
 		return err
 	}
-	layoutStruct(s, p.opts.AlignStructs, p.opts.MaxStructPad)
+	layoutStruct(s, p.opts.AlignStructs)
 	return nil
 }
 
@@ -572,10 +572,10 @@ func (p *parser) assignExpr() (*expr, error) {
 			}
 			// Desugar "lhs op= rhs" into "lhs = lhs op rhs". The lvalue is
 			// evaluated twice, so it must be side-effect free.
-			if containsCall(lhs) {
+			if contains(lhs, isCall) {
 				return nil, errf(t.line, "compound assignment target may not contain a call")
 			}
-			bin := &expr{op: op, line: t.line, lhs: cloneSyntax(lhs), rhs: rhs}
+			bin := &expr{op: op, line: t.line, lhs: clone(lhs), rhs: rhs}
 			return &expr{op: eAssign, line: t.line, lhs: lhs, rhs: bin}, nil
 		}
 	}
@@ -607,41 +607,8 @@ func (p *parser) ternaryExpr() (*expr, error) {
 	return &expr{op: eCond, line: line, lhs: cond, args: []*expr{thenE, elseE}}, nil
 }
 
-// containsCall reports whether an (unanalyzed) expression contains a call.
-func containsCall(e *expr) bool {
-	if e == nil {
-		return false
-	}
-	if e.op == eCall {
-		return true
-	}
-	if containsCall(e.lhs) || containsCall(e.rhs) {
-		return true
-	}
-	for _, a := range e.args {
-		if containsCall(a) {
-			return true
-		}
-	}
-	return false
-}
-
-// cloneSyntax deep-copies a pre-sema expression tree.
-func cloneSyntax(e *expr) *expr {
-	if e == nil {
-		return nil
-	}
-	c := *e
-	c.lhs = cloneSyntax(e.lhs)
-	c.rhs = cloneSyntax(e.rhs)
-	if e.args != nil {
-		c.args = make([]*expr, len(e.args))
-		for i, a := range e.args {
-			c.args[i] = cloneSyntax(a)
-		}
-	}
-	return &c
-}
+// isCall reports whether e is a function call.
+func isCall(e *expr) bool { return e.op == eCall }
 
 type binOp struct {
 	op   exprOp
@@ -694,7 +661,7 @@ func (p *parser) unaryExpr() (*expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if containsCall(lhs) {
+		if contains(lhs, isCall) {
 			return nil, errf(t.line, "increment target may not contain a call")
 		}
 		op := eAdd
@@ -702,7 +669,7 @@ func (p *parser) unaryExpr() (*expr, error) {
 			op = eSub
 		}
 		one := &expr{op: eIntLit, line: t.line, ival: 1}
-		bin := &expr{op: op, line: t.line, lhs: cloneSyntax(lhs), rhs: one}
+		bin := &expr{op: op, line: t.line, lhs: clone(lhs), rhs: one}
 		return &expr{op: eAssign, line: t.line, lhs: lhs, rhs: bin}, nil
 	case p.accept("-"):
 		e, err := p.unaryExpr()
@@ -787,12 +754,12 @@ func (p *parser) postfixExpr() (*expr, error) {
 			deref := &expr{op: eDeref, line: t.line, lhs: e}
 			e = &expr{op: eField, line: t.line, lhs: deref, sval: name.text}
 		case p.accept("++"):
-			if containsCall(e) {
+			if contains(e, isCall) {
 				return nil, errf(t.line, "increment target may not contain a call")
 			}
 			e = &expr{op: ePostInc, line: t.line, lhs: e}
 		case p.accept("--"):
-			if containsCall(e) {
+			if contains(e, isCall) {
 				return nil, errf(t.line, "increment target may not contain a call")
 			}
 			e = &expr{op: ePostDec, line: t.line, lhs: e}

@@ -43,8 +43,8 @@ func (r *reducer) stmt(st *stmt) {
 	}
 }
 
-// ivPattern extracts the induction variable and step from a for statement,
-// or returns nil.
+// forInduction extracts the induction variable, its start and its step
+// from a for statement, or returns a nil variable.
 func forInduction(st *stmt) (iv *symbol, startE *expr, step int64) {
 	if st.forInit == nil || st.cond == nil || st.forPost == nil {
 		return nil, nil, 0
@@ -58,7 +58,7 @@ func forInduction(st *stmt) (iv *symbol, startE *expr, step int64) {
 		return nil, nil, 0
 	}
 	// Start must be re-evaluable without side effects.
-	if !sideEffectFree(init.rhs) {
+	if contains(init.rhs, hasSideEffect) {
 		return nil, nil, 0
 	}
 	post := st.forPost.expr
@@ -85,24 +85,14 @@ func forInduction(st *stmt) (iv *symbol, startE *expr, step int64) {
 	return nil, nil, 0
 }
 
-// sideEffectFree reports whether an expression can be evaluated twice.
-func sideEffectFree(e *expr) bool {
-	if e == nil {
-		return true
-	}
+// hasSideEffect reports whether e's own operation writes or calls.
+// An expression with no such node can be evaluated twice.
+func hasSideEffect(e *expr) bool {
 	switch e.op {
 	case eAssign, eCall, ePostInc, ePostDec:
-		return false
+		return true
 	}
-	if !sideEffectFree(e.lhs) || !sideEffectFree(e.rhs) {
-		return false
-	}
-	for _, a := range e.args {
-		if !sideEffectFree(a) {
-			return false
-		}
-	}
-	return true
+	return false
 }
 
 func (r *reducer) reduceFor(st *stmt) {
@@ -111,19 +101,29 @@ func (r *reducer) reduceFor(st *stmt) {
 		return
 	}
 	// The IV must not be assigned inside the loop body.
-	if assignsSym(st.body, iv) {
+	if assigns(st.body, iv) {
 		return
 	}
 	// Collect candidate bases: loop-invariant array/pointer variables
-	// indexed by the IV with scalar elements.
+	// indexed by the IV with scalar elements, body first, then condition.
 	cands := &indexCands{byBase: map[*symbol][]*expr{}}
-	collectIndexAccesses(st.body, iv, cands)
-	if st.cond != nil {
-		collectIndexAccesses1(st.cond, iv, cands)
+	collect := func(e *expr) bool {
+		if e.op != eIndex || e.lhs.op != eVar || !e.ty.isScalar() || e.lhs.sym == iv {
+			return true
+		}
+		if v, _ := splitIndex(e.rhs); v == nil || v.op != eVar || v.sym != iv {
+			return true
+		}
+		if base := e.lhs.sym; base.ty.decay().isPtr() {
+			cands.add(base, e)
+		}
+		return false // the index subtree is consumed by the rewrite
 	}
+	walkStmts(st.body, collect)
+	walk(st.cond, collect)
 	bases := cands.order[:0]
 	for _, base := range cands.order {
-		if base.addrTaken || assignsSym(st.body, base) || len(cands.byBase[base]) == 0 {
+		if base.addrTaken || assigns(st.body, base) || len(cands.byBase[base]) == 0 {
 			continue
 		}
 		bases = append(bases, base)
@@ -149,7 +149,7 @@ func (r *reducer) reduceFor(st *stmt) {
 
 		// p = &base[start]
 		baseRef := &expr{op: eVar, sval: base.name, sym: base, ty: base.ty}
-		initIdx := &expr{op: eIndex, lhs: baseRef, rhs: cloneExpr(startE), ty: elem}
+		initIdx := &expr{op: eIndex, lhs: baseRef, rhs: clone(startE), ty: elem}
 		initAddr := &expr{op: eAddr, lhs: initIdx, ty: ptrTy}
 		pRef := func() *expr { return &expr{op: eVar, sval: p.name, sym: p, ty: ptrTy} }
 		newInits = append(newInits, &stmt{
@@ -173,7 +173,7 @@ func (r *reducer) reduceFor(st *stmt) {
 
 		// Rewrite each access in place.
 		for _, use := range uses {
-			c := indexConstPart(use.rhs, iv)
+			_, c := splitIndex(use.rhs)
 			use.lhs = pRef()
 			if c == 0 {
 				// a[i] -> *p
@@ -197,37 +197,6 @@ func (r *reducer) reduceFor(st *stmt) {
 	st.forPost = &stmt{op: sBlock, line: st.line, body: append([]*stmt{st.forPost}, newPosts...)}
 }
 
-// indexConstPart returns c for index expressions of the form i, i+c, c+i,
-// or i-c.
-func indexConstPart(idx *expr, iv *symbol) int64 {
-	switch {
-	case idx.op == eVar && idx.sym == iv:
-		return 0
-	case idx.op == eAdd && idx.lhs.op == eVar && idx.lhs.sym == iv && idx.rhs.op == eIntLit:
-		return idx.rhs.ival
-	case idx.op == eAdd && idx.rhs.op == eVar && idx.rhs.sym == iv && idx.lhs.op == eIntLit:
-		return idx.lhs.ival
-	case idx.op == eSub && idx.lhs.op == eVar && idx.lhs.sym == iv && idx.rhs.op == eIntLit:
-		return -idx.rhs.ival
-	}
-	return 0
-}
-
-// isIVIndex reports whether idx matches the shapes indexConstPart handles.
-func isIVIndex(idx *expr, iv *symbol) bool {
-	switch {
-	case idx.op == eVar && idx.sym == iv:
-		return true
-	case idx.op == eAdd && idx.lhs.op == eVar && idx.lhs.sym == iv && idx.rhs.op == eIntLit:
-		return true
-	case idx.op == eAdd && idx.rhs.op == eVar && idx.rhs.sym == iv && idx.lhs.op == eIntLit:
-		return true
-	case idx.op == eSub && idx.lhs.op == eVar && idx.lhs.sym == iv && idx.rhs.op == eIntLit:
-		return true
-	}
-	return false
-}
-
 // indexCands groups candidate accesses by base symbol while remembering
 // the order bases were first seen. Rewrites must happen in that order —
 // iterating the pointer-keyed map directly would emit the pointer-temp
@@ -245,105 +214,13 @@ func (c *indexCands) add(base *symbol, e *expr) {
 	c.byBase[base] = append(c.byBase[base], e)
 }
 
-// collectIndexAccesses gathers eIndex(base, f(iv)) nodes with scalar
-// element types, grouped by base symbol.
-func collectIndexAccesses(list []*stmt, iv *symbol, out *indexCands) {
-	var visitS func(st *stmt)
-	visitS = func(st *stmt) {
-		if st == nil {
-			return
-		}
-		collectIndexAccesses1(st.expr, iv, out)
-		collectIndexAccesses1(st.init, iv, out)
-		collectIndexAccesses1(st.cond, iv, out)
-		visitS(st.forInit)
-		visitS(st.forPost)
-		for _, b := range st.body {
-			visitS(b)
-		}
-		for _, b := range st.elseBody {
-			visitS(b)
-		}
-	}
-	for _, st := range list {
-		visitS(st)
-	}
-}
-
-func collectIndexAccesses1(e *expr, iv *symbol, out *indexCands) {
-	if e == nil {
-		return
-	}
-	if e.op == eIndex && e.lhs.op == eVar && e.lhs.sym != nil && e.ty.isScalar() &&
-		isIVIndex(e.rhs, iv) && e.lhs.sym != iv {
-		base := e.lhs.sym
-		if base.ty.decay().isPtr() {
-			out.add(base, e)
-		}
-		return // the index subtree is consumed by the rewrite
-	}
-	collectIndexAccesses1(e.lhs, iv, out)
-	collectIndexAccesses1(e.rhs, iv, out)
-	for _, a := range e.args {
-		collectIndexAccesses1(a, iv, out)
-	}
-}
-
-// assignsSym reports whether any statement in list assigns to sym.
-func assignsSym(list []*stmt, sym *symbol) bool {
+// assigns reports whether a statement in list assigns to sym.
+func assigns(list []*stmt, sym *symbol) bool {
 	found := false
-	var visitE func(e *expr)
-	visitE = func(e *expr) {
-		if e == nil || found {
-			return
-		}
-		if (e.op == eAssign || e.op == ePostInc || e.op == ePostDec) &&
-			e.lhs.op == eVar && e.lhs.sym == sym {
-			found = true
-			return
-		}
-		visitE(e.lhs)
-		visitE(e.rhs)
-		for _, a := range e.args {
-			visitE(a)
-		}
-	}
-	var visitS func(st *stmt)
-	visitS = func(st *stmt) {
-		if st == nil || found {
-			return
-		}
-		visitE(st.expr)
-		visitE(st.init)
-		visitE(st.cond)
-		visitS(st.forInit)
-		visitS(st.forPost)
-		for _, b := range st.body {
-			visitS(b)
-		}
-		for _, b := range st.elseBody {
-			visitS(b)
-		}
-	}
-	for _, st := range list {
-		visitS(st)
-	}
+	walkStmts(list, func(e *expr) bool {
+		found = found || (e.op == eAssign || e.op == ePostInc || e.op == ePostDec) &&
+			e.lhs.op == eVar && e.lhs.sym == sym
+		return !found
+	})
 	return found
-}
-
-// cloneExpr deep-copies a side-effect-free expression.
-func cloneExpr(e *expr) *expr {
-	if e == nil {
-		return nil
-	}
-	c := *e
-	c.lhs = cloneExpr(e.lhs)
-	c.rhs = cloneExpr(e.rhs)
-	if e.args != nil {
-		c.args = make([]*expr, len(e.args))
-		for i, a := range e.args {
-			c.args[i] = cloneExpr(a)
-		}
-	}
-	return &c
 }

@@ -144,10 +144,10 @@ func compatible(a, b *ctype) bool {
 
 // layoutStruct assigns field offsets. With pow2Pad (the paper's structured
 // variable alignment support), the struct size is rounded up to the next
-// power of two, with the overhead capped at maxPad bytes; internal field
-// offsets are never changed (dense structures beat stricter internal
+// power of two, with the overhead capped at maxStructPad bytes; internal
+// field offsets are never changed (dense structures beat stricter internal
 // alignment, Section 4).
-func layoutStruct(s *structT, pow2Pad bool, maxPad int) {
+func layoutStruct(s *structT, pow2Pad bool) {
 	off := 0
 	align := 1
 	for i := range s.fields {
@@ -162,14 +162,8 @@ func layoutStruct(s *structT, pow2Pad bool, maxPad int) {
 	}
 	s.align = align
 	s.size = alignInt(off, align)
-	if pow2Pad {
-		p := 1
-		for p < s.size {
-			p <<= 1
-		}
-		if p-s.size <= maxPad {
-			s.size = p
-		}
+	if p := pow2Ceil(s.size); pow2Pad && p-s.size <= maxStructPad {
+		s.size = p
 	}
 }
 
