@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -255,5 +256,53 @@ func TestE2EFleetSurvivesWorkerKill(t *testing.T) {
 				t.Fatalf("survivor served nothing: %+v", disp.FleetStats())
 			}
 		}
+	}
+}
+
+// postRun POSTs one spec to base's /v1/run and returns the status and
+// the error message of a failed run.
+func postRun(t *testing.T, base string, spec simsvc.JobSpec) (int, string) {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var payload struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&payload)
+	return resp.StatusCode, payload.Error
+}
+
+// TestE2ERunFailureStaysOnOneWorker: a run that fails where it runs (here
+// queens over its instruction budget) is answered 422 by a worker and by
+// a coordinator. Every worker would fail it the same way, so the
+// coordinator dispatches it once and leaves both workers healthy.
+func TestE2ERunFailureStaysOnOneWorker(t *testing.T) {
+	w1, w2 := newWorkerDaemon(t), newWorkerDaemon(t)
+	coord, disp := newCoordinator(t, []string{w1.URL, w2.URL}, -1, time.Minute)
+	spec := simsvc.JobSpec{Workload: "queens", Toolchain: "base", Machine: "base32", MaxInsts: 400_000}
+
+	status, msg := postRun(t, coord, spec)
+	if status != http.StatusUnprocessableEntity || !strings.Contains(msg, "budget") {
+		t.Errorf("coordinator answered %d (%s), want 422 naming the budget", status, msg)
+	}
+	var dispatched uint64
+	for _, st := range disp.FleetStats() {
+		dispatched += st.Dispatched
+		if !st.Healthy {
+			t.Errorf("worker %s unhealthy after a run failure: %+v", st.URL, st)
+		}
+	}
+	if dispatched != 1 {
+		t.Errorf("dispatched %d times, want once: %+v", dispatched, disp.FleetStats())
+	}
+	if status, msg := postRun(t, w2.URL, spec); status != http.StatusUnprocessableEntity {
+		t.Errorf("worker answered %d (%s), want 422", status, msg)
 	}
 }

@@ -52,6 +52,11 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("simsvc: server status %d: %s", e.Status, e.Msg)
 }
 
+// Is matches a 422 to ErrRunFailed: the daemon's run failed where it ran.
+func (e *StatusError) Is(target error) bool {
+	return target == ErrRunFailed && e.Status == http.StatusUnprocessableEntity
+}
+
 func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient

@@ -1001,8 +1001,11 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 			return // client went away; nothing to answer
 		}
 		status := http.StatusInternalServerError
-		if errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
 			status = http.StatusGatewayTimeout
+		case errors.Is(err, ErrRunFailed):
+			status = http.StatusUnprocessableEntity
 		}
 		writeErr(w, status, "%v", err)
 		return

@@ -115,6 +115,18 @@ type Executor interface {
 	Exec(ctx context.Context, key string, spec JobSpec) (Served, error)
 }
 
+// ErrRunFailed matches the error of a run that failed where it ran: its
+// program did not build, its simulation stopped with an error, or its
+// output was wrong. Every executor fails such a run the same way, so
+// POST /v1/run answers it with 422, and a daemon's 422 matches it too.
+var ErrRunFailed = errors.New("simsvc: run failed")
+
+// runFailure marks err as a run failure, keeping its message.
+type runFailure struct{ error }
+
+func (f runFailure) Unwrap() error        { return f.error }
+func (f runFailure) Is(target error) bool { return target == ErrRunFailed }
+
 // RunCounts is a Runner's execution accounting: where each run's record
 // came from. Simulated, Remote and CacheHits count leaders only; Shared
 // counts the runs that joined an identical run in flight. An unchanged
@@ -297,14 +309,16 @@ func (r *Runner) run(ctx context.Context, rs resolved, machine string, remote bo
 		} else {
 			p, err := workload.Build(rs.w, rs.tc)
 			if err != nil {
-				return nil, err
+				return nil, runFailure{err}
 			}
 			res, err := core.RunCtx(ctx, p, rs.cfg, rs.maxInsts, nil)
-			if err != nil {
+			switch {
+			case err != nil && ctx.Err() != nil: // cut short, not failed
 				return nil, fmt.Errorf("%s: %w", spec, err)
-			}
-			if res.Output != rs.w.Expected {
-				return nil, fmt.Errorf("%s: output %q != expected %q", spec, res.Output, rs.w.Expected)
+			case err != nil:
+				return nil, runFailure{fmt.Errorf("%s: %w", spec, err)}
+			case res.Output != rs.w.Expected:
+				return nil, runFailure{fmt.Errorf("%s: output %q != expected %q", spec, res.Output, rs.w.Expected)}
 			}
 			out.Rec = res.Stats.Record(rs.w.Name, rs.w.Class.String(), rs.tc.Name, machine)
 			r.simulated.Add(1)
