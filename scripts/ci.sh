@@ -67,8 +67,9 @@
 # The fuzz smoke stage runs each fuzz target, named as package:target,
 # briefly against its committed seed corpus plus a few seconds of
 # mutation, so a crasher that slips past the deterministic tests still
-# trips CI. For real hunting sessions use longer budgets (see
-# docs/TESTING.md).
+# trips CI. -fuzzminimizetime 100x bounds the minimizing of each new
+# input, which by default may take a minute and so eat a target's 5s.
+# For real hunting sessions use longer budgets (see docs/TESTING.md).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -110,7 +111,7 @@ for target in difftest:FuzzFACPredict difftest:FuzzEncodeDecode \
     pkg=${target%%:*}
     name=${target#*:}
     echo "-- $pkg $name"
-    go test "./internal/$pkg/" -run '^$' -fuzz "^${name}\$" -fuzztime 5s
+    go test "./internal/$pkg/" -run '^$' -fuzz "^${name}\$" -fuzztime 5s -fuzzminimizetime 100x
 done
 
 echo "== faclint smoke =="
