@@ -53,8 +53,8 @@ type sim struct {
 	srcDone        bool
 
 	// Issue queue (fetched, not yet issued), in program order. A fixed
-	// ring: capacity is the fetch guard's bound (2*FetchWidth+IssueWidth),
-	// so the steady state allocates nothing.
+	// ring whose length is the queue bound (see queueFull), so the steady
+	// state allocates nothing.
 	pending  []qent
 	pendHead int
 	pendLen  int
@@ -108,6 +108,9 @@ type storeEnt struct {
 // Issue-queue ring operations.
 
 func (s *sim) pendHeadEnt() *qent { return &s.pending[s.pendHead] }
+
+// queueFull reports whether the issue queue lacks room for a fetch group.
+func (s *sim) queueFull() bool { return s.pendLen+s.cfg.FetchWidth > len(s.pending) }
 
 // pendSlot claims the next free ring slot and returns it for in-place
 // construction, avoiding a queue-entry copy per fetched instruction.
@@ -294,7 +297,7 @@ func (s *sim) ffWake(now uint64) uint64 {
 	// issue queue, in which case it cannot act before issue drains the
 	// queue (covered by the head examination below).
 	if !s.srcDone || s.batchPos < s.batchLen {
-		if s.pendLen+s.cfg.FetchWidth <= 2*s.cfg.FetchWidth+s.cfg.IssueWidth {
+		if !s.queueFull() {
 			if s.nextFetchCycle <= now {
 				return 0 // fetch is active; no quiescent window
 			}
@@ -304,49 +307,28 @@ func (s *sim) ffWake(now uint64) uint64 {
 	if s.pendLen > 0 {
 		q := s.pendHeadEnt()
 		if q.earliest > now {
-			if q.earliest < wake {
-				wake = q.earliest
-			}
+			wake = min(wake, q.earliest)
 		} else {
-			// Mirror the issue stage's head examination exactly.
-			off := uint64(0)
-			if s.cfg.AGI {
-				switch q.pre.Class {
-				case isa.ClassIntALU, isa.ClassBranch, isa.ClassJump, isa.ClassSyscall:
-					off = 1
-				}
-			}
-			opWake := uint64(0)
+			// The head stalled on its operands, which the issue stage
+			// needs shift cycles after issue, or, operands ready, on a
+			// non-pipelined unit's issue interval; any other hazard (an
+			// ALU, a cache port, a store buffer slot) can clear within a
+			// cycle and is not fast-forwarded.
+			sh := s.shift(q.pre.Class)
+			head := uint64(0)
 			for _, u := range q.pre.Uses[:q.pre.NUses] {
-				if r := s.regReady[u]; r > now+off && r-off > opWake {
-					opWake = r - off
+				if r := s.regReady[u]; r > now+sh && r-sh > head {
+					head = r - sh
 				}
 			}
-			if opWake != 0 {
-				if opWake < wake {
-					wake = opWake
-				}
-			} else {
-				// Operands are ready, so the head is blocked on a
-				// non-pipelined unit's issue interval; any other hazard
-				// (cache port, store buffer slot) can clear within a
-				// cycle and is not fast-forwarded.
-				var free uint64
-				switch q.pre.Class {
-				case isa.ClassIntMul, isa.ClassIntDiv:
-					free = s.intMDFree
-				case isa.ClassFPMul, isa.ClassFPDiv:
-					free = s.fpMDFree
-				default:
+			if head == 0 {
+				free, _ := s.mdUnit(q.pre.Class)
+				if free == nil || *free <= now {
 					return 0
 				}
-				if free <= now {
-					return 0
-				}
-				if free < wake {
-					wake = free
-				}
+				head = *free
 			}
+			wake = min(wake, head)
 		}
 	}
 	if wake == inf || wake <= now+1 {
@@ -392,8 +374,8 @@ func (s *sim) fetch(now uint64) error {
 	if now < s.nextFetchCycle {
 		return nil
 	}
-	if s.pendLen+s.cfg.FetchWidth > 2*s.cfg.FetchWidth+s.cfg.IssueWidth {
-		return nil // issue queue full; fetch stalls
+	if s.queueFull() {
+		return nil // fetch stalls
 	}
 	first, err := s.peekTrace()
 	if err != nil {
@@ -485,23 +467,27 @@ func (s *sim) fetch(now uint64) error {
 	return nil
 }
 
-// Cache port helpers ("up to two loads or one store each cycle").
+// Cache ports: up to DCacheReadsPerCycle loads, or one store, each cycle.
 
 func (s *sim) slot(c uint64) int { return int(c & (1<<ringBits - 1)) }
 
-func (s *sim) readFree(c uint64) bool {
+// portFree reports whether cycle c can take one more load, or a store.
+func (s *sim) portFree(c uint64, store bool) bool {
 	i := s.slot(c)
-	return !s.storeAt[i] && int(s.readsAt[i]) < s.cfg.DCacheReadsPerCycle
+	limit := s.cfg.DCacheReadsPerCycle
+	if store {
+		limit = 1
+	}
+	return !s.storeAt[i] && int(s.readsAt[i]) < limit
 }
 
-func (s *sim) useRead(c uint64) { s.readsAt[s.slot(c)]++ }
-
-func (s *sim) storeFree(c uint64) bool {
-	i := s.slot(c)
-	return !s.storeAt[i] && s.readsAt[i] == 0
+func (s *sim) usePort(c uint64, store bool) {
+	if store {
+		s.storeAt[s.slot(c)] = true
+	} else {
+		s.readsAt[s.slot(c)]++
+	}
 }
-
-func (s *sim) useStore(c uint64) { s.storeAt[s.slot(c)] = true }
 
 // dcacheAccess performs a data-cache access at the given cycle, retrying
 // past MSHR-full conditions, and returns the cycle the data is available.
@@ -516,6 +502,43 @@ func (s *sim) dcacheAccess(addr uint32, write bool, c uint64) uint64 {
 		}
 		c = res.Ready
 	}
+}
+
+// aluClass reports whether ops of class c execute on an integer ALU.
+func aluClass(c isa.OpClass) bool {
+	switch c {
+	case isa.ClassIntALU, isa.ClassBranch, isa.ClassJump, isa.ClassSyscall:
+		return true
+	}
+	return false
+}
+
+// shift is how many cycles later than issue an op of class c needs its
+// operands and delivers its result. In the AGI organization ALU-class
+// operations execute one stage after address generation, which hides
+// load-use latency and exposes the address-use hazard.
+func (s *sim) shift(c isa.OpClass) uint64 {
+	if s.cfg.AGI && aluClass(c) {
+		return 1
+	}
+	return 0
+}
+
+// mdUnit returns the non-pipelined unit an op of class c occupies, as
+// the cycle that unit is busy until, and the op's latency; nil for a
+// class that runs on a pipelined unit.
+func (s *sim) mdUnit(c isa.OpClass) (*uint64, Latency) {
+	switch c {
+	case isa.ClassIntMul:
+		return &s.intMDFree, s.cfg.IntMulLat
+	case isa.ClassIntDiv:
+		return &s.intMDFree, s.cfg.IntDivLat
+	case isa.ClassFPMul:
+		return &s.fpMDFree, s.cfg.FPMulLat
+	case isa.ClassFPDiv:
+		return &s.fpMDFree, s.cfg.FPDivLat
+	}
+	return nil, Latency{}
 }
 
 // issue models the in-order issue stage: up to IssueWidth operations leave
@@ -539,24 +562,12 @@ func (s *sim) issue(now uint64) (int, obs.StallCause, error) {
 			break
 		}
 
-		// In the AGI organization ALU-class operations execute one stage
-		// later than address generation: their operands are needed one
-		// cycle later (hiding load-use latency) and their results arrive
-		// one cycle later (the address-use hazard).
-		needAt := now
-		aluShift := uint64(0)
-		if s.cfg.AGI {
-			switch q.pre.Class {
-			case isa.ClassIntALU, isa.ClassBranch, isa.ClassJump, isa.ClassSyscall:
-				needAt = now + 1
-				aluShift = 1
-			}
-		}
-
-		// In-order issue: all source operands must be ready.
+		// In-order issue: all source operands must be ready, shift cycles
+		// after issue.
+		sh := s.shift(q.pre.Class)
 		ready := true
 		for _, u := range q.pre.Uses[:q.pre.NUses] {
-			if s.regReady[u] > needAt {
+			if s.regReady[u] > now+sh {
 				ready = false
 				break
 			}
@@ -567,86 +578,64 @@ func (s *sim) issue(now uint64) (int, obs.StallCause, error) {
 		}
 
 		var resultReady uint64
-		switch q.pre.Class {
-		case isa.ClassIntALU, isa.ClassBranch, isa.ClassJump, isa.ClassSyscall:
+		switch c := q.pre.Class; {
+		case aluClass(c):
 			if aluUsed >= s.cfg.IntALUs {
 				cause = obs.StallUnit
 				goto stall
 			}
 			aluUsed++
-			resultReady = now + uint64(s.cfg.IntALULat.Result) + aluShift
-		case isa.ClassIntMul:
-			if s.intMDFree > now {
-				cause = obs.StallUnit
+			resultReady = now + uint64(s.cfg.IntALULat.Result) + sh
+		case c == isa.ClassLoad || c == isa.ClassStore:
+			store := c == isa.ClassStore
+			if memIssued >= s.cfg.LoadStore {
+				cause = obs.StallMemPort
 				goto stall
 			}
-			s.intMDFree = now + uint64(s.cfg.IntMulLat.Interval)
-			resultReady = now + uint64(s.cfg.IntMulLat.Result)
-		case isa.ClassIntDiv:
-			if s.intMDFree > now {
-				cause = obs.StallUnit
+			if store && s.sbLen >= s.cfg.StoreBufferEntries {
+				// A full buffer stalls the pipeline while the oldest
+				// entry retires (retireStores' forced path).
+				s.stats.StoreBufferFullStalls++
+				cause = obs.StallStoreBuffer
 				goto stall
 			}
-			s.intMDFree = now + uint64(s.cfg.IntDivLat.Interval)
-			resultReady = now + uint64(s.cfg.IntDivLat.Result)
-		case isa.ClassFPAdd:
+			nonSpec := now + uint64(s.cfg.LoadLatency-1) // a load's cache read
+			if store {
+				nonSpec = now + 1 // a store's tag probe in MEM
+			}
+			at, ok := s.access(q, now, nonSpec, store)
+			if !ok {
+				cause = obs.StallMemPort
+				goto stall
+			}
+			memIssued++
+			if store {
+				s.sbPush(storeEnt{addr: q.effAddr, entered: at})
+				resultReady = now + 1 // post-increment base writeback
+				s.stats.Stores++
+			} else {
+				resultReady = max(s.dcacheAccess(q.effAddr, false, at)+1, at+1)
+				s.stats.Loads++
+				s.stats.LoadLatency.Add(resultReady - now)
+			}
+			if s.pred != nil {
+				s.pred.Train(q.pc, q.effAddr)
+			}
+		case c == isa.ClassFPAdd:
 			if fpAddUsed >= s.cfg.FPAdders {
 				cause = obs.StallUnit
 				goto stall
 			}
 			fpAddUsed++
 			resultReady = now + uint64(s.cfg.FPAddLat.Result)
-		case isa.ClassFPMul:
-			if s.fpMDFree > now {
+		default:
+			free, lat := s.mdUnit(c)
+			if *free > now {
 				cause = obs.StallUnit
 				goto stall
 			}
-			s.fpMDFree = now + uint64(s.cfg.FPMulLat.Interval)
-			resultReady = now + uint64(s.cfg.FPMulLat.Result)
-		case isa.ClassFPDiv:
-			if s.fpMDFree > now {
-				cause = obs.StallUnit
-				goto stall
-			}
-			s.fpMDFree = now + uint64(s.cfg.FPDivLat.Interval)
-			resultReady = now + uint64(s.cfg.FPDivLat.Result)
-		case isa.ClassLoad:
-			if memIssued >= s.cfg.LoadStore {
-				cause = obs.StallMemPort
-				goto stall
-			}
-			ok, rdy := s.scheduleLoad(q, now)
-			if !ok {
-				cause = obs.StallMemPort
-				goto stall
-			}
-			memIssued++
-			resultReady = rdy
-			s.stats.Loads++
-			s.stats.LoadLatency.Add(rdy - now)
-			if s.pred != nil {
-				s.pred.Train(q.pc, q.effAddr)
-			}
-		case isa.ClassStore:
-			if memIssued >= s.cfg.LoadStore {
-				cause = obs.StallMemPort
-				goto stall
-			}
-			if !s.scheduleStore(q, now) {
-				// Distinguish a full store buffer from a busy cache port.
-				if s.sbLen >= s.cfg.StoreBufferEntries {
-					cause = obs.StallStoreBuffer
-				} else {
-					cause = obs.StallMemPort
-				}
-				goto stall
-			}
-			memIssued++
-			resultReady = now + 1 // post-increment base writeback
-			s.stats.Stores++
-			if s.pred != nil {
-				s.pred.Train(q.pc, q.effAddr)
-			}
+			*free = now + uint64(lat.Interval)
+			resultReady = now + uint64(lat.Result)
 		}
 
 		// Update the scoreboard. Post-increment memory ops write their base
@@ -682,88 +671,84 @@ func (s *sim) issue(now uint64) (int, obs.StallCause, error) {
 // machine at this cycle. The register-offset gate models operand
 // availability in the prediction circuit, so it applies only to
 // operand-based machines; a PC-indexed table predicts from the PC alone.
-func (s *sim) facEligible(q *qent, now uint64, isLoad bool) bool {
+func (s *sim) facEligible(q *qent, now uint64, store bool) bool {
 	if s.pred == nil {
 		return false
 	}
 	if s.opBased && q.pre.Flags&isa.PreRegOffset != 0 && !s.cfg.SpeculateRegReg {
 		return false
 	}
-	if !isLoad && !s.cfg.SpeculateStores {
+	if store && !s.cfg.SpeculateStores {
 		return false
 	}
 	// Accesses in the cycle after a mispredict stall to MEM — except a
 	// load immediately after a misspeculated load (Section 5.5).
 	if s.haveMispred && now == s.lastMispredCycle+1 {
-		if !(isLoad && s.lastMispredWasLoad) {
+		if store || !s.lastMispredWasLoad {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *sim) noteMispredict(now uint64, wasLoad bool) {
-	s.lastMispredCycle = now
-	s.lastMispredWasLoad = wasLoad
-	s.haveMispred = true
-}
-
-// scheduleLoad books cache bandwidth and computes the cycle the loaded
-// value becomes available. It returns ok=false when the load must stall
-// this cycle for a structural hazard.
-func (s *sim) scheduleLoad(q *qent, now uint64) (bool, uint64) {
+// access books the data-cache port for a load or store issued at now and
+// returns the cycle of its architectural access, at which a load reads
+// the cache and a store enters the buffer, or false when a busy port
+// stalls the op this cycle. An access the predictor speculates on uses
+// the port in EX (now); when verification fails, the EX access is wasted
+// and the op replays in MEM (now+1) with the architectural address, past
+// the port limit but counted. Any other access, including one the
+// machine declines to predict, waits for the non-speculative cycle
+// nonSpec.
+func (s *sim) access(q *qent, now, nonSpec uint64, store bool) (uint64, bool) {
+	var flags obs.Flags
+	speculated, failed, declined, kinds := &s.stats.LoadsSpeculated, &s.stats.LoadSpecFailed, &s.stats.LoadsNoPredict, &s.stats.LoadFailKinds
+	if store {
+		flags = obs.FlagStore
+		speculated, failed, declined, kinds = &s.stats.StoresSpeculated, &s.stats.StoreSpecFailed, &s.stats.StoresNoPredict, &s.stats.StoreFailKinds
+	}
 	noPred := false
-	if s.facEligible(q, now, true) {
+	if s.facEligible(q, now, store) {
 		// Predict is pure, so calling it before the port check is safe: a
-		// stalled load re-predicts identically next cycle (in-order issue
+		// stalled op re-predicts identically next cycle (in-order issue
 		// keeps the stalled head blocking, so no training intervenes).
 		r := s.pred.Predict(q.pc, q.base, q.offset, q.isRegOff)
 		if r.Spec {
-			if !s.readFree(now) {
-				return false, 0
+			if !s.portFree(now, store) {
+				return 0, false
 			}
 			ok, fail := resolve(r, q.effAddr)
-			s.stats.LoadsSpeculated++
-			s.useRead(now)
+			*speculated++
+			s.usePort(now, store)
 			if s.sink != nil {
-				s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: valFlags(q), Fail: fail, Cycle: now, PC: q.pc, Addr: r.Addr, Val: uint64(q.memVal)})
+				s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: flags | valFlags(q), Fail: fail, Cycle: now, PC: q.pc, Addr: r.Addr, Val: uint64(q.memVal)})
 			}
 			if ok {
-				ready := s.dcacheAccess(q.effAddr, false, now)
-				return true, maxU64(ready+1, now+1)
+				return now, true
 			}
-			// Misprediction: the EX-cycle access is wasted; the load replays in
-			// MEM with the architectural address (replays bypass the port
-			// limit but are counted).
-			s.stats.LoadSpecFailed++
+			*failed++
 			s.stats.ExtraAccesses++
-			fail.CountInto(&s.stats.LoadFailKinds)
-			s.noteMispredict(now, true)
-			s.useRead(now + 1)
+			fail.CountInto(kinds)
+			s.lastMispredCycle, s.lastMispredWasLoad, s.haveMispred = now, !store, true
+			s.usePort(now+1, store)
 			if s.sink != nil {
-				s.sink.Event(obs.Event{Kind: obs.KindReplay, Cycle: now + 1, PC: q.pc, Addr: q.effAddr})
+				s.sink.Event(obs.Event{Kind: obs.KindReplay, Flags: flags, Cycle: now + 1, PC: q.pc, Addr: q.effAddr})
 			}
-			ready := s.dcacheAccess(q.effAddr, false, now+1)
-			return true, maxU64(ready+1, now+2)
+			return now + 1, true
 		}
-		// The machine declined to predict: the load proceeds down the
-		// ordinary non-speculative path, counted once it schedules.
 		noPred = true
 	}
-
-	accessCycle := now + uint64(s.cfg.LoadLatency-1)
-	if !s.readFree(accessCycle) {
-		return false, 0
+	if !s.portFree(nonSpec, store) {
+		return 0, false
 	}
 	if noPred {
-		s.stats.LoadsNoPredict++
+		*declined++
 		if s.sink != nil {
-			s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: obs.FlagNoPredict | valFlags(q), Cycle: now, PC: q.pc, Val: uint64(q.memVal)})
+			s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: flags | obs.FlagNoPredict | valFlags(q), Cycle: now, PC: q.pc, Val: uint64(q.memVal)})
 		}
 	}
-	s.useRead(accessCycle)
-	ready := s.dcacheAccess(q.effAddr, false, accessCycle)
-	return true, maxU64(ready+1, accessCycle+1)
+	s.usePort(nonSpec, store)
+	return nonSpec, true
 }
 
 // valFlags marks KindFACPredict events whose Val field carries the
@@ -790,72 +775,14 @@ func resolve(r predict.Result, effAddr uint32) (bool, fac.Failure) {
 	return false, r.Fail
 }
 
-// scheduleStore books the store's tag probe and a store-buffer entry.
-func (s *sim) scheduleStore(q *qent, now uint64) bool {
-	if s.sbLen >= s.cfg.StoreBufferEntries {
-		// Full buffer stalls the pipeline while the oldest entry retires
-		// (handled in retireStores via the forced path).
-		s.stats.StoreBufferFullStalls++
-		return false
-	}
-	noPred := false
-	if s.facEligible(q, now, false) {
-		r := s.pred.Predict(q.pc, q.base, q.offset, q.isRegOff)
-		if r.Spec {
-			if !s.storeFree(now) {
-				return false
-			}
-			ok, fail := resolve(r, q.effAddr)
-			s.stats.StoresSpeculated++
-			s.useStore(now)
-			if s.sink != nil {
-				s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: obs.FlagStore | valFlags(q), Fail: fail, Cycle: now, PC: q.pc, Addr: r.Addr, Val: uint64(q.memVal)})
-			}
-			if ok {
-				s.sbPush(storeEnt{addr: q.effAddr, entered: now})
-				return true
-			}
-			// Mispredicted store: re-probe next cycle with the architectural
-			// address and fix up the buffered entry.
-			s.stats.StoreSpecFailed++
-			s.stats.ExtraAccesses++
-			fail.CountInto(&s.stats.StoreFailKinds)
-			s.noteMispredict(now, false)
-			s.useStore(now + 1)
-			if s.sink != nil {
-				s.sink.Event(obs.Event{Kind: obs.KindReplay, Flags: obs.FlagStore, Cycle: now + 1, PC: q.pc, Addr: q.effAddr})
-			}
-			s.sbPush(storeEnt{addr: q.effAddr, entered: now + 1})
-			return true
-		}
-		noPred = true
-	}
-
-	probeCycle := now + 1 // MEM stage
-	if !s.storeFree(probeCycle) {
-		return false
-	}
-	if noPred {
-		s.stats.StoresNoPredict++
-		if s.sink != nil {
-			s.sink.Event(obs.Event{Kind: obs.KindFACPredict, Flags: obs.FlagStore | obs.FlagNoPredict | valFlags(q), Cycle: now, PC: q.pc, Val: uint64(q.memVal)})
-		}
-	}
-	s.useStore(probeCycle)
-	s.sbPush(storeEnt{addr: q.effAddr, entered: probeCycle})
-	return true
-}
-
 // retireStores drains the store buffer during cycles in which the data
 // cache is otherwise unused, or forcibly when the buffer is full.
 func (s *sim) retireStores(now uint64) {
 	if s.sbLen == 0 {
 		return
 	}
-	i := s.slot(now)
-	idle := s.readsAt[i] == 0 && !s.storeAt[i]
 	full := s.sbLen >= s.cfg.StoreBufferEntries
-	if !idle && !full {
+	if !full && !s.portFree(now, true) {
 		return
 	}
 	if s.storeBuf[s.sbHead].entered >= now {
@@ -867,11 +794,4 @@ func (s *sim) retireStores(now uint64) {
 	}
 	ready := s.dcacheAccess(e.addr, true, now)
 	s.note(ready)
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
