@@ -75,7 +75,7 @@ func Compile(src string, opts Options) (string, error) {
 	if opts.MallocAlign == 0 {
 		opts.MallocAlign = defaultMallocAlign
 	}
-	u, err := parse(runtimePrelude(opts.MallocAlign)+"\n"+src, opts)
+	u, err := parse(runtimePrelude(opts.MallocAlign), src, opts)
 	if err != nil {
 		return "", err
 	}

@@ -525,6 +525,11 @@ func TestCompileErrors(t *testing.T) {
 		{"int main() { int a[(2]; return 0; }", "array length"},
 		{"int main() { return 1 + ; }", "unexpected token"},
 		{"int main() { if (1) { return 0; }", "end of file"},
+		// Diagnostics number the program's own lines from 1.
+		{"int main() {\n\tint x;\n\tx = ;\n\treturn x;\n}\n", "line 3: unexpected token"},
+		{"int g;\n\nint main() {\n\treturn y;\n}", "line 4: undefined variable"},
+		{"int main() {\n\treturn 0;\n}\n/* open", "line 4: unterminated comment"},
+		{"int main() {\n\tif (1) {\n\t\treturn 0;\n}\n", "line 5: unexpected end of file"},
 	}
 	for _, c := range cases {
 		_, err := Compile(c.src, BaseOptions())

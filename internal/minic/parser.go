@@ -7,11 +7,19 @@ type parser struct {
 	opts Options
 }
 
-func parse(src string, opts Options) (*unit, error) {
-	toks, err := lex(src)
+// parse parses a translation unit: the runtime prelude, then the user's
+// source. The two are lexed apart so that diagnostics number the user's
+// lines from 1.
+func parse(prelude, src string, opts Options) (*unit, error) {
+	toks, err := lex(prelude)
 	if err != nil {
 		return nil, err
 	}
+	user, err := lex(src)
+	if err != nil {
+		return nil, err
+	}
+	toks = append(toks[:len(toks)-1], user...) // drop the prelude's EOF
 	p := &parser{
 		toks: toks,
 		opts: opts,
@@ -572,8 +580,8 @@ func (p *parser) assignExpr() (*expr, error) {
 			}
 			// Desugar "lhs op= rhs" into "lhs = lhs op rhs". The lvalue is
 			// evaluated twice, so it must be side-effect free.
-			if contains(lhs, isCall) {
-				return nil, errf(t.line, "compound assignment target may not contain a call")
+			if contains(lhs, hasSideEffect) {
+				return nil, errf(t.line, "compound assignment target may not have side effects")
 			}
 			bin := &expr{op: op, line: t.line, lhs: clone(lhs), rhs: rhs}
 			return &expr{op: eAssign, line: t.line, lhs: lhs, rhs: bin}, nil
@@ -606,9 +614,6 @@ func (p *parser) ternaryExpr() (*expr, error) {
 	}
 	return &expr{op: eCond, line: line, lhs: cond, args: []*expr{thenE, elseE}}, nil
 }
-
-// isCall reports whether e is a function call.
-func isCall(e *expr) bool { return e.op == eCall }
 
 type binOp struct {
 	op   exprOp
@@ -661,8 +666,8 @@ func (p *parser) unaryExpr() (*expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if contains(lhs, isCall) {
-			return nil, errf(t.line, "increment target may not contain a call")
+		if contains(lhs, hasSideEffect) {
+			return nil, errf(t.line, "increment target may not have side effects")
 		}
 		op := eAdd
 		if t.text == "--" {
@@ -754,13 +759,13 @@ func (p *parser) postfixExpr() (*expr, error) {
 			deref := &expr{op: eDeref, line: t.line, lhs: e}
 			e = &expr{op: eField, line: t.line, lhs: deref, sval: name.text}
 		case p.accept("++"):
-			if contains(e, isCall) {
-				return nil, errf(t.line, "increment target may not contain a call")
+			if contains(e, hasSideEffect) {
+				return nil, errf(t.line, "increment target may not have side effects")
 			}
 			e = &expr{op: ePostInc, line: t.line, lhs: e}
 		case p.accept("--"):
-			if contains(e, isCall) {
-				return nil, errf(t.line, "increment target may not contain a call")
+			if contains(e, hasSideEffect) {
+				return nil, errf(t.line, "increment target may not have side effects")
 			}
 			e = &expr{op: ePostDec, line: t.line, lhs: e}
 		default:
