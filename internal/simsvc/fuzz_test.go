@@ -3,9 +3,12 @@ package simsvc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,6 +103,80 @@ func FuzzRemoteRecord(f *testing.F) {
 		rec, ok := cache.Get(key)
 		if !ok || rec.Schema != obs.RunRecordSchema || rec.Key() != spec.String() {
 			t.Fatalf("cache holds %v schema %q key %q, want the returned record", ok, rec.Schema, rec.Key())
+		}
+	})
+}
+
+// fuzzBodyLimit is the server's body bound under FuzzSubmitBody: large
+// enough for a batch of maxBatchJobs+1 empty specs, small enough that a
+// seed over it stays small.
+const fuzzBodyLimit = 16 << 10
+
+// FuzzSubmitBody: the body of POST /v1/batches is outside input, checked
+// by decodeStrict and the runner's Validate. Whatever the bytes, a fresh
+// server answers 202, 400, 413 or 429. A 202 names one job id per job
+// in the body, j1 to jn, and raises Stats().Submitted by n; any other
+// answer admits nothing and carries a JSON error object. The seeds are
+// a valid one-job batch, an unknown field, trailing data, no jobs,
+// maxBatchJobs+1 jobs, a body over the limit, and a number where a
+// string belongs.
+func FuzzSubmitBody(f *testing.F) {
+	for _, seed := range []string{
+		`{"jobs":[{"workload":"queens","toolchain":"base","machine":"base32"}]}`,
+		`{"jobs":[{"workload":"queens","toolchain":"base","machine":"base32","speed":1}]}`,
+		`{"jobs":[{"workload":"queens"}]} {}`,
+		`{"jobs":[]}`,
+		`{"jobs":[{}` + strings.Repeat(`,{}`, maxBatchJobs) + `]}`,
+		`{"jobs":[{"workload":"` + strings.Repeat("q", fuzzBodyLimit) + `"}]}`,
+		`{"jobs":[{"workload":5}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := NewServer(ServerConfig{Workers: 1, MaxBodyBytes: fuzzBodyLimit}, &stubRunner{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			s.Drain(ctx)
+		}()
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batches", bytes.NewReader(body)))
+		submitted := s.Stats().Submitted
+
+		switch w.Code {
+		case http.StatusAccepted:
+			var req submitRequest
+			var resp submitResponse
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("admitted a body that does not decode: %v", err)
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("202 body %q: %v", w.Body, err)
+			}
+			if len(resp.Jobs) != len(req.Jobs) || submitted != uint64(len(req.Jobs)) {
+				t.Fatalf("%d jobs in the body, %d ids answered, Submitted=%d", len(req.Jobs), len(resp.Jobs), submitted)
+			}
+			for i, id := range resp.Jobs {
+				if id != "j"+strconv.Itoa(i+1) {
+					t.Fatalf("job %d has id %q", i, id)
+				}
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("status %d with body %q: want a JSON error object", w.Code, w.Body)
+			}
+			if submitted != 0 {
+				t.Fatalf("status %d admitted %d jobs", w.Code, submitted)
+			}
+		default:
+			t.Fatalf("status %d, body %q", w.Code, w.Body)
 		}
 	})
 }

@@ -4,8 +4,10 @@
 #
 # Expected runtime on a stock 4-core container: ~8 minutes total —
 #   gofmt/lint/vet/build      ~30s  (lint is the repo's own analyzer,
-#                                    scripts/lint: map-iteration-order
-#                                    determinism in the emitting packages)
+#                                    scripts/lint, over every package of
+#                                    the module: map-iteration-order
+#                                    determinism, hot-path allocations and
+#                                    raw schema strings)
 #   go test ./...             ~60s  (dominated by internal/experiments,
 #                                    whose TestTablesGolden regenerates all
 #                                    12 tables: 54s wall on 2 vCPUs, against
@@ -26,23 +28,20 @@
 #                                    every early exit, nothing allocated per
 #                                    chunk — repeated 10 times under the race
 #                                    detector; measured 43s on 2 vCPUs)
-#   fuzz smoke                ~60s  (6 targets x 5s plus instrumented builds:
+#   fuzz smoke                ~70s  (7 targets x 5s plus instrumented builds:
 #                                    difftest's four differential targets,
 #                                    simsvc's FuzzParseID, the bounds check of
-#                                    facd's job and batch ids, and
+#                                    facd's job and batch ids,
 #                                    FuzzRemoteRecord, a daemon's answer to
-#                                    a Runner's remote run)
+#                                    a Runner's remote run, and
+#                                    FuzzSubmitBody, a batch submission's
+#                                    body)
 #   faclint smoke             ~10s  (static FAC-predictability analysis over
 #                                    the 19-benchmark suite must classify at
 #                                    least 68% of all load/store sites — the
 #                                    suite currently sits at 68.8%, so any
 #                                    precision regression trips the gate —
 #                                    plus an -explain-first blame-chain probe)
-#   predictor grid smoke       ~5s  (scripts/predsmoke: two small workloads
-#                                    under the baseline and every predictor-
-#                                    zoo machine; the exported RunRecord
-#                                    report must be byte-identical to the
-#                                    committed golden)
 #   facd scenarios             ~8s  (cmd/facload builds facd once and runs
 #                                    three scenarios: smoke — the batch API,
 #                                    cache-served resubmission, SSE progress,
@@ -107,7 +106,7 @@ go test -race -count=10 \
 echo "== fuzz smoke =="
 for target in difftest:FuzzFACPredict difftest:FuzzEncodeDecode \
     difftest:FuzzAsmRoundtrip difftest:FuzzEmuVsPipeline simsvc:FuzzParseID \
-    simsvc:FuzzRemoteRecord; do
+    simsvc:FuzzRemoteRecord simsvc:FuzzSubmitBody; do
     pkg=${target%%:*}
     name=${target#*:}
     echo "-- $pkg $name"
@@ -129,9 +128,6 @@ case "$blame" in
     exit 1
     ;;
 esac
-
-echo "== predictor grid smoke =="
-go run ./scripts/predsmoke
 
 echo "== facd scenarios =="
 go run ./cmd/facload -duration 5s
