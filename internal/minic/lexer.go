@@ -9,22 +9,29 @@ type lexer struct {
 	src  string
 	pos  int
 	line int
-	toks []token
 }
 
-// lex tokenizes the whole source up front.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
-	for {
-		tok, err := l.next()
-		if err != nil {
-			return nil, err
+// lex tokenizes the sources up front, in turn, into one token list that
+// ends in the last source's EOF. Each source's lines are numbered from 1.
+func lex(srcs ...string) ([]token, error) {
+	var toks []token
+	for _, src := range srcs {
+		if len(toks) > 0 {
+			toks = toks[:len(toks)-1] // the previous source's EOF
 		}
-		l.toks = append(l.toks, tok)
-		if tok.kind == tEOF {
-			return l.toks, nil
+		l := &lexer{src: src, line: 1}
+		for {
+			tok, err := l.next()
+			if err != nil {
+				return nil, err
+			}
+			toks = append(toks, tok)
+			if tok.kind == tEOF {
+				break
+			}
 		}
 	}
+	return toks, nil
 }
 
 func (l *lexer) peekByte() byte {

@@ -8,18 +8,12 @@ type parser struct {
 }
 
 // parse parses a translation unit: the runtime prelude, then the user's
-// source. The two are lexed apart so that diagnostics number the user's
-// lines from 1.
+// source, whose lines diagnostics number from 1.
 func parse(prelude, src string, opts Options) (*unit, error) {
-	toks, err := lex(prelude)
+	toks, err := lex(prelude, src)
 	if err != nil {
 		return nil, err
 	}
-	user, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	toks = append(toks[:len(toks)-1], user...) // drop the prelude's EOF
 	p := &parser{
 		toks: toks,
 		opts: opts,
