@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/fac"
@@ -159,6 +160,51 @@ func TestReportEncodeDeterministicAndSorted(t *testing.T) {
 	}
 	if _, err := DecodeReport([]byte(`{"schema":"bogus","records":[]}`)); err == nil {
 		t.Fatal("expected schema error")
+	}
+}
+
+// TestRunRecordCloneSharesNothing: a clone equals its record, and every
+// pointer and map the record holds, at any depth, is a fresh one in the
+// clone. The walk visits every field by reflection, so a reference field
+// added to RunRecord fails here until the test record fills it and Clone
+// copies it.
+func TestRunRecordCloneSharesNothing(t *testing.T) {
+	r := sampleRecord("b", "base", "stride", 100)
+	r.FAC = &FACRecord{LoadFails: 1, Predictor: "stride",
+		LoadFailCauses: map[string]uint64{"miss": 1}, StoreFailCauses: map[string]uint64{"miss": 2}}
+	r.ICache = &CacheRecord{Accesses: 3}
+	r.DCache = &CacheRecord{Misses: 4}
+	c := r.Clone()
+	if !reflect.DeepEqual(r, c) {
+		t.Fatalf("clone differs:\n%+v\nvs\n%+v", r, c)
+	}
+	var walk func(path string, a, b reflect.Value)
+	walk = func(path string, a, b reflect.Value) {
+		switch a.Kind() {
+		case reflect.Pointer, reflect.Map:
+			if a.IsNil() {
+				t.Fatalf("%s is nil in the test record: fill it", path)
+			}
+			if a.UnsafePointer() == b.UnsafePointer() {
+				t.Errorf("%s is shared with the clone", path)
+			}
+			if a.Kind() == reflect.Pointer {
+				walk(path, a.Elem(), b.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < a.NumField(); i++ {
+				walk(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i))
+			}
+		case reflect.Slice, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s, which Clone does not copy", path, a.Kind())
+		}
+	}
+	walk("RunRecord", reflect.ValueOf(r), reflect.ValueOf(c))
+
+	c.FAC.LoadFailCauses["miss"]++
+	c.DCache.Misses++
+	if r.FAC.LoadFailCauses["miss"] != 1 || r.DCache.Misses != 4 {
+		t.Fatal("changing the clone changed the record")
 	}
 }
 

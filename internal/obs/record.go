@@ -8,6 +8,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/fac"
@@ -165,6 +166,26 @@ type RunRecord struct {
 // Key orders records deterministically within a report.
 func (r RunRecord) Key() string {
 	return r.Benchmark + "|" + r.Toolchain + "|" + r.Machine
+}
+
+// Clone returns a deep copy of r: the copy shares no section and no map
+// with r, so a change to either leaves the other as it was.
+func (r RunRecord) Clone() RunRecord {
+	if r.FAC != nil {
+		f := *r.FAC
+		f.LoadFailCauses = maps.Clone(f.LoadFailCauses)
+		f.StoreFailCauses = maps.Clone(f.StoreFailCauses)
+		r.FAC = &f
+	}
+	if r.ICache != nil {
+		c := *r.ICache
+		r.ICache = &c
+	}
+	if r.DCache != nil {
+		c := *r.DCache
+		r.DCache = &c
+	}
+	return r
 }
 
 // Report is a set of run records plus optional harness-level metrics

@@ -66,19 +66,24 @@ func TestDiskCacheRoundtrip(t *testing.T) {
 
 // TestDiskCacheCorruptEntry: truncated or schema-mismatched entries are
 // deleted and reported as misses, so the caller re-simulates and heals
-// the cache.
+// the cache. The handle that wrote an entry serves it from memory, so a
+// file truncated behind it is found by the next handle that reads it.
 func TestDiskCacheCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenDiskCache(dir, 0)
+	writer, err := OpenDiskCache(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testKey(1)
-	if err := c.Put(key, testRec("match", 99)); err != nil {
+	if err := writer.Put(key, testRec("match", 99)); err != nil {
 		t.Fatal(err)
 	}
 	p := filepath.Join(dir, key+".json")
 	if err := os.WriteFile(p, []byte(`{"schema": "fac/run-rec`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenDiskCache(dir, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(key); ok {
@@ -292,11 +297,15 @@ func TestDiskCacheRejectsHostileKeys(t *testing.T) {
 }
 
 // TestDiskCacheSweepsTempFiles: leftover temp files from an interrupted
-// writer are removed on open.
+// writer, older than staleTempAge, are removed on open.
 func TestDiskCacheSweepsTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	stale := filepath.Join(dir, "tmp-12345")
 	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-staleTempAge - time.Minute)
+	if err := os.Chtimes(stale, old, old); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenDiskCache(dir, 0); err != nil {
@@ -304,5 +313,22 @@ func TestDiskCacheSweepsTempFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatal("stale temp file survived open")
+	}
+}
+
+// TestDiskCacheKeepsFreshTempFiles: a temp file younger than staleTempAge
+// may belong to another process's write in flight, so opening the cache
+// leaves it, and that write's rename still lands.
+func TestDiskCacheKeepsFreshTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	live := filepath.Join(dir, "tmp-67890")
+	if err := os.WriteFile(live, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDiskCache(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(live, filepath.Join(dir, testKey(0)+".json")); err != nil {
+		t.Fatalf("a live writer's temp file was swept: %v", err)
 	}
 }

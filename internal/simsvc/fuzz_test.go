@@ -180,3 +180,99 @@ func FuzzSubmitBody(f *testing.F) {
 		}
 	})
 }
+
+// fuzzRunMaxInsts is FuzzRunBody's default instruction bound: hashp and
+// dct finish under it, and the other programs exceed it within a few
+// tens of milliseconds and fail with 422.
+const fuzzRunMaxInsts = 500_000
+
+// FuzzRunBody: the body of POST /v1/run is outside input, checked by
+// decodeStrict and the runner's Validate, then run through the Runner and
+// its cache. Whatever the bytes, a started server answers 200, 400, 413
+// or 422. A 200 carries a record with the run-record schema and the
+// key of the spec in the body, and a 200 with cache_hit is byte-identical
+// to writeJSON's encoding of that record. Any other answer is a JSON
+// error object and leaves the cache's entry count as it was. The Runner
+// resolves base32, fac32 and stride and caches in a directory the hit
+// seed's run filled before fuzzing. The seeds are that hit, a miss that
+// exceeds its budget (422), an unknown field, trailing data, an unknown
+// machine, a body over the limit, and a number where a string belongs.
+func FuzzRunBody(f *testing.F) {
+	hit := `{"workload":"hashp","toolchain":"base","machine":"base32"}`
+	for _, seed := range []string{
+		hit,
+		`{"workload":"compress","toolchain":"base","machine":"base32"}`,
+		`{"workload":"hashp","toolchain":"base","machine":"base32","speed":1}`,
+		hit + ` {}`,
+		`{"workload":"hashp","toolchain":"base","machine":"warp9"}`,
+		`{"workload":"` + strings.Repeat("q", fuzzBodyLimit) + `"}`,
+		`{"workload":5}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	cache, err := OpenDiskCache(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	r := &Runner{Resolve: testMachine, MaxInsts: fuzzRunMaxInsts, Cache: cache}
+	var spec JobSpec
+	if err := json.Unmarshal([]byte(hit), &spec); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := r.Run(context.Background(), spec); err != nil {
+		f.Fatal(err)
+	}
+	s, err := NewServer(ServerConfig{Workers: 1, MaxBodyBytes: fuzzBodyLimit}, r)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Start()
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		entries := cache.Stats().Entries
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+
+		switch w.Code {
+		case http.StatusOK:
+			var spec JobSpec
+			if err := json.Unmarshal(body, &spec); err != nil {
+				t.Fatalf("ran a body that does not decode: %v", err)
+			}
+			var ans struct {
+				CacheHit bool          `json:"cache_hit"`
+				Record   obs.RunRecord `json:"record"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &ans); err != nil {
+				t.Fatalf("200 body %q: %v", w.Body, err)
+			}
+			if ans.Record.Schema != obs.RunRecordSchema || ans.Record.Key() != spec.String() {
+				t.Fatalf("answered schema %q key %q for %s", ans.Record.Schema, ans.Record.Key(), spec)
+			}
+			if ans.CacheHit {
+				want := httptest.NewRecorder()
+				writeJSON(want, http.StatusOK, map[string]any{"cache_hit": true, "record": ans.Record})
+				if !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+					t.Fatalf("hit answer\n%s\nwant writeJSON's\n%s", w.Body, want.Body)
+				}
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("status %d with body %q: want a JSON error object", w.Code, w.Body)
+			}
+			if n := cache.Stats().Entries; n != entries {
+				t.Fatalf("status %d changed the cache from %d to %d entries", w.Code, entries, n)
+			}
+		default:
+			t.Fatalf("status %d, body %q", w.Code, w.Body)
+		}
+	})
+}

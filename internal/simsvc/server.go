@@ -54,6 +54,9 @@ type Served struct {
 	Rec      obs.RunRecord
 	CacheHit bool
 	Worker   string
+	// hit is the cache entry that served a hit, nil otherwise; POST
+	// /v1/run writes its stored answer instead of encoding Rec.
+	hit *residentEntry
 }
 
 // JobRunner executes and validates job specs. *Runner is the production
@@ -357,6 +360,7 @@ func (s *Server) runJob(j *jobEntry) {
 	s.busy--
 	switch {
 	case err == nil:
+		out.hit = nil // a job keeps its record, not the cache's entry
 		j.out = out
 		s.finishLocked(j, StateDone, nil)
 	case j.ctx.Err() != nil && errors.Is(err, context.Canceled):
@@ -578,9 +582,19 @@ func (s *Server) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	encodeJSON(w, v)
+}
+
+// encodeJSON writes v as every answer's body: indented JSON and a newline.
+func encodeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// runAnswer is the body of a POST /v1/run answer.
+func runAnswer(cacheHit bool, rec obs.RunRecord) any {
+	return map[string]any{"cache_hit": cacheHit, "record": rec}
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
@@ -1016,10 +1030,13 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		t.cacheHits++
 		s.mu.Unlock()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"cache_hit": out.CacheHit,
-		"record":    out.Rec,
-	})
+	if out.hit != nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.Write(out.hit.hitAnswer())
+		return
+	}
+	writeJSON(w, http.StatusOK, runAnswer(out.CacheHit, out.Rec))
 }
 
 // WorkerStatus is one fleet worker's health and dispatch census,

@@ -282,7 +282,9 @@ func (r *Runner) RunConfig(ctx context.Context, w workload.Workload, tc workload
 // run is the one place a run becomes a validated RunRecord: it keys the
 // run, joins an identical in-flight run, probes the persistent cache, and
 // on a miss executes the run — through Remote, or by building, simulating
-// and checking the output — then stores and counts the record.
+// and checking the output — then stores and counts the record. A cached
+// record is served only under the spec's own benchmark|toolchain|machine
+// key; an entry holding another run's record is deleted as corrupt.
 // Served.CacheHit reports that a persistent cache served the record, this
 // runner's or the remote's. ctx cancellation or deadline aborts the
 // execution promptly; the error then wraps ctx.Err().
@@ -294,9 +296,9 @@ func (r *Runner) run(ctx context.Context, rs resolved, machine string, remote bo
 	spec := JobSpec{Workload: rs.w.Name, Toolchain: rs.tc.Name, Machine: machine, MaxInsts: rs.maxInsts}
 	v, shared, err := r.flight.Do(key, func() (any, error) {
 		if r.Cache != nil {
-			if rec, ok := r.Cache.Get(key); ok {
+			if rec, e, ok := r.Cache.get(key, spec.String()); ok {
 				r.cacheHits.Add(1)
-				return Served{Rec: rec, CacheHit: true}, nil
+				return Served{Rec: rec, CacheHit: true, hit: e}, nil
 			}
 		}
 		var out Served

@@ -2,7 +2,7 @@
 # ci.sh — the repo's tier-1 verification gate (see ROADMAP.md).
 # Run from anywhere; exits non-zero on the first failure.
 #
-# Expected runtime on a stock 4-core container: ~8 minutes total —
+# Expected runtime on a stock 4-core container: ~9 minutes total —
 #   gofmt/lint/vet/build      ~30s  (lint is the repo's own analyzer,
 #                                    scripts/lint, over every package of
 #                                    the module: map-iteration-order
@@ -28,14 +28,23 @@
 #                                    every early exit, nothing allocated per
 #                                    chunk — repeated 10 times under the race
 #                                    detector; measured 43s on 2 vCPUs)
-#   fuzz smoke                ~70s  (7 targets x 5s plus instrumented builds:
+#   cache race                ~15s  (simsvc's TestResident* tests of the
+#                                    disk cache's in-memory resident set —
+#                                    its concurrency test and its contract:
+#                                    a removed file misses, evicted, corrupt
+#                                    and failed-Put entries leave it, records
+#                                    are copies, the bound holds — repeated
+#                                    10 times under the race detector;
+#                                    measured 14s on 2 vCPUs)
+#   fuzz smoke                ~80s  (8 targets x 5s plus instrumented builds:
 #                                    difftest's four differential targets,
 #                                    simsvc's FuzzParseID, the bounds check of
 #                                    facd's job and batch ids,
 #                                    FuzzRemoteRecord, a daemon's answer to
-#                                    a Runner's remote run, and
-#                                    FuzzSubmitBody, a batch submission's
-#                                    body)
+#                                    a Runner's remote run, FuzzSubmitBody, a
+#                                    batch submission's body, and
+#                                    FuzzRunBody, the body of a synchronous
+#                                    run)
 #   faclint smoke             ~10s  (static FAC-predictability analysis over
 #                                    the 19-benchmark suite must classify at
 #                                    least 68% of all load/store sites — the
@@ -103,10 +112,13 @@ go test -race -count=10 \
     -run '^(TestEmulateAheadExact|TestRunJoinsProducer|TestBadMachineConfig|TestRunFaultPropagates|TestRunSteadyStateZeroAllocs)$' \
     ./internal/core
 
+echo "== cache race =="
+go test -race -count=10 -run '^TestResident' ./internal/simsvc
+
 echo "== fuzz smoke =="
 for target in difftest:FuzzFACPredict difftest:FuzzEncodeDecode \
     difftest:FuzzAsmRoundtrip difftest:FuzzEmuVsPipeline simsvc:FuzzParseID \
-    simsvc:FuzzRemoteRecord simsvc:FuzzSubmitBody; do
+    simsvc:FuzzRemoteRecord simsvc:FuzzSubmitBody simsvc:FuzzRunBody; do
     pkg=${target%%:*}
     name=${target#*:}
     echo "-- $pkg $name"
