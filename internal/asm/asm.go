@@ -1,4 +1,4 @@
-// Package asm implements a two-pass assembler for the extended MIPS-like
+// Package asm implements a one-pass assembler for the extended MIPS-like
 // ISA. It accepts a single translation unit (the compiler emits the whole
 // program, runtime included, as one unit) and produces a relocatable
 // prog.Object.
@@ -16,6 +16,12 @@
 // to a single $gp-relative access for small-data symbols or a lui/$at pair
 // otherwise — exactly the code shapes whose address-prediction behaviour
 // the paper studies.
+//
+// Parsing records each symbol's section, which is all an expansion needs
+// to know, so one pass then emits every statement in order: a label binds
+// at its section's offset before the next statement (after that
+// statement's alignment, if it is a directive), and a branch to a label
+// leaves a fixup that is patched once every label is bound.
 package asm
 
 import (
@@ -42,6 +48,13 @@ type stmt struct {
 	sec  prog.SectionKind
 }
 
+// fixup is a branch whose displacement waits for its label's offset.
+type fixup struct {
+	inst  int // index of the branch in text
+	label string
+	line  int
+}
+
 type assembler struct {
 	stmts []stmt
 	syms  map[string]prog.Symbol
@@ -49,27 +62,46 @@ type assembler struct {
 	text     []isa.Inst
 	srcLines []int
 	relocs   []prog.Reloc
-	// data emission
+	fixups   []fixup
+	// data emission: an image's length is its section's offset, and bss
+	// counts the BSS reserved so far.
 	images [prog.NumSections][]byte
 	bss    uint32
-	// label -> text instruction index
-	textLabels map[string]int
+	// labels not yet bound, and the bytes of the directive being emitted
+	pending []string
+	datum   []byte
 }
 
 // Assemble translates source into a relocatable object.
 func Assemble(src string) (*prog.Object, error) {
-	a := &assembler{
-		syms:       make(map[string]prog.Symbol),
-		textLabels: make(map[string]int),
-	}
+	a := &assembler{syms: make(map[string]prog.Symbol)}
 	if err := a.parse(src); err != nil {
 		return nil, err
 	}
-	if err := a.layout(); err != nil {
-		return nil, err
+	for _, s := range a.stmts {
+		var err error
+		switch s.kind {
+		case stLabel:
+			a.pending = append(a.pending, s.name)
+		case stDirective:
+			err = a.directive(s)
+		case stInst:
+			a.bindPending()
+			if err = a.emitInst(s); err == nil && len(a.text) > maxSectionBytes/4 {
+				err = errLine(s.line, "text grows past %d instructions", maxSectionBytes/4)
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err := a.emit(); err != nil {
-		return nil, err
+	a.bindPending()
+	for _, f := range a.fixups {
+		sym, ok := a.syms[f.label]
+		if !ok || sym.Section != prog.SecText {
+			return nil, errLine(f.line, "undefined label %q", f.label)
+		}
+		a.text[f.inst].Imm = int32(sym.Off) - int32(f.inst+1)*4
 	}
 	return &prog.Object{
 		Text:     a.text,
@@ -86,10 +118,18 @@ func errLine(line int, format string, args ...interface{}) error {
 	return fmt.Errorf("asm: line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
-// parse splits the source into statements and records the section each
-// statement lives in.
+// parse splits the source into statements, records the section each
+// statement lives in, and records the section of every label and every
+// .comm symbol, so each expansion is known when it is emitted.
 func (a *assembler) parse(src string) error {
 	sec := prog.SecText
+	define := func(name string, sec prog.SectionKind, line int) error {
+		if _, dup := a.syms[name]; dup {
+			return errLine(line, "duplicate symbol %q", name)
+		}
+		a.syms[name] = prog.Symbol{Name: name, Section: sec}
+		return nil
+	}
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := stripComment(raw)
 		line = strings.TrimSpace(line)
@@ -103,7 +143,10 @@ func (a *assembler) parse(src string) error {
 			if !isIdent(head) {
 				break
 			}
-			a.stmts = append(a.stmts, stmt{kind: stLabel, line: lineNo + 1, name: head, sec: sec})
+			if err := define(head, sec, lineNo+1); err != nil {
+				return err
+			}
+			a.stmts = append(a.stmts, stmt{kind: stLabel, line: lineNo + 1, name: head})
 			line = strings.TrimSpace(line[i+1:])
 		}
 		if line == "" {
@@ -121,32 +164,19 @@ func (a *assembler) parse(src string) error {
 			case ".bss":
 				sec = prog.SecBSS
 			}
-			a.stmts = append(a.stmts, stmt{kind: stDirective, line: lineNo + 1, name: name, args: splitArgs(rest), sec: sec})
-			continue
-		}
-		a.stmts = append(a.stmts, stmt{kind: stInst, line: lineNo + 1, name: strings.ToLower(name), args: splitArgs(rest), sec: sec})
-	}
-	// First symbol sweep: record the defining section of every label and
-	// every .comm, so pseudo-expansion sizes are known before layout.
-	for _, s := range a.stmts {
-		switch s.kind {
-		case stLabel:
-			if _, dup := a.syms[s.name]; dup {
-				return errLine(s.line, "duplicate symbol %q", s.name)
-			}
-			a.syms[s.name] = prog.Symbol{Name: s.name, Section: s.sec}
-		case stDirective:
-			if s.name == ".comm" {
+			s := stmt{kind: stDirective, line: lineNo + 1, name: name, args: splitArgs(rest), sec: sec}
+			if name == ".comm" {
 				if len(s.args) < 2 {
 					return errLine(s.line, ".comm needs name, size")
 				}
-				name := s.args[0]
-				if _, dup := a.syms[name]; dup {
-					return errLine(s.line, "duplicate symbol %q", name)
+				if err := define(s.args[0], prog.SecBSS, s.line); err != nil {
+					return err
 				}
-				a.syms[name] = prog.Symbol{Name: name, Section: prog.SecBSS}
 			}
+			a.stmts = append(a.stmts, s)
+			continue
 		}
+		a.stmts = append(a.stmts, stmt{kind: stInst, line: lineNo + 1, name: strings.ToLower(name), args: splitArgs(rest), sec: sec})
 	}
 	return nil
 }

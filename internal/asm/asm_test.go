@@ -360,12 +360,69 @@ func TestErrors(t *testing.T) {
 		"main:\n.word 1\n.data\nmain: .word 2\n", // duplicate symbol
 		".data\nx: .double oops\n.text\nmain: jr $ra\n",
 		".data\nx: .asciiz bad\n.text\nmain: jr $ra\n",
-		"main:\n\tlbu $t0, ($t1)+4\n", // unsupported post-inc width
+		"main:\n\tlbu $t0, ($t1)+4\n",      // unsupported post-inc width
+		".text\nmain: nop\n.word 5\nnop\n", // data in .text
 	}
 	for _, src := range cases {
-		if _, err := Assemble(src); err == nil {
+		_, err := Assemble(src)
+		if err == nil {
 			t.Errorf("Assemble succeeded for %q", src)
+		} else if !strings.HasPrefix(err.Error(), "asm: line ") {
+			t.Errorf("Assemble(%q) = %v, want an error naming its line", src, err)
 		}
+	}
+}
+
+// TestSectionDirectives: .text holds only instructions, so a directive
+// that emits bytes there, or aligns past an instruction, is an error
+// rather than dropped data; .bss holds no initialized data; a branch
+// target must be a text label.
+func TestSectionDirectives(t *testing.T) {
+	for _, d := range []string{".word 5", ".half 5", ".byte 5", ".double 1.5", ".space 4", ".ascii \"x\"", ".asciiz \"x\"", ".align 3", ".balign 8"} {
+		src := ".text\nmain: nop\n" + d + "\nnop\n"
+		if _, err := Assemble(src); err == nil || !strings.HasPrefix(err.Error(), "asm: line 3: ") {
+			t.Errorf("Assemble(%q) = %v, want a line 3 error", src, err)
+		}
+	}
+	for _, d := range []string{".word 5", ".half 5", ".byte 5", ".double 1.5", ".ascii \"x\"", ".asciiz \"x\""} {
+		src := ".bss\nx: " + d + "\n.text\nmain: jr $ra\n"
+		if _, err := Assemble(src); err == nil || !strings.HasPrefix(err.Error(), "asm: line 2: ") {
+			t.Errorf("Assemble(%q) = %v, want a line 2 error", src, err)
+		}
+	}
+	o := mustAssemble(t, ".text\n.align 2\nmain: nop\n.balign 4\nlab: jr $ra\n")
+	if len(o.Text) != 2 || o.Symbols["lab"].Off != 4 {
+		t.Errorf("text alignment to 4 bytes changed the text: %d insts, lab at %d", len(o.Text), o.Symbols["lab"].Off)
+	}
+	_, err := Assemble(".data\nx: .word 1\n.text\nmain: beq $t0, $zero, x\n")
+	if err == nil || !strings.HasPrefix(err.Error(), "asm: line 4: ") {
+		t.Errorf("branch to a data label = %v, want a line 4 error", err)
+	}
+}
+
+// TestBSSReservation: .space, .balign and .comm share one BSS counter in
+// statement order, so a .comm after ".space 64" lands past it rather than
+// on top of it.
+func TestBSSReservation(t *testing.T) {
+	o := mustAssemble(t, ".bss\nbuf: .space 64\n.comm other, 16, 4\n.space 1\n.balign 8\nlast: .space 8\n.text\nmain: jr $ra\n")
+	if o.BSSSize != 96 {
+		t.Errorf("BSSSize = %d, want 96", o.BSSSize)
+	}
+	for name, off := range map[string]uint32{"buf": 0, "other": 64, "last": 88} {
+		if got := o.Symbols[name]; got.Section != prog.SecBSS || got.Off != off {
+			t.Errorf("%s = %+v, want .bss offset %d", name, got, off)
+		}
+	}
+	o = mustAssemble(t, ".bss\nbuf: .space 64\n.comm other, 16, 4\n.text\nmain: jr $ra\n")
+	if o.BSSSize != 80 || o.Symbols["buf"].Off != 0 || o.Symbols["other"].Off != 64 {
+		t.Fatalf("BSSSize %d, buf at %d, other at %d; want 80, 0, 64", o.BSSSize, o.Symbols["buf"].Off, o.Symbols["other"].Off)
+	}
+	p, err := prog.Link(o, prog.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Symbols["buf"] != 0x10000000 || p.Symbols["other"] != 0x10000040 {
+		t.Errorf("linked buf at %#x, other at %#x; want 0x10000000, 0x10000040", p.Symbols["buf"], p.Symbols["other"])
 	}
 }
 
@@ -389,8 +446,8 @@ func TestCommentsAndFormatting(t *testing.T) {
 // FuzzAsmRoundtrip: size and alignment operands are attacker-controlled
 // 32-bit values, and the assembler used to materialize them byte by byte
 // (".space 4294967295" allocated 4GB; ".balign 2147483648" spent over a
-// minute padding). Oversized requests must be rejected during layout,
-// before any image bytes are built.
+// minute padding). The cap is checked before a directive's bytes are
+// appended, so an oversized request is rejected without building it.
 func TestHugeDirectivesRejected(t *testing.T) {
 	cases := []struct {
 		name, src string

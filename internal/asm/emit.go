@@ -1,7 +1,6 @@
 package asm
 
 import (
-	"encoding/binary"
 	"math"
 	"strconv"
 	"strings"
@@ -163,110 +162,6 @@ func parseMemOperand(arg string, line int) (memOperand, error) {
 	return memOperand{form: isa.AMConst, base: base, off: off}, nil
 }
 
-// emit generates instructions and data images.
-func (a *assembler) emit() error {
-	var off [prog.NumSections]uint32
-	for _, s := range a.stmts {
-		switch s.kind {
-		case stLabel:
-			// Offsets were fixed during layout; nothing to emit.
-		case stDirective:
-			if err := a.emitDirective(s, &off); err != nil {
-				return err
-			}
-		case stInst:
-			want, err := a.instSize(s)
-			if err != nil {
-				return err
-			}
-			before := len(a.text)
-			if err := a.emitInst(s); err != nil {
-				return err
-			}
-			if got := len(a.text) - before; got != want {
-				return errLine(s.line, "internal: %s expanded to %d insts, layout said %d", s.name, got, want)
-			}
-		}
-	}
-	return nil
-}
-
-func (a *assembler) emitDirective(s stmt, off *[prog.NumSections]uint32) error {
-	size, al, err := a.directiveSize(s)
-	if err != nil {
-		return err
-	}
-	if s.sec == prog.SecText || s.name == ".comm" {
-		return nil
-	}
-	img := &a.images[s.sec]
-	if al > 1 {
-		target := alignUp(off[s.sec], al)
-		*img = append(*img, make([]byte, target-off[s.sec])...)
-		off[s.sec] = target
-	}
-	start := off[s.sec]
-	switch s.name {
-	case ".word":
-		for i, arg := range s.args {
-			if isSymbolOperand(arg) {
-				sym, add, err := splitSymRef(arg, s.line)
-				if err != nil {
-					return err
-				}
-				a.relocs = append(a.relocs, prog.Reloc{
-					Kind: prog.RelWord32, Sym: sym, Addend: add,
-					Section: s.sec, Off: start + uint32(4*i),
-				})
-				*img = append(*img, 0, 0, 0, 0)
-				continue
-			}
-			v, err := parseInt32(arg, s.line)
-			if err != nil {
-				return err
-			}
-			*img = binary.LittleEndian.AppendUint32(*img, uint32(v))
-		}
-	case ".half":
-		for _, arg := range s.args {
-			v, err := parseInt32(arg, s.line)
-			if err != nil {
-				return err
-			}
-			*img = binary.LittleEndian.AppendUint16(*img, uint16(v))
-		}
-	case ".byte":
-		for _, arg := range s.args {
-			v, err := parseInt32(arg, s.line)
-			if err != nil {
-				return err
-			}
-			*img = append(*img, byte(v))
-		}
-	case ".double":
-		for _, arg := range s.args {
-			f, err := strconv.ParseFloat(strings.TrimSpace(arg), 64)
-			if err != nil {
-				return errLine(s.line, "bad double %q", arg)
-			}
-			*img = binary.LittleEndian.AppendUint64(*img, math.Float64bits(f))
-		}
-	case ".space":
-		*img = append(*img, make([]byte, size)...)
-	case ".ascii", ".asciiz":
-		str, err := decodeString(s.args[0], s.line)
-		if err != nil {
-			return err
-		}
-		*img = append(*img, str...)
-		if s.name == ".asciiz" {
-			*img = append(*img, 0)
-		}
-	}
-	off[s.sec] = uint32(len(*img))
-	return nil
-}
-
 // push appends one machine instruction.
 func (a *assembler) push(s stmt, in isa.Inst) {
 	a.text = append(a.text, in)
@@ -285,14 +180,13 @@ func (a *assembler) pushImm(s stmt, in isa.Inst, imm immRef) {
 	a.push(s, in)
 }
 
-// branchDisp resolves a branch target operand into a byte displacement
-// relative to the instruction after the branch being emitted.
+// branchDisp returns the byte displacement of the branch about to be
+// pushed, relative to the instruction after it. A label operand records a
+// fixup, patched once every label is bound, and returns zero.
 func (a *assembler) branchDisp(arg string, line int) (int32, error) {
-	if idx, ok := a.textLabels[arg]; ok {
-		return int32(idx-(len(a.text)+1)) * 4, nil
-	}
-	if isIdent(arg) && !strings.HasPrefix(arg, "$") {
-		return 0, errLine(line, "undefined label %q", arg)
+	if isIdent(arg) {
+		a.fixups = append(a.fixups, fixup{inst: len(a.text), label: arg, line: line})
+		return 0, nil
 	}
 	return parseInt32(arg, line)
 }

@@ -262,3 +262,12 @@ func (a *assembler) emitMem(s stmt, in isa.Inst, arg string) error {
 	}
 	return nil
 }
+
+// symIsSmall reports whether sym lives in the gp-addressed global region.
+func (a *assembler) symIsSmall(sym string) bool {
+	s, ok := a.syms[sym]
+	return ok && s.Section == prog.SecSData
+}
+
+func fitsSigned16(v int32) bool   { return v >= -32768 && v <= 32767 }
+func fitsUnsigned16(v int32) bool { return v >= 0 && v <= 0xFFFF }
