@@ -262,11 +262,8 @@ func (s *limitedSource) NextBatch(buf []emu.Trace) (int, error) {
 func printTrace(p *prog.Program, cfg pipeline.Config, n int) error {
 	name := cfg.Predictor
 	sink := &traceSink{predName: name, signals: predict.SignalNamesFor(name)}
-	if name == "selective" && cfg.StaticTable == nil {
-		cfg.StaticTable = predict.BuildStaticTable(p, cfg.FACGeometry())
-	}
 	src := &limitedSource{e: emu.New(p), n: n, sink: sink}
-	_, err := pipeline.RunObserved(cfg, src, sink)
+	_, err := pipeline.RunObserved(cfg.WithStaticTable(p), src, sink)
 	return err
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/predict"
 	"repro/internal/prog"
 )
 
@@ -173,11 +172,8 @@ func RunWithSink(p *prog.Program, machine pipeline.Config, maxInsts uint64, sink
 // it returns.
 func RunCtx(ctx context.Context, p *prog.Program, machine pipeline.Config, maxInsts uint64, sink obs.Sink) (Result, error) {
 	// The selective machine consults staticfac verdicts baked per linked
-	// program; this is the layer that has the program in hand, so the bake
-	// happens here unless the caller supplied a table already.
-	if machine.Predictor == "selective" && machine.StaticTable == nil {
-		machine.StaticTable = predict.BuildStaticTable(p, machine.FACGeometry())
-	}
+	// program; this is the layer that has the program in hand.
+	machine = machine.WithStaticTable(p)
 	e := emu.New(p)
 	e.MaxInsts = maxInsts
 	src := emulateAhead(e)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/predict"
 	"repro/internal/prog"
 	"repro/internal/workload"
 )
@@ -375,10 +374,7 @@ func TestEmulateAheadExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			cfg := m.cfg
-			if cfg.Predictor == "selective" {
-				cfg.StaticTable = predict.BuildStaticTable(p, cfg.FACGeometry())
-			}
+			cfg := m.cfg.WithStaticTable(p)
 			e := emu.New(p)
 			st, err := pipeline.RunObserved(cfg, seqSource{e}, &wantEv)
 			if err != nil {

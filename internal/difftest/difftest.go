@@ -35,7 +35,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/predict"
 	"repro/internal/prog"
 )
 
@@ -228,9 +227,7 @@ func RunMachines(p *prog.Program, maxInsts uint64, machines []Machine) error {
 	for _, m := range machines {
 		e := emu.New(p)
 		e.MaxInsts = maxInsts
-		if m.Cfg.Predictor == "selective" && m.Cfg.StaticTable == nil {
-			m.Cfg.StaticTable = predict.BuildStaticTable(p, m.Cfg.FACGeometry())
-		}
+		m.Cfg = m.Cfg.WithStaticTable(p)
 		ck := newChecker(m)
 		sink := obs.Sink(ck)
 		var sites *obs.SiteCollector

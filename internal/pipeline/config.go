@@ -19,6 +19,7 @@ import (
 	"repro/internal/fac"
 	"repro/internal/obs"
 	"repro/internal/predict"
+	"repro/internal/prog"
 )
 
 // Latency describes one operation class: Result is the number of cycles
@@ -74,7 +75,7 @@ type Config struct {
 	Predictor        string `json:",omitempty"`
 	PredictorEntries int    `json:",omitempty"`
 	// StaticTable supplies the selective machine's baked per-site verdicts
-	// (predict.BuildStaticTable over the linked program). Excluded from
+	// (WithStaticTable builds them over the linked program). Excluded from
 	// serialization: the verdicts are a pure function of the program and
 	// geometry, both of which already key the result cache.
 	StaticTable *predict.StaticTable `json:"-"`
@@ -190,13 +191,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// WithStaticTable returns c ready to time p: a selective machine without
+// a verdict table gets predict.BuildStaticTable over p under c's FAC
+// geometry. Any other config comes back unchanged.
+func (c Config) WithStaticTable(p *prog.Program) Config {
+	if c.Predictor == "selective" && c.StaticTable == nil {
+		c.StaticTable = predict.BuildStaticTable(p, c.FACGeometry())
+	}
+	return c
+}
+
 // newPredictor constructs the configured address-prediction machine.
 func (c Config) newPredictor() (predict.Predictor, error) {
 	static := c.StaticTable
 	if c.Predictor == "selective" && static == nil {
 		// No verdicts supplied (a raw-trace replay with no program
 		// behind it): every site is unknown, so selective degrades to
-		// plain FAC. core.RunCtx bakes the real table from the program.
+		// plain FAC. WithStaticTable bakes the real table from a program.
 		static = &predict.StaticTable{}
 	}
 	return predict.New(c.Predictor, predict.Options{
