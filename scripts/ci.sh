@@ -36,8 +36,10 @@
 #                                    are copies, the bound holds — repeated
 #                                    10 times under the race detector;
 #                                    measured 14s on 2 vCPUs)
-#   fuzz smoke                ~80s  (8 targets x 5s plus instrumented builds:
-#                                    difftest's four differential targets,
+#   fuzz smoke                ~90s  (every Fuzz target that go test -list
+#                                    finds in the packages of go list ./...,
+#                                    5s each plus instrumented builds; today
+#                                    8: difftest's four differential targets,
 #                                    simsvc's FuzzParseID, the bounds check of
 #                                    facd's job and batch ids,
 #                                    FuzzRemoteRecord, a daemon's answer to
@@ -72,11 +74,12 @@
 #                                    the committed BENCH_pipeline.json, and
 #                                    <=20% throughput regression)
 #
-# The fuzz smoke stage runs each fuzz target, named as package:target,
-# briefly against its committed seed corpus plus a few seconds of
-# mutation, so a crasher that slips past the deterministic tests still
-# trips CI. -fuzzminimizetime 100x bounds the minimizing of each new
-# input, which by default may take a minute and so eat a target's 5s.
+# The fuzz smoke stage lists the fuzz targets with go test -list, so a
+# new target cannot miss it, and runs each one briefly against its
+# committed seed corpus plus a few seconds of mutation, so a crasher
+# that slips past the deterministic tests still trips CI.
+# -fuzzminimizetime 100x bounds the minimizing of each new input, which
+# by default may take a minute and so eat a target's 5s.
 # For real hunting sessions use longer budgets (see docs/TESTING.md).
 set -eu
 cd "$(dirname "$0")/.."
@@ -116,13 +119,18 @@ echo "== cache race =="
 go test -race -count=10 -run '^TestResident' ./internal/simsvc
 
 echo "== fuzz smoke =="
-for target in difftest:FuzzFACPredict difftest:FuzzEncodeDecode \
-    difftest:FuzzAsmRoundtrip difftest:FuzzEmuVsPipeline simsvc:FuzzParseID \
-    simsvc:FuzzRemoteRecord simsvc:FuzzSubmitBody simsvc:FuzzRunBody; do
+fuzz_targets=$(for pkg in $(go list ./...); do
+    go test -list '^Fuzz' "$pkg" | sed -n "s|^Fuzz|$pkg:Fuzz|p"
+done)
+if [ -z "$fuzz_targets" ]; then
+    echo "go test -list found no fuzz targets" >&2
+    exit 1
+fi
+for target in $fuzz_targets; do
     pkg=${target%%:*}
     name=${target#*:}
     echo "-- $pkg $name"
-    go test "./internal/$pkg/" -run '^$' -fuzz "^${name}\$" -fuzztime 5s -fuzzminimizetime 100x
+    go test "$pkg" -run '^$' -fuzz "^${name}\$" -fuzztime 5s -fuzzminimizetime 100x
 done
 
 echo "== faclint smoke =="
