@@ -63,10 +63,11 @@ type assembler struct {
 	srcLines []int
 	relocs   []prog.Reloc
 	fixups   []fixup
-	// data emission: an image's length is its section's offset, and bss
-	// counts the BSS reserved so far.
+	// data emission: a data section's offset is its size. Its image holds
+	// the bytes up to its last initialized datum and is zero-filled to the
+	// size at the end, so .space and .bss reserve without building bytes.
 	images [prog.NumSections][]byte
-	bss    uint32
+	size   [prog.NumSections]uint32
 	// labels not yet bound, and the bytes of the directive being emitted
 	pending []string
 	datum   []byte
@@ -105,9 +106,9 @@ func Assemble(src string) (*prog.Object, error) {
 	}
 	return &prog.Object{
 		Text:     a.text,
-		SData:    a.images[prog.SecSData],
-		Data:     a.images[prog.SecData],
-		BSSSize:  a.bss,
+		SData:    zeroFill(a.images[prog.SecSData], a.size[prog.SecSData]),
+		Data:     zeroFill(a.images[prog.SecData], a.size[prog.SecData]),
+		BSSSize:  a.size[prog.SecBSS],
 		Symbols:  a.syms,
 		Relocs:   a.relocs,
 		SrcLines: a.srcLines,

@@ -238,6 +238,11 @@ main:	jr $ra
 	if string(o.Data[32:36]) != "hi\n\x00" {
 		t.Errorf("asciiz = %q", o.Data[32:36])
 	}
+	// A trailing .space still ends up in the image.
+	o = mustAssemble(t, ".sdata\ns: .word 1\n.space 6\n.data\nd: .space 3\n.text\nmain: jr $ra\n")
+	if len(o.SData) != 10 || len(o.Data) != 3 {
+		t.Errorf("sdata is %d bytes, data %d; want 10, 3", len(o.SData), len(o.Data))
+	}
 }
 
 func TestWordSymbolReloc(t *testing.T) {

@@ -21,8 +21,9 @@ const maxSectionBytes = 1 << 28
 const maxBalign = 1 << 12
 
 // directive checks one directive, aligns the section it writes, binds the
-// pending labels, then appends its bytes or, in .bss, reserves its space.
-// .comm reserves in .bss whatever the current section.
+// pending labels, and grows the section by the directive's bytes. Only
+// initialized bytes are built here; zeros wait for the next datum or the
+// end. .comm reserves in .bss whatever the current section.
 func (a *assembler) directive(s stmt) error {
 	sec, al := s.sec, uint32(1)
 	data := false    // .word .half .byte .double .space .ascii .asciiz
@@ -126,13 +127,7 @@ func (a *assembler) directive(s stmt) error {
 	if uint64(start)+uint64(len(a.datum))+uint64(space) > maxSectionBytes {
 		return errLine(s.line, "%v grows past %d bytes", sec, maxSectionBytes)
 	}
-	img := &a.images[sec]
-	switch sec {
-	case prog.SecBSS:
-		a.bss = start
-	case prog.SecSData, prog.SecData:
-		*img = append(*img, make([]byte, start-uint32(len(*img)))...)
-	}
+	a.size[sec] = start
 	a.bindPending()
 	if s.name == ".comm" {
 		sym := a.syms[s.args[0]]
@@ -142,25 +137,25 @@ func (a *assembler) directive(s stmt) error {
 	for i := relocs; i < len(a.relocs); i++ {
 		a.relocs[i].Off += start
 	}
-	switch sec {
-	case prog.SecBSS:
-		a.bss += space
-	case prog.SecSData, prog.SecData:
-		*img = append(append(*img, a.datum...), make([]byte, space)...)
+	if len(a.datum) > 0 {
+		a.images[sec] = append(zeroFill(a.images[sec], start), a.datum...)
 	}
+	a.size[sec] += uint32(len(a.datum)) + space
 	return nil
 }
 
-// offset is a section's next free offset: the text's length in bytes,
-// an image's length, or the BSS reserved so far.
+// offset is a section's next free offset: the text's length in bytes, or
+// a data section's size.
 func (a *assembler) offset(sec prog.SectionKind) uint32 {
-	switch sec {
-	case prog.SecText:
+	if sec == prog.SecText {
 		return uint32(len(a.text)) * isa.InstBytes
-	case prog.SecBSS:
-		return a.bss
 	}
-	return uint32(len(a.images[sec]))
+	return a.size[sec]
+}
+
+// zeroFill extends img with zero bytes to n bytes.
+func zeroFill(img []byte, n uint32) []byte {
+	return append(img, make([]byte, n-uint32(len(img)))...)
 }
 
 // bindPending binds each pending label at its section's offset.
