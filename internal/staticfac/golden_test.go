@@ -2,38 +2,30 @@ package staticfac_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fac"
 	"repro/internal/isa"
-	"repro/internal/minic"
 	"repro/internal/prog"
 	"repro/internal/staticfac"
+	"repro/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 func buildMicro(t *testing.T, name string, falign bool) *prog.Program {
 	t.Helper()
-	src, err := os.ReadFile(filepath.Join("testdata", name+".c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := minic.BaseOptions()
-	link := prog.DefaultConfig()
+	tc := workload.BaseToolchain()
 	if falign {
-		opts = minic.FACOptions()
-		link.AlignGP = true
+		tc = workload.FACToolchain()
 	}
-	asmText, err := minic.Compile(string(src), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.Build(asmText, link)
+	p, err := workload.Load("", filepath.Join("testdata", name+".c"), tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +66,66 @@ func TestGoldenVerdicts(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSuiteVerdictsGolden pins the analysis of every workload under both
+// toolchains at the two geometries faclint, facprof and the selective
+// machine use (16- and 32-byte blocks, SetBits 14). Each line of
+// testdata/suite.golden is "workload/toolchain/block report explain": the
+// SHA-256 of the fac/static/v1 report, and of the Explain text of every
+// reached unknown site in PC order. A refactor of the analysis must leave
+// every line unchanged; an intended change of output regenerates the file
+// from the lines this test reports. -short checks the base toolchain at
+// 32-byte blocks only.
+func TestSuiteVerdictsGolden(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "suite.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, sums, _ := strings.Cut(line, " ")
+		golden[name] = sums
+	}
+	toolchains := []workload.Toolchain{workload.BaseToolchain(), workload.FACToolchain()}
+	blocks := []uint{4, 5}
+	if testing.Short() {
+		toolchains, blocks = toolchains[:1], blocks[1:]
+	}
+	seen := 0
+	for _, w := range workload.All() {
+		for _, tc := range toolchains {
+			p, err := workload.Build(w, tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bb := range blocks {
+				name := fmt.Sprintf("%s/%s/%d", w.Name, tc.Name, 1<<bb)
+				a := staticfac.Analyze(p, fac.Config{BlockBits: bb, SetBits: 14})
+				rep := staticfac.NewReport(a)
+				rep.Add(w.Name, tc.Name, a)
+				js, err := rep.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := sha256.New()
+				for i := range a.Sites {
+					if s := &a.Sites[i]; s.Reached && s.Verdict == staticfac.VerdictUnknown {
+						text, _ := a.Explain(s.PC)
+						ex.Write([]byte(text))
+					}
+				}
+				seen++
+				sums := fmt.Sprintf("%x %x", sha256.Sum256(js), ex.Sum(nil))
+				if golden[name] != sums {
+					t.Errorf("%s: analysis differs from the golden; the new line is %q", name, name+" "+sums)
+				}
+			}
+		}
+	}
+	if !testing.Short() && seen != len(golden) {
+		t.Errorf("%d analyses, golden has %d lines", seen, len(golden))
 	}
 }
 
