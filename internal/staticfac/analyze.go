@@ -1,6 +1,7 @@
 package staticfac
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/fac"
@@ -204,6 +205,7 @@ func Analyze(p *prog.Program, g fac.Config) *Analysis {
 // converge runs the combined register × memory fixpoint: a full dataflow
 // under the current memory environment, then commit the global-store
 // effects and escapes that dataflow produced, until neither changes.
+// Each round computes the invariant once, under that round's cells.
 // Iteration starts from the under-approximate bottom (no effects, no
 // escapes) and every commit is a monotone join, so the limit is a sound
 // over-approximation of every execution (Kleene iteration); past
@@ -211,11 +213,11 @@ func Analyze(p *prog.Program, g fac.Config) *Analysis {
 // under that trivially stable hypothesis.
 func (az *analyzer) converge() map[int]State {
 	for {
-		az.env.escChanged = false
+		grew := az.env.esc.grew
 		az.inv = az.invariant()
 		siteStates := az.run()
 		effChanged := az.env.commitEffects(az.collectEffects(siteStates))
-		if !effChanged && !az.env.escChanged {
+		if !effChanged && az.env.esc.grew == grew {
 			return siteStates
 		}
 		if az.env.round > maxMemRounds {
@@ -316,7 +318,7 @@ type block struct {
 
 type analyzer struct {
 	p       *prog.Program
-	inv     State    // flow-insensitive register invariant, sound everywhere
+	inv     State    // flow-insensitive register invariant of the current memory round
 	ts      []uint32 // interval widening thresholds: the program's comparison constants
 	env     *memEnv  // the memory domain: global cells, escapes, stack layout
 	blocks  []block
@@ -331,11 +333,21 @@ type analyzer struct {
 
 func (az *analyzer) pcOf(i int) uint32 { return az.p.TextBase + uint32(i)*isa.InstBytes }
 
+// indexOf maps a text address to its instruction index; ok is false
+// outside the text or off an instruction boundary.
+func (az *analyzer) indexOf(pc uint32) (int, bool) {
+	if pc < az.p.TextBase || pc >= az.p.TextEnd() || pc&3 != 0 {
+		return 0, false
+	}
+	return int((pc - az.p.TextBase) / isa.InstBytes), true
+}
+
+// newAnalyzer recovers the CFG. The invariant waits for converge, which
+// computes it under each memory round's cells.
 func newAnalyzer(p *prog.Program) *analyzer {
 	az := &analyzer{p: p, blockAt: make(map[uint32]int)}
 	az.ts = collectThresholds(p)
 	az.env = newMemEnv(p, az.ts)
-	az.inv = az.invariant()
 
 	seen := map[uint32]bool{p.Entry: true}
 	az.entries = append(az.entries, p.Entry)
@@ -353,14 +365,8 @@ func newAnalyzer(p *prog.Program) *analyzer {
 	}
 	leader := make([]bool, n)
 	leader[0] = true
-	idxOf := func(pc uint32) (int, bool) {
-		if pc < p.TextBase || pc >= p.TextEnd() || pc&3 != 0 {
-			return 0, false
-		}
-		return int((pc - p.TextBase) / isa.InstBytes), true
-	}
 	for _, e := range az.entries {
-		if i, ok := idxOf(e); ok {
+		if i, ok := az.indexOf(e); ok {
 			leader[i] = true
 		}
 	}
@@ -372,7 +378,7 @@ func newAnalyzer(p *prog.Program) *analyzer {
 			leader[i+1] = true
 		}
 		if t, ok := in.ControlTarget(az.pcOf(i)); ok {
-			if j, ok2 := idxOf(t); ok2 {
+			if j, ok2 := az.indexOf(t); ok2 {
 				leader[j] = true
 			}
 		}
@@ -399,8 +405,9 @@ func newAnalyzer(p *prog.Program) *analyzer {
 		}
 		target := -1
 		if t, ok := in.ControlTarget(az.pcOf(b.last)); ok {
-			if j, ok2 := idxOf(t); ok2 {
-				target = az.blockAt[az.pcOf(j)]
+			// Every in-text target leads a block.
+			if tb, ok2 := az.blockAt[t]; ok2 {
+				target = tb
 			}
 			if in.Op == isa.JAL {
 				b.callTarget, b.hasTarget = t, true
@@ -459,7 +466,7 @@ func (az *analyzer) invariant() State {
 		changed := false
 		for i, in := range p.Insts {
 			tmp := inv
-			step(&tmp, in, p.TextBase+uint32(i)*isa.InstBytes, az.env)
+			step(&tmp, in, az.pcOf(i), az.env)
 			defs = in.Defs(defs[:0])
 			for _, d := range defs {
 				if d >= isa.NumRegs {
@@ -592,45 +599,19 @@ func unknownFacts() entryFacts {
 	return f
 }
 
-// flowOut is the result of one whole-program dataflow pass under a fixed
-// per-function entry hypothesis.
-type flowOut struct {
-	sites     map[int]State         // state before each reached memory instruction
-	espNext   map[uint32]entryFacts // entry facts observed at direct calls, per target
-	espAll    entryFacts            // entry facts at indirect calls / computed tail jumps
-	espAllSet bool
-}
-
-// run iterates the per-function entry-facts map to a fixpoint, then
-// performs a final recording pass. espMap[f] abstracts $sp and $a0-$a3 on
-// entry to function f over all calls the program can perform; keeping it
-// per-function (rather than one global join) preserves exact stack
-// pointers through non-recursive call chains, which is what proves
-// constant-offset stack accesses.
+// run iterates the per-function entry-facts map to a fixpoint. esp[f]
+// abstracts $sp and $a0-$a3 on entry to function f over all calls the
+// program can perform; keeping it per-function (rather than one global
+// join) preserves exact stack pointers through non-recursive call chains,
+// which is what proves constant-offset stack accesses. The iteration that
+// converges supplies the site states unless it grew the escape set; then
+// one more pass under the final hypothesis and escapes records them.
 func (az *analyzer) run() map[int]State {
 	az.env.trackEscapes = true
 	esp := map[uint32]entryFacts{az.p.Entry: startFacts(az.p)}
 	for iter := 0; ; iter++ {
-		out := az.flow(esp, false)
-		next := map[uint32]entryFacts{az.p.Entry: startFacts(az.p)}
-		joinInto := func(pc uint32, f entryFacts) {
-			if _, ok := az.blockAt[pc]; !ok {
-				return
-			}
-			if cur, ok := next[pc]; ok {
-				next[pc] = cur.join(f)
-			} else {
-				next[pc] = f
-			}
-		}
-		for t, f := range out.espNext {
-			joinInto(t, f)
-		}
-		if out.espAllSet {
-			for _, e := range az.entries {
-				joinInto(e, out.espAll)
-			}
-		}
+		grew := az.env.esc.grew
+		sites, next := az.flow(esp)
 		if iter >= ivWidenRounds {
 			// Recursive argument chains (place(k+1)) ascend in the interval
 			// half; widen them against the previous hypothesis.
@@ -640,7 +621,13 @@ func (az *analyzer) run() map[int]State {
 				}
 			}
 		}
-		if espEqual(esp, next) {
+		if maps.Equal(esp, next) {
+			if az.env.esc.grew == grew {
+				// The escape set is the only environment state a pass
+				// changes, so a rerun would repeat this pass exactly.
+				az.espFinal = esp
+				return sites
+			}
 			break
 		}
 		esp = next
@@ -657,19 +644,20 @@ func (az *analyzer) run() map[int]State {
 		}
 	}
 	az.espFinal = esp
-	return az.flow(esp, true).sites
+	sites, _ := az.flow(esp)
+	return sites
 }
 
-func espEqual(a, b map[uint32]entryFacts) bool {
-	if len(a) != len(b) {
-		return false
+// joinEntry joins f into the facts of the function entered at pc, when
+// pc starts a block.
+func (az *analyzer) joinEntry(esp map[uint32]entryFacts, pc uint32, f entryFacts) {
+	if _, ok := az.blockAt[pc]; !ok {
+		return
 	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || w != v {
-			return false
-		}
+	if cur, ok := esp[pc]; ok {
+		f = cur.join(f)
 	}
-	return true
+	esp[pc] = f
 }
 
 // entryState is the abstract state on entry to a function: the global
@@ -725,17 +713,16 @@ func (az *analyzer) returnState(caller State) State {
 }
 
 // flow runs the block-level dataflow to a fixpoint under the entry
-// hypothesis, then sweeps the final states to collect call-site entry
-// facts and (when record is set) the state before every memory
-// instruction.
-func (az *analyzer) flow(esp map[uint32]entryFacts, record bool) flowOut {
-	out := flowOut{espNext: make(map[uint32]entryFacts)}
-	if record {
-		out.sites = make(map[int]State)
-	}
+// hypothesis, then sweeps the final states. It returns the state before
+// every reached memory instruction (every instruction under recordAll)
+// and the entry hypothesis the pass observed: the startup facts at the
+// program entry, joined with the facts at every call.
+func (az *analyzer) flow(esp map[uint32]entryFacts) (sites map[int]State, next map[uint32]entryFacts) {
+	sites = make(map[int]State)
+	next = map[uint32]entryFacts{az.p.Entry: startFacts(az.p)}
 	nb := len(az.blocks)
 	if nb == 0 {
-		return out
+		return sites, next
 	}
 	in := make([]State, nb)
 	have := make([]bool, nb)
@@ -817,34 +804,26 @@ func (az *analyzer) flow(esp map[uint32]entryFacts, record bool) flowOut {
 	}
 
 	// Final sweep over the converged states: record site states and the
-	// entry facts observed at call sites (the next entry hypothesis).
-	joinEsp := func(t uint32, f entryFacts) {
-		if cur, ok := out.espNext[t]; ok {
-			out.espNext[t] = cur.join(f)
-		} else {
-			out.espNext[t] = f
-		}
-	}
+	// entry facts observed at call sites. An indirect call or computed
+	// tail jump may enter any candidate target.
 	for bi := range az.blocks {
 		if !have[bi] {
 			continue
 		}
 		b := &az.blocks[bi]
 		st := stepBlock(bi, func(i int, s *State) {
-			if record && (az.recordAll || az.p.Insts[i].Op.IsMem()) {
-				out.sites[i] = *s
+			if az.recordAll || az.p.Insts[i].Op.IsMem() {
+				sites[i] = *s
 			}
 		})
-		switch {
+		switch f := factsAt(st); {
 		case b.isCall && b.hasTarget:
-			joinEsp(b.callTarget, factsAt(st))
+			az.joinEntry(next, b.callTarget, f)
 		case b.isCall || b.spEscapes:
-			if out.espAllSet {
-				out.espAll = out.espAll.join(factsAt(st))
-			} else {
-				out.espAll, out.espAllSet = factsAt(st), true
+			for _, e := range az.entries {
+				az.joinEntry(next, e, f)
 			}
 		}
 	}
-	return out
+	return sites, next
 }

@@ -39,41 +39,46 @@ type escapeSet struct {
 	min   uint32            // smallest escaped addr (meaningful when len(addrs) > 0)
 	all   bool              // a tainted (inexact stack-derived) value leaked
 	allPC uint32            // pc of the leak that set all
+	// grew counts the additions to the set. The fixpoints read it before
+	// and after a pass to learn whether the pass grew the set, the only
+	// environment state a pass can change.
+	grew int
 }
 
 // maxEscapes bounds the tracked address set; beyond it the analysis
 // degrades to escape-all rather than growing without bound.
 const maxEscapes = 1024
 
-// escape records addr as escaped at pc; reports whether the set grew.
-func (s *escapeSet) escape(addr, pc uint32) bool {
+// escape records addr as escaped at pc.
+func (s *escapeSet) escape(addr, pc uint32) {
 	if s.all {
-		return false
+		return
 	}
 	if s.addrs == nil {
 		s.addrs = make(map[uint32]uint32)
 	}
 	if _, ok := s.addrs[addr]; ok {
-		return false
+		return
 	}
 	if len(s.addrs) >= maxEscapes {
-		return s.escapeAll(pc)
+		s.escapeAll(pc)
+		return
 	}
 	s.addrs[addr] = pc
 	if len(s.addrs) == 1 || addr < s.min {
 		s.min = addr
 	}
-	return true
+	s.grew++
 }
 
-// escapeAll degrades the whole stack to escaped; reports whether that is new.
-func (s *escapeSet) escapeAll(pc uint32) bool {
+// escapeAll degrades the whole stack to escaped.
+func (s *escapeSet) escapeAll(pc uint32) {
 	if s.all {
-		return false
+		return
 	}
 	s.all = true
 	s.allPC = pc
-	return true
+	s.grew++
 }
 
 // covers reports whether a slot at addr may be written through escaped
@@ -108,15 +113,9 @@ func (m *memEnv) noteReg(st *State, r isa.Reg, pc uint32) {
 		return
 	}
 	if st.Deriv&(1<<uint(r)) != 0 {
-		if m.esc.escapeAll(pc) {
-			m.escChanged = true
-		}
-		return
-	}
-	if k := st.R[r]; k.IsExact() && k.Ones >= m.stackLo {
-		if m.esc.escape(k.Ones&^3, pc) {
-			m.escChanged = true
-		}
+		m.esc.escapeAll(pc)
+	} else if k := st.R[r]; k.IsExact() && k.Ones >= m.stackLo {
+		m.esc.escape(k.Ones&^3, pc)
 	}
 }
 

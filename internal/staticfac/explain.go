@@ -53,7 +53,7 @@ func (a *Analysis) Explain(pc uint32) (string, bool) {
 		fmt.Fprintf(&b, "  classified: the operand facts above decide the predictor outcome\n")
 	default:
 		ex := &explainer{a: a, b: &b, seen: make(map[int64]bool)}
-		idx := int((pc - a.az.p.TextBase) / isa.InstBytes)
+		idx, _ := a.az.indexOf(pc)
 		if !site.Base.IsExact() {
 			ex.explainReg(idx, site.Inst.BaseReg(), 1)
 		}
@@ -83,7 +83,7 @@ func (a *Analysis) ensureReplay() {
 	}
 	az := a.az
 	az.recordAll = true
-	a.preStates = az.flow(az.espFinal, true).sites
+	a.preStates, _ = az.flow(az.espFinal)
 	az.recordAll = false
 }
 
@@ -236,7 +236,7 @@ func (ex *explainer) explainLoad(defIdx int, in isa.Inst, st *State, depth int) 
 		if s, ok := st.slot(addr); ok {
 			fmt.Fprintf(ex.b, ": tracked stack slot %#08x = %s, written at %#08x\n",
 				addr, MemVal{K: s.K, IV: s.IV}, s.Def)
-			if i := az.instIdx(s.Def); i >= 0 {
+			if i, ok := az.indexOf(s.Def); ok {
 				din := az.p.Insts[i]
 				if din.Op.IsStore() && !din.Op.FPSrc() {
 					ex.explainReg(i, din.StoreDataReg(), depth+1)
@@ -284,27 +284,20 @@ func (ex *explainer) impreciseUses(in isa.Inst, st *State) []isa.Reg {
 func (ex *explainer) findDefs(useIdx int, r isa.Reg) (_ []int, hasAbove bool) {
 	az := ex.a.az
 	fn := az.p.FuncName(az.pcOf(useIdx))
-	var defs []uint8
-	definesR := func(i int) bool {
-		defs = az.p.Insts[i].Defs(defs[:0])
-		for _, d := range defs {
-			if d < isa.NumRegs && isa.Reg(d) == r {
-				return true
-			}
-		}
-		return false
+	reachedDef := func(i int) bool {
+		_, ok := ex.a.preStates[i]
+		return ok && defines(az.p.Insts[i], r)
 	}
-	reached := func(i int) bool { _, ok := ex.a.preStates[i]; return ok }
 	var out []int
 	for i := useIdx - 1; i >= 0 && az.p.FuncName(az.pcOf(i)) == fn; i-- {
-		if reached(i) && definesR(i) {
+		if reachedDef(i) {
 			out = append(out, i)
 			hasAbove = true
 			break
 		}
 	}
 	for i := useIdx + 1; i < len(az.p.Insts) && az.p.FuncName(az.pcOf(i)) == fn; i++ {
-		if reached(i) && definesR(i) {
+		if reachedDef(i) {
 			out = append(out, i)
 			break
 		}
@@ -323,14 +316,6 @@ func funcEntryPC(az *analyzer, idx int) uint32 {
 		}
 	}
 	return best
-}
-
-// instIdx maps a text address to its instruction index, -1 when outside.
-func (az *analyzer) instIdx(pc uint32) int {
-	if pc < az.p.TextBase || pc >= az.p.TextEnd() || pc&3 != 0 {
-		return -1
-	}
-	return int((pc - az.p.TextBase) / isa.InstBytes)
 }
 
 // dataSymSuffix renders " (sym+off)" for the nearest data symbol at or

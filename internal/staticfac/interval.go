@@ -10,7 +10,7 @@ import (
 // the set of concrete values v with Lo() <= v <= Hi(). It complements the
 // known-bits domain (KB): KB proves bit patterns (alignment, masked fields)
 // while Interval proves magnitude bounds (loop-guard limits on array
-// indices), and the two refine each other — Step clamps every interval to
+// indices), and the two refine each other — step clamps every interval to
 // the KB-consistent range, and site classification folds an interval's
 // common-prefix bits back into KB (see KB.Refine).
 //
@@ -67,25 +67,22 @@ func (i Interval) Meet(o Interval) (Interval, bool) {
 	return IvRange(lo, hi), true
 }
 
-// Widen accelerates convergence of an ascending chain: any bound of next
-// that moved past the corresponding bound of i jumps outward to the sign
-// boundary first and the extreme second. The intermediate threshold
-// matters: a counter widened to [0, MaxInt32] still has a definite sign,
-// so the signed loop-guard narrowing below the loop head (refineEdges +
-// MeetSigned) can recover a tight bound, whereas a full-range interval
-// straddles the sign boundary and signed facts select two pieces whose
-// hull is the full range again.
-func (i Interval) Widen(next Interval) Interval { return i.WidenTo(next, nil) }
-
-// WidenTo is Widen with thresholds: a moved bound first snaps to the
+// WidenTo accelerates convergence of an ascending chain: any bound of
+// next that moved past the corresponding bound of i first snaps to the
 // nearest enclosing threshold (ts must be ascending, all below 2^31 —
-// see collectThresholds) before escalating to the sign boundary and the
-// extreme. Callers pass next already joined with i (next covers i, as at
-// every fixpoint update site), so covering next covers both. Snapping to the program's own comparison constants lets a
+// see collectThresholds), then jumps outward to the sign boundary and
+// last to the extreme. Callers pass next already joined with i (next
+// covers i, as at every fixpoint update site), so covering next covers
+// both. Snapping to the program's own comparison constants lets a
 // loop-guard fixpoint stabilize at the real loop bound instead of
 // overshooting it: the ascending chain of a counter tested against n
 // settles at [0, n] in a handful of rounds, and the guard edge then
-// narrows it to [0, n-1] for the loop body.
+// narrows it to [0, n-1] for the loop body. The sign boundary matters
+// too: a counter widened to [0, MaxInt32] still has a definite sign, so
+// the signed loop-guard narrowing below the loop head (refineEdges +
+// MeetSignedOK) can recover a tight bound, whereas a full-range interval
+// straddles the sign boundary and signed facts select two pieces whose
+// hull is the full range again.
 func (i Interval) WidenTo(next Interval, ts []uint32) Interval {
 	lo, hi := next.Lo(), next.Hi()
 	if lo < i.Lo() {
@@ -108,7 +105,7 @@ func (i Interval) WidenTo(next Interval, ts []uint32) Interval {
 }
 
 // thresholdAbove returns the smallest threshold >= v, or MaxInt32 (the
-// sign boundary keeps signed guard narrowing effective; see Widen).
+// sign boundary keeps signed guard narrowing effective; see WidenTo).
 func thresholdAbove(ts []uint32, v uint32) uint32 {
 	lo, hi := 0, len(ts)
 	for lo < hi {
@@ -229,18 +226,6 @@ func (i Interval) signedRange() (int64, int64) {
 		return math.MinInt32, math.MaxInt32
 	}
 	return int64(int32(lo)), int64(int32(hi))
-}
-
-// MeetSigned narrows the interval to members whose int32 interpretation
-// lies in [a, b]. When nothing survives the interval is returned
-// unchanged — callers that want to exploit the emptiness use
-// MeetSignedOK.
-func (i Interval) MeetSigned(a, b int64) Interval {
-	m, ok := i.MeetSignedOK(a, b)
-	if !ok {
-		return i
-	}
-	return m
 }
 
 // MeetSignedOK narrows the interval to members whose int32 interpretation

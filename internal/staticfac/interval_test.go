@@ -131,25 +131,33 @@ func TestIntervalWidenCovers(t *testing.T) {
 }
 
 func TestIntervalMeetSigned(t *testing.T) {
+	meet := func(iv Interval, a, b int64) Interval {
+		t.Helper()
+		m, ok := iv.MeetSignedOK(a, b)
+		if !ok {
+			t.Fatalf("MeetSignedOK(%v, [%d, %d]) is empty", iv, a, b)
+		}
+		return m
+	}
 	// Non-negative constraint on a full range keeps the non-negative half.
-	m := IvTop.MeetSigned(0, math.MaxInt32)
+	m := meet(IvTop, 0, math.MaxInt32)
 	if m.Lo() != 0 || m.Hi() != math.MaxInt32 {
-		t.Fatalf("MeetSigned(T, >=0) = %v", m)
+		t.Fatalf("MeetSignedOK(T, >=0) = %v", m)
 	}
 	// Negative constraint selects the high unsigned piece.
-	m = IvTop.MeetSigned(math.MinInt32, -1)
+	m = meet(IvTop, math.MinInt32, -1)
 	if m.Lo() != 1<<31 || m.Hi() != math.MaxUint32 {
-		t.Fatalf("MeetSigned(T, <0) = %v", m)
+		t.Fatalf("MeetSignedOK(T, <0) = %v", m)
 	}
 	// A bounded counter meets a loop-guard upper bound.
-	m = IvRange(0, 1000).MeetSigned(0, 63)
+	m = meet(IvRange(0, 1000), 0, 63)
 	if m.Lo() != 0 || m.Hi() != 63 {
 		t.Fatalf("guard meet = %v", m)
 	}
-	// An empty meet (infeasible edge) leaves the interval unchanged.
-	m = IvRange(100, 200).MeetSigned(0, 50)
-	if m != IvRange(100, 200) {
-		t.Fatalf("empty MeetSigned changed interval: %v", m)
+	// An empty meet (infeasible edge) reports emptiness and leaves the
+	// interval unchanged.
+	if m, ok := IvRange(100, 200).MeetSignedOK(0, 50); ok || m != IvRange(100, 200) {
+		t.Fatalf("empty MeetSignedOK = %v, %v; want the interval unchanged, false", m, ok)
 	}
 	// Exhaustive small-domain check against concrete int32 semantics.
 	for lo := -4; lo <= 4; lo++ {
@@ -158,11 +166,11 @@ func TestIntervalMeetSigned(t *testing.T) {
 				continue // not representable as one unsigned interval
 			}
 			iv := IvRange(uint32(int32(lo)), uint32(int32(hi)))
-			m := iv.MeetSigned(-2, 2)
+			m, ok := iv.MeetSignedOK(-2, 2)
 			for v := lo; v <= hi; v++ {
 				in := v >= -2 && v <= 2
-				if in && !m.Contains(uint32(int32(v))) {
-					t.Fatalf("MeetSigned([%d,%d], [-2,2]) = %v dropped %d", lo, hi, m, v)
+				if in && (!ok || !m.Contains(uint32(int32(v)))) {
+					t.Fatalf("MeetSignedOK([%d,%d], [-2,2]) = %v, %v dropped %d", lo, hi, m, ok, v)
 				}
 			}
 		}

@@ -142,7 +142,6 @@ type memEnv struct {
 	cells   map[uint32]cellFact
 
 	esc          escapeSet
-	escChanged   bool
 	trackEscapes bool
 
 	round    int
@@ -223,27 +222,25 @@ func effAddrOf(st *State, in isa.Inst) (KB, Interval) {
 
 // loadFact resolves the abstract value a load may observe: a global
 // cell fact for an exact data-section address, a live stack-slot fact
-// for an exact stack address. The bool reports whether the location is
-// tracked at all (a poisoned cell is not).
-func (m *memEnv) loadFact(st *State, in isa.Inst, addrK KB) (MemVal, bool) {
+// for an exact stack address, and top for an untracked location (a
+// poisoned cell is untracked).
+func (m *memEnv) loadFact(st *State, in isa.Inst, addrK KB) MemVal {
 	if !addrK.IsExact() {
-		return topMemVal(), false
+		return topMemVal()
 	}
 	addr := addrK.Ones
 	size := uint32(in.Op.MemSize())
 	switch {
 	case m.globalCellAddr(addr, size):
-		f := m.cell(addr)
-		if f.poisoned {
-			return topMemVal(), false
+		if f := m.cell(addr); !f.poisoned {
+			return f.val
 		}
-		return f.val, true
 	case m.stackSlotAddr(addr, size):
 		if s, ok := st.slot(addr); ok {
-			return MemVal{K: s.K, IV: s.IV}, true
+			return MemVal{K: s.K, IV: s.IV}
 		}
 	}
-	return topMemVal(), false
+	return topMemVal()
 }
 
 // storeUpdate applies a store's effect on the flow-sensitive state:

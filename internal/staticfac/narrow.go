@@ -144,43 +144,59 @@ func (n edgeNarrower) backprop(st *State, r isa.Reg, bound Interval, depth int) 
 // through the rest of the block, returns the (src, delta) such that
 // r = src + delta still holds at the branch.
 func (n edgeNarrower) affineDef(r isa.Reg) (src isa.Reg, delta uint32, ok bool) {
-	var defs []uint8
-	definesReg := func(in isa.Inst, rr isa.Reg) bool {
-		defs = in.Defs(defs[:0])
-		for _, d := range defs {
-			if d < isa.NumRegs && isa.Reg(d) == rr {
-				return true
-			}
-		}
-		return false
+	i := n.az.lastDef(n.b, r)
+	if i < 0 {
+		return 0, 0, false
 	}
-	for i := n.b.last - 1; i >= n.b.first; i-- {
-		in := n.az.p.Insts[i]
-		if !definesReg(in, r) {
-			continue
-		}
-		switch {
-		case in.Op == isa.ADDI && in.Rd == r && in.Rs != isa.Zero:
-			src, delta = in.Rs, uint32(in.Imm)
-		case in.Op == isa.ADD && in.Rd == r && in.Rt == isa.Zero && in.Rs != isa.Zero:
-			src, delta = in.Rs, 0
-		case in.Op == isa.ADD && in.Rd == r && in.Rs == isa.Zero && in.Rt != isa.Zero:
-			src, delta = in.Rt, 0
-		default:
-			return 0, 0, false
-		}
-		if src == r {
-			// Self-increment: the source value is gone at the branch.
-			return 0, 0, false
-		}
-		for j := i + 1; j < n.b.last; j++ {
-			if definesReg(n.az.p.Insts[j], src) {
-				return 0, 0, false
-			}
-		}
-		return src, delta, true
+	switch in := n.az.p.Insts[i]; {
+	case in.Op == isa.ADDI && in.Rd == r && in.Rs != isa.Zero:
+		src, delta = in.Rs, uint32(in.Imm)
+	case in.Op == isa.ADD && in.Rd == r && in.Rt == isa.Zero && in.Rs != isa.Zero:
+		src, delta = in.Rs, 0
+	case in.Op == isa.ADD && in.Rd == r && in.Rs == isa.Zero && in.Rt != isa.Zero:
+		src, delta = in.Rt, 0
+	default:
+		return 0, 0, false
 	}
-	return 0, 0, false
+	// src must reach the branch unmodified; a self-increment's
+	// (src == r) never does.
+	if src == r || !n.az.survives(n.b, i, src) {
+		return 0, 0, false
+	}
+	return src, delta, true
+}
+
+// defines reports whether in writes the integer register r.
+func defines(in isa.Inst, r isa.Reg) bool {
+	var buf [2]uint8
+	for _, d := range in.Defs(buf[:0]) {
+		if isa.Reg(d) == r {
+			return true
+		}
+	}
+	return false
+}
+
+// lastDef returns the index of the last instruction before b's branch
+// that writes r, or -1 when none in b does.
+func (az *analyzer) lastDef(b *block, r isa.Reg) int {
+	for i := b.last - 1; i >= b.first; i-- {
+		if defines(az.p.Insts[i], r) {
+			return i
+		}
+	}
+	return -1
+}
+
+// survives reports whether r reaches b's branch unmodified from
+// instruction i: nothing between them writes it.
+func (az *analyzer) survives(b *block, i int, r isa.Reg) bool {
+	for j := i + 1; j < b.last; j++ {
+		if defines(az.p.Insts[j], r) {
+			return false
+		}
+	}
+	return true
 }
 
 // narrowEqual records that two registers hold the same value: each meets
@@ -239,41 +255,26 @@ type comparison struct {
 // operands survive unmodified to the branch (so their abstract values at
 // the branch are the values the comparison saw).
 func (az *analyzer) comparisonAt(b *block, cond isa.Reg) (comparison, bool) {
-	var defs []uint8
-	definesReg := func(in isa.Inst, r isa.Reg) bool {
-		defs = in.Defs(defs[:0])
-		for _, d := range defs {
-			if d < isa.NumRegs && isa.Reg(d) == r {
-				return true
-			}
-		}
-		return false
+	i := az.lastDef(b, cond)
+	if i < 0 {
+		return comparison{}, false
 	}
-	for i := b.last - 1; i >= b.first; i-- {
-		in := az.p.Insts[i]
-		if !definesReg(in, cond) {
-			continue
-		}
-		var cmp comparison
-		switch in.Op {
-		case isa.SLT, isa.SLTU:
-			cmp = comparison{op: in.Op, x: in.Rs, yReg: in.Rt}
-		case isa.SLTI, isa.SLTIU:
-			cmp = comparison{op: in.Op, x: in.Rs, yImm: uint32(in.Imm), yIsImm: true}
-		default:
-			return comparison{}, false
-		}
-		if cmp.x == cond || (!cmp.yIsImm && cmp.yReg == cond) {
-			return comparison{}, false
-		}
-		for j := i + 1; j < b.last; j++ {
-			if definesReg(az.p.Insts[j], cmp.x) || (!cmp.yIsImm && definesReg(az.p.Insts[j], cmp.yReg)) {
-				return comparison{}, false
-			}
-		}
-		return cmp, true
+	var cmp comparison
+	switch in := az.p.Insts[i]; in.Op {
+	case isa.SLT, isa.SLTU:
+		cmp = comparison{op: in.Op, x: in.Rs, yReg: in.Rt}
+	case isa.SLTI, isa.SLTIU:
+		cmp = comparison{op: in.Op, x: in.Rs, yImm: uint32(in.Imm), yIsImm: true}
+	default:
+		return comparison{}, false
 	}
-	return comparison{}, false
+	if cmp.x == cond || (!cmp.yIsImm && cmp.yReg == cond) {
+		return comparison{}, false
+	}
+	if !az.survives(b, i, cmp.x) || (!cmp.yIsImm && !az.survives(b, i, cmp.yReg)) {
+		return comparison{}, false
+	}
+	return cmp, true
 }
 
 // narrowCompare applies the comparison (when holds) or its negation (when

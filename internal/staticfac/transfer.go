@@ -101,14 +101,6 @@ func (st *State) killSlots(drop func(Slot) bool) {
 	st.NSlot = uint8(w)
 }
 
-// dropAllSlots forgets every slot fact.
-func (st *State) dropAllSlots() {
-	for i := 0; i < int(st.NSlot); i++ {
-		st.Slots[i] = Slot{}
-	}
-	st.NSlot = 0
-}
-
 // JoinState merges two register states pointwise in both domains. Slot
 // facts survive only where both sides track the same address (joined
 // pointwise); the taint mask unions.
@@ -158,28 +150,19 @@ func WidenState(prev, next State, ts []uint32) State {
 	return next
 }
 
-// Step applies the abstract transfer function of one instruction to the
-// register state, with no memory environment: loads return Unknown, any
-// store or call forgets every slot fact, and taint only propagates
-// (it cannot be seeded, since recognizing a stack address needs the
-// program layout). The analyzer's transfer — step with the analysis'
-// memEnv — is what resolves loads against tracked cells and keeps slots
-// across calls.
-func Step(st *State, in isa.Inst, pc uint32) {
-	step(st, in, pc, nil)
-}
-
-// step mirrors the functional emulator's integer semantics exactly
-// (internal/emu): immediates are the sign-extended int32 stored by the
-// decoder, logical immediates use the same uint32(Imm) conversion, and
-// shift amounts are masked to 5 bits. Operations whose results the
-// lattice cannot track (multiplies, divides, unresolvable loads, FP
-// moves) clobber their destination to Unknown. Control transfers only
-// write their link register; the CFG layer handles the PC. Interval
-// arithmetic runs beside the known-bits transfer where it can beat the
-// KB-derived range (add/sub chains, shifts, masked upper bounds);
-// everywhere else the destination interval falls back to the range the
-// KB result implies.
+// step applies the abstract transfer function of one instruction to the
+// state, resolving loads, stores, calls and syscalls against the memory
+// environment env. It mirrors the functional emulator's integer
+// semantics exactly (internal/emu): immediates are the sign-extended
+// int32 stored by the decoder, logical immediates use the same
+// uint32(Imm) conversion, and shift amounts are masked to 5 bits.
+// Operations whose results the lattice cannot track (multiplies,
+// divides, unresolvable loads, FP moves) clobber their destination to
+// Unknown. Control transfers only write their link register; the CFG
+// layer handles the PC. Interval arithmetic runs beside the known-bits
+// transfer where it can beat the KB-derived range (add/sub chains,
+// shifts, masked upper bounds); everywhere else the destination
+// interval falls back to the range the KB result implies.
 func step(st *State, in isa.Inst, pc uint32, env *memEnv) {
 	// Taint sources are read before the switch mutates the state.
 	var ubuf [4]uint8
@@ -250,28 +233,16 @@ func step(st *State, in isa.Inst, pc uint32, env *memEnv) {
 	case isa.LUI:
 		set(in.Rd, Exact(imm<<16), IvTop)
 	case isa.JAL:
-		if env != nil {
-			env.callScan(st, pc)
-		} else {
-			st.dropAllSlots()
-		}
+		env.callScan(st, pc)
 		set(isa.RA, Exact(pc+isa.InstBytes), IvTop)
 	case isa.JALR:
-		if env != nil {
-			env.callScan(st, pc)
-		} else {
-			st.dropAllSlots()
-		}
+		env.callScan(st, pc)
 		set(in.Rd, Exact(pc+isa.InstBytes), IvTop)
 	case isa.JR:
 		// jr $ra is a return; any other target is a computed jump the
 		// CFG fans out, which leaks registers like a call does.
 		if in.Rs != isa.RA {
-			if env != nil {
-				env.callScan(st, pc)
-			} else {
-				st.dropAllSlots()
-			}
+			env.callScan(st, pc)
 		}
 	case isa.SYSCALL:
 		// The emulator's syscalls never write data memory, so slots
@@ -280,9 +251,9 @@ func step(st *State, in isa.Inst, pc uint32, env *memEnv) {
 		// break never wraps). Any other exact code leaves $v0 as the
 		// code itself; an unknown code gets the conservative join.
 		switch {
-		case env != nil && st.R[isa.V0].IsExact() && st.R[isa.V0].Ones == sysSbrk:
+		case st.R[isa.V0].IsExact() && st.R[isa.V0].Ones == sysSbrk:
 			set(isa.V0, Unknown, IvRange(env.stackLo, ^uint32(0)))
-		case env != nil && st.R[isa.V0].IsExact():
+		case st.R[isa.V0].IsExact():
 			// exit/print: $v0 unchanged.
 		default:
 			set(isa.V0, Unknown, IvTop)
@@ -294,20 +265,11 @@ func step(st *State, in isa.Inst, pc uint32, env *memEnv) {
 			addrK, addrIV := effAddrOf(st, in)
 			if in.Op.IsLoad() {
 				if !in.Op.FPDest() {
-					k, iv := Unknown, IvTop
-					if env != nil {
-						if f, ok := env.loadFact(st, in, addrK); ok {
-							k, iv = f.K, f.IV
-						}
-					}
-					set(in.Rd, k, iv)
+					f := env.loadFact(st, in, addrK)
+					set(in.Rd, f.K, f.IV)
 				}
 			} else {
-				if env != nil {
-					env.storeUpdate(st, in, pc, addrK, addrIV)
-				} else {
-					st.dropAllSlots()
-				}
+				env.storeUpdate(st, in, pc, addrK, addrIV)
 			}
 			if in.Op.Mode() == isa.AMPost {
 				set(in.Rs, st.R[in.Rs].Add(Exact(imm)), st.IV[in.Rs].Add(IvExact(imm)))
@@ -323,13 +285,12 @@ func step(st *State, in isa.Inst, pc uint32, env *memEnv) {
 const sysSbrk = 9
 
 // stackish reports whether register r may hold a stack-derived pointer:
-// either it carries the Deriv taint, or (with a memory environment to
-// name the stack region) it holds an exact stack address.
+// either it carries the Deriv taint, or it holds an exact stack address.
 func stackish(st *State, r isa.Reg, env *memEnv) bool {
 	if st.Deriv&(1<<uint(r)) != 0 {
 		return true
 	}
-	return env != nil && st.R[r].IsExact() && st.R[r].Ones >= env.stackLo
+	return st.R[r].IsExact() && st.R[r].Ones >= env.stackLo
 }
 
 // retaint recomputes the Deriv taint of every register the instruction
@@ -367,5 +328,5 @@ func retaint(st *State, in isa.Inst, srcStackish bool, env *memEnv) {
 // belowStack reports whether r's value range provably ends below the
 // stack region (so it cannot be a usable stack pointer).
 func belowStack(st *State, r isa.Reg, env *memEnv) bool {
-	return env != nil && st.IV[r].Hi() < env.stackLo
+	return st.IV[r].Hi() < env.stackLo
 }

@@ -5,7 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/prog"
 )
+
+// emptyEnv is the memory environment of an empty program, which has no
+// data cells.
+func emptyEnv() *memEnv { return newMemEnv(&prog.Program{}, nil) }
 
 // TestStepPerOpcode is the table-driven transfer-function audit: one case
 // per ALU/shift/immediate opcode that refines or destroys alignment facts,
@@ -99,7 +104,7 @@ func TestStepPerOpcode(t *testing.T) {
 			if tc.pre != nil {
 				tc.pre(&st)
 			}
-			Step(&st, tc.in, 0x400200)
+			step(&st, tc.in, 0x400200, emptyEnv())
 			tc.want(t, &st)
 		})
 	}
@@ -127,7 +132,7 @@ func expectUnknown(t *testing.T, k KB) {
 }
 
 // aluConcrete mirrors the emulator's ALU semantics (internal/emu exec) for
-// the opcodes Step models precisely; the pairing below keeps the abstract
+// the opcodes step models precisely; the pairing below keeps the abstract
 // transfer honest on random exact inputs.
 func aluConcrete(op isa.Op, a, b uint32, imm int32) (uint32, bool) {
 	switch op {
@@ -195,6 +200,7 @@ func aluConcrete(op isa.Op, a, b uint32, imm int32) (uint32, bool) {
 // concrete result of the same instruction.
 func TestStepMatchesConcrete(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	env := emptyEnv()
 	ops := []isa.Op{
 		isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.NOR, isa.SLT, isa.SLTU,
 		isa.SLLV, isa.SRLV, isa.SRAV, isa.ADDI, isa.ANDI, isa.ORI, isa.XORI,
@@ -218,7 +224,7 @@ func TestStepMatchesConcrete(t *testing.T) {
 		var st State
 		st.SetReg(isa.T0, Exact(a))
 		st.SetReg(isa.T1, Exact(b))
-		Step(&st, in, 0x400000)
+		step(&st, in, 0x400000, env)
 		if !st.R[isa.T2].Contains(want) {
 			t.Fatalf("%v a=%#x b=%#x: abstract %v does not contain concrete %#x",
 				in, a, b, st.R[isa.T2], want)
