@@ -23,7 +23,8 @@
 // With -json, output follows the deterministic "fac/static/v1" schema
 // (docs/ANALYSIS.md). With -min-classified F the exit status is non-zero
 // unless at least fraction F of all sites received a non-unknown verdict —
-// the CI smoke gate.
+// the CI smoke gate. The gate holds in every output mode, -explain and
+// -explain-first included.
 //
 // Multiple inputs (-suite, or several files) build and analyze in
 // parallel; results print in input order, so the output is byte-identical
@@ -34,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -60,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bench    = fs.String("benchmark", "", "analyze a built-in benchmark")
 		suite    = fs.Bool("suite", false, "analyze the full benchmark suite")
 		falign   = fs.Bool("falign", false, "compile with software alignment support")
-		block    = fs.Int("block", 32, "cache block size for the predictor (16 or 32)")
+		block    = fs.Int("block", 32, "cache block size for the predictor (a power of two)")
 		setBits  = fs.Uint("setbits", 14, "log2 of the direct-mapped cache span in bytes")
 		sites    = fs.Bool("sites", false, "print the per-site verdict table")
 		jsonOut  = fs.Bool("json", false, "emit the fac/static/v1 JSON report")
@@ -77,11 +79,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	blockBits := uint(5)
-	if *block == 16 {
-		blockBits = 4
+	if *block <= 0 || *block&(*block-1) != 0 {
+		return fatal(fmt.Errorf("-block %d is not a power of two", *block))
 	}
-	geom := fac.Config{BlockBits: blockBits, SetBits: *setBits}
+	geom := fac.Config{BlockBits: uint(bits.TrailingZeros(uint(*block))), SetBits: *setBits}
 	if err := geom.Validate(); err != nil {
 		return fatal(err)
 	}
@@ -170,6 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	close(next)
 	wg.Wait()
 
+	explaining := *explain != "" || *explain1
 	var report *staticfac.Report
 	var total, classified, ivRefined int
 	for i, jb := range jobs {
@@ -178,7 +180,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(res.err)
 		}
 		a := res.a
-		if *explain != "" || *explain1 {
+		s := a.Summary()
+		total += s.Sites
+		classified += s.Sites - s.ByVerdict[staticfac.VerdictUnknown]
+		ivRefined += s.IvRefined
+		if explaining {
 			pc := uint32(explainPC)
 			if *explain1 {
 				first, ok := a.FirstUnknown()
@@ -198,10 +204,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, text)
 			continue
 		}
-		s := a.Summary()
-		total += s.Sites
-		classified += s.Sites - s.ByVerdict[staticfac.VerdictUnknown]
-		ivRefined += s.IvRefined
 		if *jsonOut {
 			if report == nil {
 				report = staticfac.NewReport(a)
@@ -219,33 +221,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 			printSites(stdout, a)
 		}
 	}
-	if *explain != "" || *explain1 {
-		return 0
+	frac := 0.0
+	if total > 0 {
+		frac = float64(classified) / float64(total)
 	}
-	if *jsonOut && report != nil {
+	switch {
+	case explaining:
+		// The blame chains are the whole output.
+	case *jsonOut && report != nil:
 		b, err := report.Encode()
 		if err != nil {
 			return fatal(err)
 		}
 		stdout.Write(b)
-	} else if len(jobs) > 1 {
-		frac := 0.0
-		if total > 0 {
-			frac = float64(classified) / float64(total)
-		}
+	case len(jobs) > 1:
 		fmt.Fprintf(stdout, "%-10s %-7s sites %4d classified %d  [%.1f%%]  interval-refined %d\n",
 			"TOTAL", toolchain, total, classified, 100*frac, ivRefined)
 	}
-	if *minFrac > 0 {
-		frac := 0.0
-		if total > 0 {
-			frac = float64(classified) / float64(total)
-		}
-		if total == 0 || frac < *minFrac {
-			fmt.Fprintf(stderr, "faclint: classified fraction %.3f below required %.3f (%d/%d sites)\n",
-				frac, *minFrac, classified, total)
-			return 1
-		}
+	if *minFrac > 0 && (total == 0 || frac < *minFrac) {
+		fmt.Fprintf(stderr, "faclint: classified fraction %.3f below required %.3f (%d/%d sites)\n",
+			frac, *minFrac, classified, total)
+		return 1
 	}
 	return 0
 }

@@ -75,3 +75,36 @@ func TestExplainFirstDeterministic(t *testing.T) {
 		t.Errorf("blame chain names no root cause:\n%s", a)
 	}
 }
+
+// TestBlockSizeSetsGeometry: -block takes any power of two and analyses
+// that block size, and rejects every other value.
+func TestBlockSizeSetsGeometry(t *testing.T) {
+	out := runOnce(t, "-benchmark", "queens", "-block", "64", "-json")
+	if !strings.Contains(out, `"block_bits": 6`) {
+		t.Errorf("-block 64 did not analyse 64-byte blocks:\n%.300s", out)
+	}
+	for _, block := range []string{"7", "48"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-benchmark", "queens", "-block", block}, &stdout, &stderr); code == 0 {
+			t.Errorf("-block %s exited 0:\n%s", block, stdout.String())
+		}
+	}
+}
+
+// TestMinClassifiedUnderExplain: the -min-classified gate holds when the
+// output is a blame chain too. queens classifies 56.2% of its sites.
+func TestMinClassifiedUnderExplain(t *testing.T) {
+	for _, tc := range []struct {
+		min  string
+		want int
+	}{{"0.5", 0}, {"0.99", 1}} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-benchmark", "queens", "-explain-first", "-min-classified", tc.min}
+		if code := run(args, &stdout, &stderr); code != tc.want {
+			t.Errorf("faclint %v exited %d, want %d: %s", args, code, tc.want, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "verdict=unknown") {
+			t.Errorf("faclint %v printed no blame chain:\n%s", args, stdout.String())
+		}
+	}
+}
