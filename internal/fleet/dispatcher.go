@@ -20,11 +20,11 @@ type Config struct {
 	// dispatch is launched on the next ring owner (work-stealing for
 	// stragglers). 0 = 30s; negative disables hedging.
 	HedgeAfter time.Duration
-	// CoolOff is how long a worker that failed a dispatch at the
-	// transport level is deprioritised before being tried first again
-	// (0 = 5s).
-	CoolOff time.Duration
 }
+
+// coolOff is how long a worker that failed a dispatch at the transport
+// level is deprioritised before being tried first again.
+const coolOff = 5 * time.Second
 
 // Dispatcher is the coordinator's executor: Exec ships the job to the
 // worker owning its cache key, failing over (and hedging) around the
@@ -58,9 +58,6 @@ func New(cfg Config) (*Dispatcher, error) {
 	}
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = 30 * time.Second
-	}
-	if cfg.CoolOff <= 0 {
-		cfg.CoolOff = 5 * time.Second
 	}
 	d := &Dispatcher{
 		cfg:     cfg,
@@ -225,7 +222,7 @@ func (d *Dispatcher) Exec(ctx context.Context, key string, spec simsvc.JobSpec) 
 			lastErr = a.err
 			d.note(w, func(st *workerState) {
 				st.failed++
-				st.downUntil = time.Now().Add(d.cfg.CoolOff)
+				st.downUntil = time.Now().Add(coolOff)
 			})
 			if next < len(owners) {
 				launch(false)

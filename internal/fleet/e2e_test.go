@@ -57,12 +57,11 @@ func newWorkerDaemon(t *testing.T) *httptest.Server {
 // newCoordinator starts a coordinator facd: a Runner whose Remote is a
 // fleet dispatcher over the given workers — the same server surface as a
 // single daemon, with execution sharded across the fleet.
-func newCoordinator(t *testing.T, workers []string, hedge, coolOff time.Duration) (string, *fleet.Dispatcher) {
+func newCoordinator(t *testing.T, workers []string, hedge time.Duration) (string, *fleet.Dispatcher) {
 	t.Helper()
 	d, err := fleet.New(fleet.Config{
 		Workers:    workers,
 		HedgeAfter: hedge,
-		CoolOff:    coolOff,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +165,7 @@ func TestE2EFleetMatchesSingleDaemon(t *testing.T) {
 	}
 	w0, w1 := newWorkerDaemon(t), newWorkerDaemon(t)
 	workers := []string{w0.URL, w1.URL}
-	coord, disp := newCoordinator(t, workers, -1, 0)
+	coord, disp := newCoordinator(t, workers, -1)
 	jobs := e2eJobs(t, workers)
 
 	batch, jobIDs := submitBatch(t, coord, jobs)
@@ -223,9 +222,9 @@ func TestE2EFleetSurvivesWorkerKill(t *testing.T) {
 	}
 	victim, survivor := newWorkerDaemon(t), newWorkerDaemon(t)
 	workers := []string{victim.URL, survivor.URL}
-	// Tight hedge/cool-off so the kill is absorbed quickly: in-flight
-	// requests die with the connection and fail over; stragglers hedge.
-	coord, disp := newCoordinator(t, workers, 300*time.Millisecond, 100*time.Millisecond)
+	// A tight hedge so the kill is absorbed quickly: in-flight requests
+	// die with the connection and fail over; stragglers hedge.
+	coord, disp := newCoordinator(t, workers, 300*time.Millisecond)
 	jobs := e2eJobs(t, workers)
 
 	batch, _ := submitBatch(t, coord, jobs)
@@ -285,7 +284,7 @@ func postRun(t *testing.T, base string, spec simsvc.JobSpec) (int, string) {
 // coordinator dispatches it once and leaves both workers healthy.
 func TestE2ERunFailureStaysOnOneWorker(t *testing.T) {
 	w1, w2 := newWorkerDaemon(t), newWorkerDaemon(t)
-	coord, disp := newCoordinator(t, []string{w1.URL, w2.URL}, -1, time.Minute)
+	coord, disp := newCoordinator(t, []string{w1.URL, w2.URL}, -1)
 	spec := simsvc.JobSpec{Workload: "queens", Toolchain: "base", Machine: "base32", MaxInsts: 400_000}
 
 	status, msg := postRun(t, coord, spec)
