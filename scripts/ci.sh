@@ -22,15 +22,16 @@
 #                                    -short trims the experiment sweeps and
 #                                    difftest seed counts, which -race would
 #                                    otherwise stretch past 15 minutes)
-#   emulate-ahead race        ~65s  (all of internal/core's tests, repeated
+#   emulate-ahead race        ~75s  (all of internal/core's tests, repeated
 #                                    10 times under the race detector: among
 #                                    them those of the emulator goroutine
 #                                    that runs ahead of the timing model —
 #                                    exact results, the producer joined on
 #                                    every early exit, nothing allocated per
 #                                    chunk — and a new one cannot miss the
-#                                    stage; measured 65s on 2 vCPUs, against
-#                                    69s for the five tests it once listed)
+#                                    stage; measured 65s alone on 2 vCPUs,
+#                                    against 69s for the five tests it once
+#                                    listed, and 83-86s inside ci.sh)
 #   cache race                ~15s  (simsvc's TestResident* tests of the
 #                                    disk cache's in-memory resident set —
 #                                    its concurrency test and its contract:
