@@ -67,7 +67,7 @@ type line struct {
 // Cache is a timing model of one cache array.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	lines     []line // every set's ways, set by set: set i is lines[i*Assoc:][:Assoc]
 	idxMask   uint32
 	blockBits uint
 	idxBits   uint
@@ -85,10 +85,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Size / (cfg.BlockSize * cfg.Assoc)
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
-	}
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc)}
 	c.blockBits = log2(uint(cfg.BlockSize))
 	c.idxBits = log2(uint(nsets))
 	c.idxMask = uint32(nsets - 1)
@@ -125,8 +122,8 @@ type Result struct {
 }
 
 func (c *Cache) lookup(addr uint32) (set []line, tag uint32) {
-	idx := addr >> c.blockBits & c.idxMask
-	return c.sets[idx], addr >> (c.blockBits + c.idxBits)
+	i := int(addr>>c.blockBits&c.idxMask) * c.cfg.Assoc
+	return c.lines[i : i+c.cfg.Assoc], addr >> (c.blockBits + c.idxBits)
 }
 
 // pruneMSHRs drops completed misses from the outstanding list.
@@ -241,11 +238,7 @@ func (c *Cache) Probe(addr uint32, now uint64) bool {
 
 // Flush invalidates all lines and clears statistics.
 func (c *Cache) Flush() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
+	clear(c.lines)
 	c.stats = Stats{}
 	c.outstanding = nil
 }

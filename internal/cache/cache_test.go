@@ -242,3 +242,18 @@ func TestMSHROccupancyHistogram(t *testing.T) {
 		t.Error("unbounded cache sampled MSHR occupancy")
 	}
 }
+
+// TestNewAllocs pins New at two allocations, the Cache and one backing
+// array of lines, whatever the geometry: a slice per set made the
+// default 16 KiB direct-mapped cache 514 allocations.
+func TestNewAllocs(t *testing.T) {
+	for _, cfg := range []Config{
+		{Size: 16 << 10, BlockSize: 32, Assoc: 1, MissLatency: 16},
+		{Size: 64 << 10, BlockSize: 16, Assoc: 4, MissLatency: 16, MSHRs: 8},
+		{Size: 1 << 10, BlockSize: 64, Assoc: 16, MissLatency: 1},
+	} {
+		if n := testing.AllocsPerRun(10, func() { New(cfg) }); n != 2 {
+			t.Errorf("New(%+v) made %.0f allocations, want 2", cfg, n)
+		}
+	}
+}

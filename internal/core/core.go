@@ -56,18 +56,17 @@ type chunk struct {
 	err error
 }
 
-// aheadSource is the pipeline's Source for a live emulator. The emulator
+// aheadSource is the pipeline's Lender for a live emulator. The emulator
 // runs on its own goroutine, filling free chunks and handing them over on
-// full; NextBatch copies traces out of full chunks and returns each one
-// to free once it is spent. Both channels have room for every chunk, so
-// sends never block, and the emulator runs at most the ring ahead of the
-// timing model. The stream is a function of the program alone, so
-// emulating ahead changes no result.
+// full; Lend lends the pipeline each full chunk in place and returns it
+// to free on the next call, once the pipeline has read it. Both channels
+// have room for every chunk, so sends never block, and the emulator runs
+// at most the ring ahead of the timing model. The stream is a function of
+// the program alone, so emulating ahead changes no result.
 type aheadSource struct {
 	free, full chan *chunk
 	stop, done chan struct{}
-	cur        *chunk // held by NextBatch; cur.t[pos:cur.n] is unread
-	pos        int
+	cur        *chunk // lent by the last Lend
 }
 
 // emulateAhead starts e on the producer goroutine. The caller must call
@@ -82,10 +81,10 @@ func emulateAhead(e *emu.Emulator) *aheadSource {
 	for i := 0; i < ringChunks; i++ {
 		s.free <- &chunk{t: make([]emu.Trace, chunkLen)}
 	}
-	// NextBatch starts out holding a spent chunk, which it returns to free
+	// Lend starts out holding a spent full chunk, which it returns to free
 	// on its first call, so it never has to test for a missing one.
 	s.cur = <-s.free
-	s.cur.n, s.pos = chunkLen, chunkLen
+	s.cur.n = chunkLen
 	go s.produce(e)
 	return s
 }
@@ -120,27 +119,17 @@ func (s *aheadSource) produce(e *emu.Emulator) {
 	}
 }
 
-func (s *aheadSource) NextBatch(buf []emu.Trace) (int, error) {
-	n := 0
-	for n < len(buf) {
-		if s.pos == s.cur.n {
-			if s.cur.n < chunkLen {
-				// The last chunk is spent: the stream ends, or the
-				// emulator's fault follows the traces before it.
-				if n > 0 {
-					break
-				}
-				return 0, s.cur.err
-			}
-			s.free <- s.cur
-			s.cur, s.pos = <-s.full, 0
-			continue
+func (s *aheadSource) Lend() ([]emu.Trace, error) {
+	if s.cur.n == chunkLen {
+		s.free <- s.cur
+		s.cur = <-s.full
+		if s.cur.n > 0 {
+			return s.cur.t[:s.cur.n], nil
 		}
-		k := copy(buf[n:], s.cur.t[s.pos:s.cur.n])
-		s.pos += k
-		n += k
 	}
-	return n, nil
+	// The last chunk is spent: the stream ends, or the emulator's fault
+	// follows the traces before it.
+	return nil, s.cur.err
 }
 
 // join stops the producer and waits for it to exit, after which the

@@ -100,3 +100,53 @@ func preEqualU8(a, b []uint8) bool {
 	}
 	return true
 }
+
+// TestPredecodePadding checks the premise of the timing model's operand
+// test, which takes the latest ready cycle over all three Uses slots:
+// for every op in the table, with register fields that include $zero and
+// registers of each file, Predecode leaves Uses[NUses:] and Defs[NDefs:]
+// 0 and never lists unified register 0 ($zero) in Defs, so the scoreboard
+// entry the padding reads stays 0. The cases must reach integer, FP and
+// FCC ids (FP register 0 is unified id 32, a live register).
+func TestPredecodePadding(t *testing.T) {
+	regs := []Reg{Zero, 1, 2, 17, 31}
+	var seenInt, seenFP, seenFCC bool
+	for op := Op(0); op < NumOps; op++ {
+		for _, rd := range regs {
+			for _, rs := range regs {
+				for _, rt := range regs {
+					in := Inst{Op: op, Rd: rd, Rs: rs, Rt: rt, Imm: 4}
+					pre := Predecode(in)
+					for _, u := range pre.Uses[pre.NUses:] {
+						if u != 0 {
+							t.Fatalf("%v: unused Uses slot holds %d: %+v", in, u, pre)
+						}
+					}
+					for _, d := range pre.Defs[pre.NDefs:] {
+						if d != 0 {
+							t.Fatalf("%v: unused Defs slot holds %d: %+v", in, d, pre)
+						}
+					}
+					for _, d := range pre.Defs[:pre.NDefs] {
+						if d == 0 {
+							t.Fatalf("%v: Defs lists register 0: %+v", in, pre)
+						}
+					}
+					for _, u := range append(pre.Uses[:pre.NUses:pre.NUses], pre.Defs[:pre.NDefs]...) {
+						switch {
+						case u == UFCC:
+							seenFCC = true
+						case u >= UFPBase:
+							seenFP = true
+						case u > 0:
+							seenInt = true
+						}
+					}
+				}
+			}
+		}
+	}
+	if !seenInt || !seenFP || !seenFCC {
+		t.Errorf("cases reached integer %v, FP %v, FCC %v registers; want all three", seenInt, seenFP, seenFCC)
+	}
+}

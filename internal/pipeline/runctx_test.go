@@ -47,7 +47,7 @@ func TestRunCtxNilMatchesRun(t *testing.T) {
 		isa.Inst{Op: isa.SUB, Rd: isa.T4, Rs: isa.T5, Rt: isa.T3},
 	)
 	setMem(&trs2[1], 0x1000, 4, false)
-	got, err := RunCtx(context.Background(), fastCfg(), &sliceSource{trs: trs2}, nil)
+	got, err := RunCtx(context.Background(), fastCfg(), &batchLender{src: &sliceSource{trs: trs2}}, nil)
 	if err != nil {
 		t.Fatalf("RunCtx: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := RunCtx(ctx, fastCfg(), &endlessSource{pc: 0x400000}, nil)
+	_, err := RunCtx(ctx, fastCfg(), &batchLender{src: &endlessSource{pc: 0x400000}}, nil)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -82,7 +82,7 @@ func TestRunCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := RunCtx(ctx, fastCfg(), &endlessSource{pc: 0x400000}, nil)
+	_, err := RunCtx(ctx, fastCfg(), &batchLender{src: &endlessSource{pc: 0x400000}}, nil)
 	if err == nil {
 		t.Fatal("deadline-exceeded run returned nil error")
 	}
