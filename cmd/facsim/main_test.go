@@ -34,9 +34,10 @@ func (p *issuePCs) Event(e obs.Event) {
 	}
 }
 
-// TestPrintTraceBeforeFault: on a program that faults, -trace prints the
-// instructions issued before the fault, the same ones core.RunWithSink
-// reports issued before its error, and then returns that error.
+// TestPrintTraceBeforeFault: on a program that faults, the run issues
+// every instruction the emulator stepped before the fault, and -trace
+// prints them, the same ones core.RunWithSink reports issued before its
+// error, and then returns that error.
 func TestPrintTraceBeforeFault(t *testing.T) {
 	tc := workload.BaseToolchain()
 	text, err := minic.Compile(divideByZero, tc.Opts)
@@ -55,8 +56,12 @@ func TestPrintTraceBeforeFault(t *testing.T) {
 	if wantErr == nil || !strings.Contains(wantErr.Error(), "division by zero") {
 		t.Fatalf("core.RunWithSink: err = %v, want the division fault", wantErr)
 	}
-	if len(want) == 0 {
-		t.Fatal("core.RunWithSink issued nothing before the fault")
+	e, err := core.RunFunctional(p, 0)
+	if err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("core.RunFunctional: err = %v, want %v", err, wantErr)
+	}
+	if uint64(len(want)) != e.InstCount {
+		t.Fatalf("core.RunWithSink issued %d instructions, the emulator stepped %d before the fault", len(want), e.InstCount)
 	}
 
 	var out bytes.Buffer

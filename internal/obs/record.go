@@ -34,25 +34,6 @@ func (h Hist) MarshalJSON() ([]byte, error) {
 	}{h.Buckets[:n], h.Count, h.Sum, h.Max})
 }
 
-// UnmarshalJSON accepts the trimmed form.
-func (h *Hist) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Buckets []uint64 `json:"buckets"`
-		Count   uint64   `json:"count"`
-		Sum     uint64   `json:"sum"`
-		Max     uint64   `json:"max"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	*h = Hist{Count: raw.Count, Sum: raw.Sum, Max: raw.Max}
-	if len(raw.Buckets) > HistBuckets {
-		return fmt.Errorf("obs: histogram has %d buckets, max %d", len(raw.Buckets), HistBuckets)
-	}
-	copy(h.Buckets[:], raw.Buckets)
-	return nil
-}
-
 // StallBreakdown is the per-cause stall-cycle accounting. The fields sum
 // to the total number of stall cycles (cycles in which no instruction
 // issued while the simulation was active).
@@ -161,6 +142,13 @@ type RunRecord struct {
 	FAC    *FACRecord   `json:"fac,omitempty"`
 	ICache *CacheRecord `json:"icache,omitempty"`
 	DCache *CacheRecord `json:"dcache,omitempty"`
+}
+
+// RunAnswer is the body of facd's POST /v1/run answer: a run's record
+// and whether a result cache served it.
+type RunAnswer struct {
+	CacheHit bool      `json:"cache_hit"`
+	Record   RunRecord `json:"record"`
 }
 
 // Key orders records deterministically within a report.

@@ -18,10 +18,11 @@ import (
 // NextBatch fills buf with as many traces as remain (up to len(buf)) and
 // returns the count, 0 at end of stream. A source whose producer faults
 // returns the traces before the fault together with the fault, as an
-// io.Reader may return n > 0 with an error; the pipeline fetches those
-// traces before it stops on the fault. Pulling in bulk amortizes the
-// per-instruction interface call. The stream is trace-driven and
-// replayed as-is, so its producer may run ahead of the timing model.
+// io.Reader may return n > 0 with an error; the pipeline issues those
+// traces, and drains its store buffer, before it returns the fault.
+// Pulling in bulk amortizes the per-instruction interface call. The
+// stream is trace-driven and replayed as-is, so its producer may run
+// ahead of the timing model.
 type Source interface {
 	NextBatch(buf []emu.Trace) (int, error)
 }
@@ -81,7 +82,8 @@ type sim struct {
 	nextFetchCycle uint64
 	batch          []emu.Trace
 	batchPos       int
-	srcDone        bool // src ended the stream; batch is empty
+	srcDone        bool  // src ended the stream or faulted; batch is empty
+	srcErr         error // src's fault, returned once the pipeline drains
 
 	// Issue queue (fetched, not yet issued), in program order. A fixed
 	// ring whose length is the queue bound (see queueFull), so the steady
@@ -264,9 +266,7 @@ func (s *sim) run() error {
 		s.storeAt[(now+2)&(1<<ringBits-1)] = false
 
 		if now >= s.nextFetchCycle {
-			if err := s.fetch(now); err != nil {
-				return err
-			}
+			s.fetch(now)
 		}
 		issued, cause, err := s.issue(now)
 		if err != nil {
@@ -318,7 +318,7 @@ func (s *sim) run() error {
 		now++
 	}
 	s.stats.Cycles = s.lastEvent
-	return nil
+	return s.srcErr
 }
 
 // ffWake returns the cycle to which the simulation can provably
@@ -387,33 +387,29 @@ func (s *sim) operandsReady(p *isa.Pre) uint64 {
 }
 
 // refill borrows the source's next traces once the lent ones are spent.
-// It reports false at the end of the stream or on a source error. Any
-// pointer into the previous batch is invalid after it.
-func (s *sim) refill() (bool, error) {
+// It reports false at the end of the stream or on a source fault, which
+// it keeps for run to return once the instructions already fetched have
+// issued. Any pointer into the previous batch is invalid after it.
+func (s *sim) refill() bool {
 	if s.srcDone {
-		return false, nil
+		return false
 	}
 	b, err := s.src.Lend()
-	if err != nil {
-		return false, err
-	}
 	s.batch, s.batchPos = b, 0
-	s.srcDone = len(b) == 0
-	return !s.srcDone, nil
+	s.srcDone, s.srcErr = len(b) == 0, err
+	return !s.srcDone
 }
 
 // fetch models the IF stage: up to FetchWidth contiguous instructions per
 // cycle through the I-cache, ending early at predicted- or actually-taken
 // control transfers, charging the BTB misprediction penalty. The caller
 // calls it only once now reaches nextFetchCycle.
-func (s *sim) fetch(now uint64) error {
+func (s *sim) fetch(now uint64) {
 	if s.queueFull() {
-		return nil // fetch stalls
+		return // fetch stalls
 	}
-	if s.batchPos == len(s.batch) {
-		if ok, err := s.refill(); !ok {
-			return err
-		}
+	if s.batchPos == len(s.batch) && !s.refill() {
+		return
 	}
 	firstPC := s.batch[s.batchPos].PC
 
@@ -435,14 +431,8 @@ func (s *sim) fetch(now uint64) error {
 	expectPC := firstPC
 	redirected := false
 	for fetched < s.cfg.FetchWidth {
-		if s.batchPos == len(s.batch) {
-			ok, err := s.refill()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
+		if s.batchPos == len(s.batch) && !s.refill() {
+			break
 		}
 		tr := &s.batch[s.batchPos]
 		if tr.PC != expectPC {
@@ -498,7 +488,6 @@ func (s *sim) fetch(now uint64) error {
 	if s.sink != nil && fetched > 0 {
 		s.sink.Event(obs.Event{Kind: obs.KindFetch, Cycle: now, PC: firstPC, Val: uint64(fetched)})
 	}
-	return nil
 }
 
 // Cache ports: up to DCacheReadsPerCycle loads, or one store, each cycle.

@@ -65,8 +65,9 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // do issues one JSON request. A nil body sends no payload; out, when
-// non-nil, receives the decoded 2xx response body. Error responses are
-// mapped to RetryError (429) or StatusError.
+// non-nil, receives the decoded 2xx response body: an out with its own
+// json.Unmarshaler gets the body whole, so encoding/json never scans it.
+// Error responses are mapped to RetryError (429) or StatusError.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -112,6 +113,13 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
+	if u, ok := out.(json.Unmarshaler); ok {
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		return u.UnmarshalJSON(data)
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
@@ -126,12 +134,9 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 // Cancelling ctx tears down the connection, which cancels the simulation
 // on the daemon.
 func (c *Client) RunSync(ctx context.Context, spec JobSpec) (obs.RunRecord, bool, error) {
-	var resp struct {
-		CacheHit bool          `json:"cache_hit"`
-		Record   obs.RunRecord `json:"record"`
-	}
+	var ans obs.RunAnswer
 	for {
-		err := c.do(ctx, http.MethodPost, "/v1/run", spec, &resp)
+		err := c.do(ctx, http.MethodPost, "/v1/run", spec, &ans)
 		var re *RetryError
 		if errors.As(err, &re) {
 			select {
@@ -146,14 +151,14 @@ func (c *Client) RunSync(ctx context.Context, spec JobSpec) (obs.RunRecord, bool
 		}
 		break
 	}
-	if resp.Record.Schema != obs.RunRecordSchema {
+	if ans.Record.Schema != obs.RunRecordSchema {
 		return obs.RunRecord{}, false, fmt.Errorf("simsvc: daemon returned record schema %q (want %q)",
-			resp.Record.Schema, obs.RunRecordSchema)
+			ans.Record.Schema, obs.RunRecordSchema)
 	}
-	if got := resp.Record.Key(); got != spec.String() {
+	if got := ans.Record.Key(); got != spec.String() {
 		return obs.RunRecord{}, false, fmt.Errorf("simsvc: daemon returned the record of %s for %s", got, spec)
 	}
-	return resp.Record, resp.CacheHit, nil
+	return ans.Record, ans.CacheHit, nil
 }
 
 // Exec runs spec on the daemon through RunSync, making a Client a

@@ -3,11 +3,14 @@ package simsvc
 import (
 	"context"
 	"errors"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
 // rejectSink reports each refused request's reason on a channel.
@@ -72,5 +75,42 @@ func TestClientRunSyncWaitsOutQuota(t *testing.T) {
 	}
 	if n := r.runs.Load(); n != 2 {
 		t.Fatalf("runner ran %d jobs, want 2: the cancelled run must never start", n)
+	}
+}
+
+// TestRunRefusesLaxRecord: a daemon's record with a key the record's
+// reader does not know, or a known key in other case, which
+// encoding/json would skip or match, fails the run, and the runner
+// caches nothing.
+func TestRunRefusesLaxRecord(t *testing.T) {
+	spec := JobSpec{Workload: "queens", Toolchain: "base", Machine: "base32"}
+	own := `{"cache_hit":false,"record":{"schema":"fac/run-record/v1","benchmark":"queens","toolchain":"base","machine":"base32","cycles":5}}`
+	for _, body := range []string{
+		own,
+		strings.Replace(own, `"cycles"`, `"worker":"w1","cycles"`, 1),
+		strings.Replace(own, `"cycles"`, `"Cycles"`, 1),
+	} {
+		cache, err := OpenDiskCache(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &Runner{
+			Resolve: func(string) (pipeline.Config, error) { return pipeline.DefaultConfig(), nil },
+			Cache:   cache,
+			Remote: &Client{Base: "http://daemon", HTTPClient: &http.Client{
+				Transport: cannedTransport{status: http.StatusOK, body: []byte(body)},
+			}},
+		}
+		out, err := r.Run(context.Background(), spec)
+		entries := cache.Stats().Entries
+		if body == own {
+			if err != nil || out.Rec.Cycles != 5 || entries != 1 {
+				t.Fatalf("the spec's own record: cycles %d, err %v, %d entries cached", out.Rec.Cycles, err, entries)
+			}
+			continue
+		}
+		if err == nil || entries != 0 {
+			t.Fatalf("%s: err %v, %d entries cached; want an error and none", body, err, entries)
+		}
 	}
 }

@@ -103,7 +103,7 @@ type residentEntry struct {
 func (e *residentEntry) hitAnswer() []byte {
 	e.answerOnce.Do(func() {
 		var b bytes.Buffer
-		encodeJSON(&b, runAnswer(true, e.rec))
+		encodeJSON(&b, obs.RunAnswer{CacheHit: true, Record: e.rec})
 		e.answer = b.Bytes()
 	})
 	return e.answer
@@ -220,7 +220,7 @@ func (c *DiskCache) get(key, want string) (obs.RunRecord, *residentEntry, bool) 
 			return obs.RunRecord{}, nil, false
 		}
 		e = &residentEntry{path: p, size: int64(len(data))}
-		if err := json.Unmarshal(data, &e.rec); err != nil {
+		if err := e.rec.UnmarshalJSON(data); err != nil {
 			c.corruptLocked(e)
 			return obs.RunRecord{}, nil, false
 		}

@@ -62,8 +62,9 @@ func (c cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // either fails and caches nothing, or returns a record with the run-record
 // schema and the spec's own key and caches that record under the spec's
 // key. The seed corpus holds the spec's own record, another machine's
-// record, a wrong schema, truncated JSON, a 500 and a histogram with more
-// than obs.HistBuckets buckets.
+// record, a wrong schema, truncated JSON, a 500, a histogram with more
+// than obs.HistBuckets buckets, and records with an unknown key and with
+// a case-variant key, which the record's reader refuses.
 func FuzzRemoteRecord(f *testing.F) {
 	spec := JobSpec{Workload: "queens", Toolchain: "base", Machine: "base32"}
 	f.Fuzz(func(t *testing.T, status int, body []byte) {

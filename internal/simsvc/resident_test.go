@@ -426,6 +426,44 @@ func TestRunAnswerBytes(t *testing.T) {
 	}
 }
 
+// TestClientReadsRunAnswers: Client.RunSync decodes each answer
+// TestRunAnswerBytes pins (a miss, the first hit, a later hit, and a hit
+// through a second handle that reads the file) of a fac32 and a stride
+// record into the record the server ran: nil sections stay nil, and the
+// fail-cause maps and histogram buckets match.
+func TestClientReadsRunAnswers(t *testing.T) {
+	dir := t.TempDir()
+	serve := func() *Client {
+		cache, err := OpenDiskCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, base := newTestServer(t, ServerConfig{Workers: 1}, &Runner{Resolve: testMachine, Cache: cache})
+		return &Client{Base: base}
+	}
+	c := serve()
+	for _, machine := range []string{"fac32", "stride"} {
+		spec := JobSpec{Workload: "hashp", Toolchain: "base", Machine: machine}
+		ref, err := (&Runner{Resolve: testMachine}).Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Rec.ICache == nil || ref.Rec.DCache == nil || ref.Rec.FAC == nil ||
+			machine == "stride" && len(ref.Rec.FAC.LoadFailCauses) == 0 {
+			t.Fatalf("the %s record lacks a section the test reads: %+v", machine, ref.Rec)
+		}
+		for i, step := range []struct {
+			c   *Client
+			hit bool
+		}{{c, false}, {c, true}, {c, true}, {serve(), true}} {
+			rec, hit, err := step.c.RunSync(context.Background(), spec)
+			if err != nil || hit != step.hit || !reflect.DeepEqual(rec, ref.Rec) {
+				t.Fatalf("%s answer %d: hit %v, err %v\n%+v\nwant hit %v\n%+v", machine, i, hit, err, rec, step.hit, ref.Rec)
+			}
+		}
+	}
+}
+
 // TestRunnerChecksCachedKey: an entry that holds another run's record
 // under a spec's key, as a hand edit or a file copied from another
 // directory leaves it, is not served. Run deletes it, counts it corrupt,

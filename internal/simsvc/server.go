@@ -592,11 +592,6 @@ func encodeJSON(w io.Writer, v any) {
 	enc.Encode(v)
 }
 
-// runAnswer is the body of a POST /v1/run answer.
-func runAnswer(cacheHit bool, rec obs.RunRecord) any {
-	return map[string]any{"cache_hit": cacheHit, "record": rec}
-}
-
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
@@ -1036,7 +1031,7 @@ func (s *Server) handleRunSync(w http.ResponseWriter, r *http.Request) {
 		w.Write(out.hit.hitAnswer())
 		return
 	}
-	writeJSON(w, http.StatusOK, runAnswer(out.CacheHit, out.Rec))
+	writeJSON(w, http.StatusOK, obs.RunAnswer{CacheHit: out.CacheHit, Record: out.Rec})
 }
 
 // WorkerStatus is one fleet worker's health and dispatch census,

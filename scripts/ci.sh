@@ -40,17 +40,20 @@
 #                                    are copies, the bound holds — repeated
 #                                    10 times under the race detector;
 #                                    measured 14s on 2 vCPUs)
-#   fuzz smoke                ~90s  (every Fuzz target that go test -list
+#   fuzz smoke                ~65s  (every Fuzz target that go test -list
 #                                    finds in the packages of go list ./...,
 #                                    5s each plus instrumented builds; today
-#                                    8: difftest's four differential targets,
+#                                    9: difftest's four differential targets,
+#                                    obs's FuzzRunRecord, the run record's
+#                                    one-pass reader against encoding/json,
 #                                    simsvc's FuzzParseID, the bounds check of
 #                                    facd's job and batch ids,
 #                                    FuzzRemoteRecord, a daemon's answer to
 #                                    a Runner's remote run, FuzzSubmitBody, a
 #                                    batch submission's body, and
 #                                    FuzzRunBody, the body of a synchronous
-#                                    run)
+#                                    run; measured 64s on 2 vCPUs with the
+#                                    instrumented builds cached)
 #   faclint smoke             ~10s  (static FAC-predictability analysis over
 #                                    the 19-benchmark suite must classify at
 #                                    least 68% of all load/store sites — the
