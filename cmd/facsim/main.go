@@ -8,10 +8,14 @@
 //
 // Usage:
 //
-//	facsim [-predictor fac] [-rr] [-falign] [-block 32] [-functional] input.c
-//	facsim -predictor fac -falign -benchmark qsortst
-//	facsim -predictor fac -benchmark compress -json run.json   # RunRecord export
-//	facsim -predictor fac -trace 40 -benchmark qsortst         # annotated trace of issued instructions
+//	facsim [-machine fac32] [-falign] [-functional] input.c
+//	facsim -machine fac32 -falign -benchmark qsortst
+//	facsim -machine fac32 -benchmark compress -json run.json   # RunRecord export
+//	facsim -machine fac32 -trace 40 -benchmark qsortst         # annotated trace of issued instructions
+//
+// -machine names a machine of the experiments table (base32, fac32,
+// fac32+rr, fac16, stride, selective, ...), resolved as cmd/experiments
+// and facd resolve it, so a -json record pairs with theirs.
 //
 // -trace consumes the simulator's observability event stream
 // (internal/obs): each line is one issued instruction; memory operations
@@ -27,6 +31,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
+	"repro/internal/experiments"
 	"repro/internal/fac"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -38,69 +43,87 @@ import (
 )
 
 func main() {
-	var (
-		predName   = flag.String("predictor", "", "address-prediction machine (fac, pcax, stride, selective)")
-		rr         = flag.Bool("rr", false, "speculate register+register accesses")
-		falign     = flag.Bool("falign", false, "compile with software support (alignment optimizations)")
-		block      = flag.Int("block", 32, "data cache block size (16 or 32)")
-		functional = flag.Bool("functional", false, "functional run only (no timing)")
-		maxInsts   = flag.Uint64("max-insts", 2_000_000_000, "instruction budget")
-		bench      = flag.String("benchmark", "", "run a built-in benchmark")
-		showOut    = flag.Bool("show-output", true, "echo program output")
-		traceN     = flag.Int("trace", 0, "print the first N issued instructions with predictor annotations")
-		hist       = flag.Bool("hist", false, "print the load-latency histogram")
-		jsonOut    = flag.String("json", "", "write the run's RunRecord report to this file")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the command: it parses args, writes the run's report to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("facsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		machine    = fs.String("machine", string(experiments.MBase32), "machine from the experiments table (base32, fac32, fac32+rr, fac16, stride, selective, ...)")
+		falign     = fs.Bool("falign", false, "compile with software support (alignment optimizations)")
+		functional = fs.Bool("functional", false, "functional run only (no timing)")
+		maxInsts   = fs.Uint64("max-insts", 2_000_000_000, "instruction budget")
+		bench      = fs.String("benchmark", "", "run a built-in benchmark")
+		showOut    = fs.Bool("show-output", true, "echo program output")
+		traceN     = fs.Int("trace", 0, "print the first N issued instructions with predictor annotations")
+		hist       = fs.Bool("hist", false, "print the load-latency histogram")
+		jsonOut    = fs.String("json", "", "write the run's RunRecord report to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "facsim:", err)
+		return 1
+	}
+
+	cfg, err := experiments.MachineConfig(experiments.Machine(*machine))
+	if err != nil {
+		return fatal(err)
+	}
 	tc := workload.BaseToolchain()
 	if *falign {
 		tc = workload.FACToolchain()
 	}
-	if *bench == "" && flag.NArg() != 1 {
-		fatal(fmt.Errorf("need exactly one input file (or -benchmark NAME)"))
+	if *bench == "" && fs.NArg() != 1 {
+		return fatal(fmt.Errorf("need exactly one input file (or -benchmark NAME)"))
 	}
-	p, err := workload.Load(*bench, flag.Arg(0), tc)
+	// A record names its input as the experiments table does: a built-in
+	// benchmark by its name and class, a file by its path.
+	name, class := fs.Arg(0), ""
+	if *bench != "" {
+		w, err := workload.ByName(*bench)
+		if err != nil {
+			return fatal(err)
+		}
+		name, class = w.Name, w.Class.String()
+	}
+	p, err := workload.Load(*bench, fs.Arg(0), tc)
 	if err != nil {
-		fatal(err)
-	}
-
-	cfg := pipeline.DefaultConfig()
-	cfg.Predictor = *predName
-	cfg.SpeculateRegReg = *rr
-	cfg.DCache.BlockSize = *block
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
 	if *traceN > 0 {
-		if err := printTrace(os.Stdout, p, cfg, *traceN); err != nil {
-			fatal(err)
+		if err := printTrace(stdout, p, cfg, *traceN); err != nil {
+			return fatal(err)
 		}
-		return
+		return 0
 	}
 
 	if *functional {
 		e, err := core.RunFunctional(p, *maxInsts)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if *showOut {
-			fmt.Print(e.Out.String())
+			fmt.Fprint(stdout, e.Out.String())
 		}
-		fmt.Printf("\ninstructions  %d\nexit code     %d\n", e.InstCount, e.ExitCode)
-		return
+		fmt.Fprintf(stdout, "\ninstructions  %d\nexit code     %d\n", e.InstCount, e.ExitCode)
+		return 0
 	}
 
 	res, err := core.Run(p, cfg, *maxInsts)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if *showOut {
-		fmt.Print(res.Output)
+		fmt.Fprint(stdout, res.Output)
 	}
 	st := res.Stats
-	fmt.Printf(`
+	fmt.Fprintf(stdout, `
 instructions      %d
 cycles            %d
 IPC               %.3f
@@ -115,18 +138,18 @@ mem footprint     %d KB
 		100*st.ICache.MissRatio(), 100*st.DCache.MissRatio(),
 		st.StoreBufferFullStalls, res.MemFootprint>>10)
 
-	fmt.Printf("stall cycles      %d (of %d issue cycles active)\n",
+	fmt.Fprintf(stdout, "stall cycles      %d (of %d issue cycles active)\n",
 		st.StallTotal(), st.IssueActiveCycles+st.StallTotal())
 	for c := obs.StallCause(0); c < obs.NumStallCauses; c++ {
 		if n := st.StallCycles[c]; n > 0 {
-			fmt.Printf("  %-14s  %d (%.1f%%)\n", c, n, pct(n, st.StallTotal()))
+			fmt.Fprintf(stdout, "  %-14s  %d (%.1f%%)\n", c, n, pct(n, st.StallTotal()))
 		}
 	}
 	if *hist {
-		fmt.Printf("load latency (issue to use, cycles):\n%s", stats.FormatHist(st.LoadLatency, "cyc"))
+		fmt.Fprintf(stdout, "load latency (issue to use, cycles):\n%s", stats.FormatHist(st.LoadLatency, "cyc"))
 	}
 	if name := cfg.Predictor; name != "" {
-		fmt.Printf(`address prediction (%s):
+		fmt.Fprintf(stdout, `address prediction (%s):
   loads speculated   %d (%.1f%% failed)
   stores speculated  %d (%.1f%% failed)
   bandwidth overhead %.1f%% of references
@@ -134,45 +157,29 @@ mem footprint     %d KB
 			st.StoresSpeculated, 100*st.StoreFailRate(),
 			100*st.BandwidthOverhead())
 		if n := st.LoadsNoPredict + st.StoresNoPredict; n > 0 {
-			fmt.Printf("  declined           %d (%d loads, %d stores)\n",
+			fmt.Fprintf(stdout, "  declined           %d (%d loads, %d stores)\n",
 				n, st.LoadsNoPredict, st.StoresNoPredict)
 		}
 	}
 
 	if *jsonOut != "" {
-		name := *bench
-		if name == "" {
-			name = flag.Arg(0)
-		}
 		rep := obs.NewReport("cmd/facsim", "")
-		rep.Add(st.Record(name, "", tc.Name, machineName(cfg)))
+		rep.Add(st.Record(name, class, tc.Name, *machine))
 		data, err := rep.Encode()
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Printf("run record written to %s\n", *jsonOut)
+		fmt.Fprintf(stdout, "run record written to %s\n", *jsonOut)
 	}
-}
-
-// machineName summarizes the CLI-configured machine for the RunRecord.
-func machineName(cfg pipeline.Config) string {
-	name := "base"
-	if cfg.Predictor != "" {
-		name = cfg.Predictor
-	}
-	name += fmt.Sprintf("%d", cfg.DCache.BlockSize)
-	if cfg.SpeculateRegReg {
-		name += "+rr"
-	}
-	return name
+	return 0
 }
 
 // traceSink renders the first N issued instructions from the event
 // stream. In-order issue delivers instructions in program order, so the
-// Nth issue event corresponds to the Nth trace the source produced; a
+// Nth issue event corresponds to the Nth recorded trace; a
 // KindFACPredict event always immediately precedes the issue event of
 // the access it belongs to.
 type traceSink struct {
@@ -235,38 +242,16 @@ func (t *traceSink) Event(e obs.Event) {
 	}
 }
 
-// limitedSource feeds at most n dynamic instructions to the pipeline,
-// recording each trace for the sink to render.
-type limitedSource struct {
-	e    *emu.Emulator
-	n    int
-	sink *traceSink
-}
-
-func (s *limitedSource) NextBatch(buf []emu.Trace) (int, error) {
-	if len(buf) > s.n {
-		buf = buf[:s.n]
-	}
-	n := 0
-	var err error
-	for n < len(buf) && !s.e.Halted {
-		if err = s.e.StepInto(&buf[n]); err != nil {
-			break
-		}
-		n++
-	}
-	s.n -= n
-	s.sink.traces = append(s.sink.traces, buf[:n]...)
-	return n, err
-}
-
 // printTrace simulates the first n instructions on the configured
 // machine, printing each issue with its observability annotations to w.
+// It records the first n traces, and the fault that cut them short if
+// any, and replays both: the pipeline issues every trace before the
+// fault, then returns it.
 func printTrace(w io.Writer, p *prog.Program, cfg pipeline.Config, n int) error {
+	trs, fault := emu.New(p).Record(n)
 	name := cfg.Predictor
-	sink := &traceSink{w: w, predName: name, signals: predict.SignalNamesFor(name)}
-	src := &limitedSource{e: emu.New(p), n: n, sink: sink}
-	_, err := pipeline.RunObserved(cfg.WithStaticTable(p), src, sink)
+	sink := &traceSink{w: w, traces: trs, predName: name, signals: predict.SignalNamesFor(name)}
+	_, err := pipeline.RunCtx(nil, cfg.WithStaticTable(p), pipeline.Replay(trs, fault), sink)
 	return err
 }
 
@@ -275,9 +260,4 @@ func pct(a, b uint64) float64 {
 		return 0
 	}
 	return 100 * float64(a) / float64(b)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "facsim:", err)
-	os.Exit(1)
 }

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -76,5 +80,35 @@ func TestPrintTraceBeforeFault(t *testing.T) {
 		if f := strings.Fields(lines[i]); len(f) < 2 || f[0] != fmt.Sprint(i) || f[1] != fmt.Sprintf("%#08x", pc) {
 			t.Fatalf("line %d is %q, want issue %d at pc %#08x", i, lines[i], i, pc)
 		}
+	}
+}
+
+// TestRecordMatchesSuite: -json writes the record the experiments suite
+// returns for the same run, under the machine table's name and with the
+// workload's class, so experiments -diff pairs the two.
+func TestRecordMatchesSuite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-machine", "stride", "-benchmark", "hashp", "-show-output=false", "-json", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := obs.DecodeReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.ByName("hashp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.NewSuite().Timing(w, workload.BaseToolchain().Name, experiments.MStride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Records) != 1 || !reflect.DeepEqual(rep.Records[0], want) {
+		t.Fatalf("facsim wrote %+v\nthe suite returns %+v", rep.Records, want)
 	}
 }

@@ -98,6 +98,8 @@ func TestBadMachineConfig(t *testing.T) {
 	for i, mut := range []func(*pipeline.Config){
 		func(c *pipeline.Config) { c.FetchWidth = 0 },
 		func(c *pipeline.Config) { c.Predictor = "pcax"; c.PredictorEntries = 1000 },
+		func(c *pipeline.Config) { c.BTBEntries = 1000 },
+		func(c *pipeline.Config) { c.BTBEntries = 0 },
 	} {
 		cfg := pipeline.DefaultConfig()
 		mut(&cfg)
@@ -213,21 +215,6 @@ func TestRunSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// seqSource steps the emulator on the pipeline's own goroutine, one batch
-// at a time: the sequential reference the emulate-ahead source must match.
-type seqSource struct{ e *emu.Emulator }
-
-func (s seqSource) NextBatch(buf []emu.Trace) (int, error) {
-	n := 0
-	for n < len(buf) && !s.e.Halted {
-		if err := s.e.StepInto(&buf[n]); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
 // eventDigest folds an event stream into its length and an FNV-style
 // hash, so two long streams compare without being held in memory.
 type eventDigest struct{ n, h uint64 }
@@ -326,9 +313,9 @@ int main() {
 }
 
 // TestEmulateAheadExact runs each program through RunWithSink, whose
-// emulator runs ahead on its own goroutine, and through the pipeline fed
-// by a sequential emulator, and requires identical results and event
-// streams. The programs cover each way a stream can end: inside the
+// emulator runs ahead on its own goroutine, and through the pipeline
+// replaying the program's recorded stream, and requires identical results
+// and event streams. The programs cover each way a stream can end: inside the
 // first chunk (helloAsm), in a partial chunk after dozens of full ones
 // (the workloads), and exactly on a chunk boundary (the sized loop),
 // where the producer hands over an empty last chunk.
@@ -374,15 +361,18 @@ func TestEmulateAheadExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			cfg := m.cfg.WithStaticTable(p)
 			e := emu.New(p)
-			st, err := pipeline.RunObserved(cfg, seqSource{e}, &wantEv)
+			trs, err := e.Record(0)
 			if err != nil {
-				t.Fatalf("%s, sequential: %v", what, err)
+				t.Fatalf("%s, recording: %v", what, err)
+			}
+			st, err := pipeline.RunCtx(nil, m.cfg.WithStaticTable(p), pipeline.Replay(trs, nil), &wantEv)
+			if err != nil {
+				t.Fatalf("%s, replay: %v", what, err)
 			}
 			want := Result{Stats: st, Output: e.Out.String(), ExitCode: e.ExitCode, MemFootprint: e.Mem.Footprint()}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: emulate-ahead result differs from sequential:\n got %+v\nwant %+v", what, got, want)
+				t.Errorf("%s: emulate-ahead result differs from the replay:\n got %+v\nwant %+v", what, got, want)
 			}
 			if gotEv != wantEv {
 				t.Errorf("%s: event streams differ: %d events (hash %#x) vs %d (hash %#x)",

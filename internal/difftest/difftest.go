@@ -127,12 +127,9 @@ type Ref struct {
 func Reference(p *prog.Program, maxInsts uint64) (*Ref, error) {
 	e := emu.New(p)
 	e.MaxInsts = maxInsts
-	var trs []emu.Trace
-	for !e.Halted {
-		trs = append(trs, emu.Trace{})
-		if err := e.StepInto(&trs[len(trs)-1]); err != nil {
-			return nil, err
-		}
+	trs, err := e.Record(0)
+	if err != nil {
+		return nil, err
 	}
 	return &Ref{
 		Trace:  trs,
@@ -188,34 +185,15 @@ func CheckImage(p *prog.Program) error {
 	return nil
 }
 
-// emuSource feeds a live emulator to the pipeline sequentially, stepping
-// it on the pipeline's goroutine. Production runs (core.RunCtx) emulate
-// ahead on a second goroutine; core's TestEmulateAheadExact holds the two
-// equal.
-type emuSource struct{ e *emu.Emulator }
-
-func (s emuSource) NextBatch(buf []emu.Trace) (int, error) {
-	n := 0
-	for n < len(buf) && !s.e.Halted {
-		if err := s.e.StepInto(&buf[n]); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
-// Run executes the program on the functional emulator and replays it
-// through the timing pipeline under every default machine, checking the
-// image fixpoints, architectural state equivalence across machines, and
-// the per-machine event-stream invariants. maxInsts bounds runaway
-// programs (0 = no limit).
+// Run checks the image fixpoints, records the program's reference run,
+// checks that a second plain run finishes in the same architectural
+// state, and replays the reference stream through the timing pipeline
+// under every default machine with the event-stream checker and the
+// static oracle attached. A replay cannot touch architectural state, and
+// the checker's instruction counts catch one that stops early, so the
+// program is emulated twice whatever the machine count. maxInsts bounds
+// runaway programs (0 = no limit).
 func Run(p *prog.Program, maxInsts uint64) error {
-	return RunMachines(p, maxInsts, Machines())
-}
-
-// RunMachines is Run restricted to an explicit machine set.
-func RunMachines(p *prog.Program, maxInsts uint64, machines []Machine) error {
 	if err := CheckImage(p); err != nil {
 		return err
 	}
@@ -223,55 +201,56 @@ func RunMachines(p *prog.Program, maxInsts uint64, machines []Machine) error {
 	if err != nil {
 		return fmt.Errorf("difftest: reference run: %v", err)
 	}
-	static := newStaticOracle(p)
-	for _, m := range machines {
-		e := emu.New(p)
-		e.MaxInsts = maxInsts
-		m.Cfg = m.Cfg.WithStaticTable(p)
-		ck := newChecker(m)
-		sink := obs.Sink(ck)
-		var sites *obs.SiteCollector
-		// The static oracle cross-checks per-site outcomes against the
-		// operand-based FAC algebra; history machines (pcax, stride) guess
-		// from past addresses, so only fac-shaped machines are checked.
-		if name := m.Cfg.Predictor; name == "fac" || name == "selective" {
-			sites = obs.NewSiteCollector()
-			sink = obs.Tee{ck, sites}
-		}
-		st, err := pipeline.RunObserved(m.Cfg, emuSource{e}, sink)
-		if err != nil {
-			return fmt.Errorf("difftest: machine %s: %v", m.Name, err)
-		}
-		if err := compareArch(ref, e); err != nil {
-			return fmt.Errorf("difftest: machine %s: %v", m.Name, err)
-		}
-		if err := ck.verify(st, refCounts(ref.Trace)); err != nil {
-			return fmt.Errorf("difftest: machine %s: %v", m.Name, err)
-		}
-		if sites != nil {
-			if err := static.check(m.Cfg.FACGeometry(), sites); err != nil {
-				return fmt.Errorf("difftest: machine %s: %v", m.Name, err)
-			}
-		}
+	e := emu.New(p)
+	e.MaxInsts = maxInsts
+	if err := e.Run(); err != nil {
+		return fmt.Errorf("difftest: second run: %v", err)
 	}
-	return nil
+	if err := compareArch(ref, e); err != nil {
+		return fmt.Errorf("difftest: second run: %v", err)
+	}
+	return replay(ref.Trace, Machines(), newStaticOracle(p))
 }
 
 // RunTrace replays a raw dynamic instruction stream (no program or
 // emulator behind it) through every machine, checking the event-stream
 // invariants. It is the oracle behind generated-trace fuzzing.
 func RunTrace(trs []emu.Trace, machines []Machine) error {
+	return replay(trs, machines, nil)
+}
+
+// replay runs one recorded stream through each machine, lent in place,
+// with the event-stream checker attached. With a program behind the
+// stream (static non-nil), a selective machine gets the program's verdict
+// table and every fac-shaped machine's per-site outcomes are checked
+// against the static analysis; history machines (pcax, stride) guess from
+// past addresses, so the operand-based FAC algebra does not bound them.
+// Without one, a selective machine runs with an empty verdict table
+// (pipeline defaults it): plain FAC behaviour.
+func replay(trs []emu.Trace, machines []Machine, static *staticOracle) error {
 	counts := refCounts(trs)
 	for _, m := range machines {
-		// A selective machine with no program behind the trace runs with an
-		// empty verdict table (pipeline defaults it): plain FAC behaviour.
 		ck := newChecker(m)
-		st, err := pipeline.RunObserved(m.Cfg, NewSliceSource(trs), ck)
+		sink := obs.Sink(ck)
+		var sites *obs.SiteCollector
+		if static != nil {
+			m.Cfg = m.Cfg.WithStaticTable(static.p)
+			if name := m.Cfg.Predictor; name == "fac" || name == "selective" {
+				sites = obs.NewSiteCollector()
+				sink = obs.Tee{ck, sites}
+			}
+		}
+		st, err := pipeline.RunCtx(nil, m.Cfg, pipeline.Replay(trs, nil), sink)
 		if err != nil {
 			return fmt.Errorf("difftest: machine %s: %v", m.Name, err)
 		}
 		if err := ck.verify(st, counts); err != nil {
 			return fmt.Errorf("difftest: machine %s: %v", m.Name, err)
+		}
+		if sites != nil {
+			if err := static.check(m.Cfg.FACGeometry(), sites); err != nil {
+				return fmt.Errorf("difftest: machine %s: %v", m.Name, err)
+			}
 		}
 	}
 	return nil
@@ -299,9 +278,9 @@ func refCounts(trs []emu.Trace) streamCounts {
 	return c
 }
 
-// compareArch checks that a pipeline-driven emulator finished in exactly
-// the reference architectural state: timing replay must never perturb
-// architecture.
+// compareArch checks that a second run of the emulator finished in
+// exactly the reference architectural state: the emulator is a function
+// of the program alone.
 func compareArch(ref *Ref, e *emu.Emulator) error {
 	if !e.Halted {
 		return fmt.Errorf("emulator did not run to completion (%d/%d insts)", e.InstCount, ref.Insts)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/minic"
 	"repro/internal/pipeline"
@@ -209,9 +208,11 @@ func TestAdversarialSeeds(t *testing.T) {
 		if !ok {
 			t.Fatalf("machine %q missing from the oracle set", s.victim)
 		}
-		e := emu.New(p)
-		e.MaxInsts = 1_000_000
-		st, err := pipeline.RunObserved(m.Cfg, emuSource{e}, nil)
+		ref, err := Reference(p, 1_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := pipeline.RunCtx(nil, m.Cfg, pipeline.Replay(ref.Trace, nil), nil)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", s.name, s.victim, err)
 		}

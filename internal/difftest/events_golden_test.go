@@ -107,7 +107,7 @@ func TestEventStreamGolden(t *testing.T) {
 		trs := RandomTrace(rand.New(rand.NewSource(seed)), 20000)
 		for _, m := range Machines() {
 			check(fmt.Sprintf("trace%d/%s", seed, m.Name), func(sink obs.Sink) error {
-				_, err := pipeline.RunObserved(m.Cfg, NewSliceSource(trs), sink)
+				_, err := pipeline.RunCtx(nil, m.Cfg, pipeline.Replay(trs, nil), sink)
 				return err
 			})
 		}

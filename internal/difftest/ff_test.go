@@ -19,21 +19,22 @@ type recordingSink struct {
 
 func (r *recordingSink) Event(e obs.Event) { r.events = append(r.events, e) }
 
-// runBoth replays one stream under cfg with stall fast-forwarding enabled
-// and disabled and fails the test unless the resulting RunRecords (cycles,
-// stall partition, histograms, cache and FAC sections) are byte-identical
-// and the observability event streams are element-identical.
-func runBoth(t *testing.T, name string, cfg pipeline.Config, stream func() pipeline.Source) {
+// runBoth replays one recorded stream under cfg with stall
+// fast-forwarding enabled and disabled and fails the test unless the
+// resulting RunRecords (cycles, stall partition, histograms, cache and FAC
+// sections) are byte-identical and the observability event streams are
+// element-identical.
+func runBoth(t *testing.T, name string, cfg pipeline.Config, trs []emu.Trace) {
 	t.Helper()
 
 	slow := cfg
 	slow.NoFastForward = true
 	var slowSink, fastSink recordingSink
-	slowStats, err := pipeline.RunObserved(slow, stream(), &slowSink)
+	slowStats, err := pipeline.RunCtx(nil, slow, pipeline.Replay(trs, nil), &slowSink)
 	if err != nil {
 		t.Fatalf("%s (no fast-forward): %v", name, err)
 	}
-	fastStats, err := pipeline.RunObserved(cfg, stream(), &fastSink)
+	fastStats, err := pipeline.RunCtx(nil, cfg, pipeline.Replay(trs, nil), &fastSink)
 	if err != nil {
 		t.Fatalf("%s (fast-forward): %v", name, err)
 	}
@@ -65,8 +66,8 @@ func runBoth(t *testing.T, name string, cfg pipeline.Config, stream func() pipel
 // TestFastForwardExact is the regression gate for stall fast-forwarding:
 // across every oracle machine, replaying the same stream with and without
 // fast-forwarding must produce identical timing, stall accounting, and
-// event streams. Generated traces exercise the trace-replay path; a MiniC
-// program exercises the emulator-backed path end to end.
+// event streams. Generated traces exercise the generator's stream; a
+// MiniC program's recorded reference run exercises the emulator's.
 func TestFastForwardExact(t *testing.T) {
 	seeds := []int64{1, 5, 11}
 	if testing.Short() {
@@ -74,24 +75,21 @@ func TestFastForwardExact(t *testing.T) {
 	}
 	for _, m := range Machines() {
 		for _, seed := range seeds {
-			trs := RandomTrace(rand.New(rand.NewSource(seed)), 3000)
-			runBoth(t, m.Name, m.Cfg, func() pipeline.Source {
-				return NewSliceSource(trs)
-			})
+			runBoth(t, m.Name, m.Cfg, RandomTrace(rand.New(rand.NewSource(seed)), 3000))
 		}
 	}
 }
 
-// TestFastForwardExactProgram runs the whole stack (assembler, emulator,
-// trace source) under one generated MiniC program per machine.
+// TestFastForwardExactProgram runs the whole stack (compiler, assembler,
+// emulator) under one generated MiniC program, whose reference stream
+// every machine replays.
 func TestFastForwardExactProgram(t *testing.T) {
 	src := RandomMiniC(rand.New(rand.NewSource(42)))
-	p := buildMiniC(t, src, minic.BaseOptions(), prog.DefaultConfig())
+	ref, err := Reference(buildMiniC(t, src, minic.BaseOptions(), prog.DefaultConfig()), 500_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range Machines() {
-		runBoth(t, m.Name, m.Cfg, func() pipeline.Source {
-			e := emu.New(p)
-			e.MaxInsts = 500_000
-			return emuSource{e}
-		})
+		runBoth(t, m.Name, m.Cfg, ref.Trace)
 	}
 }

@@ -185,10 +185,10 @@ func FuzzAsmRoundtrip(f *testing.F) {
 	}
 	f.Add(all)
 	// Memory-domain seed programs (see TestMemoryDomainCorpus): a
-	// memory-resident global loop limit, a spilled-local limit, and an
-	// address-taken escape — mutations explore the store/load/escape
-	// shapes the staticfac memory domain reasons about.
-	for _, name := range []string{"memglobal.s", "memstack.s", "memescape.s"} {
+	// memory-resident global loop limit, a spilled-local limit, an
+	// address-taken escape and a late escape — mutations explore the
+	// store/load/escape shapes the staticfac memory domain reasons about.
+	for _, name := range []string{"memglobal.s", "memstack.s", "memescape.s", "memlate.s"} {
 		if b, err := os.ReadFile(filepath.Join("testdata", "staticfac", name)); err == nil {
 			f.Add(string(b))
 		}

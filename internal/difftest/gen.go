@@ -9,32 +9,15 @@ import (
 	"repro/internal/isa"
 )
 
-// SliceSource replays a pre-recorded dynamic instruction stream into the
-// pipeline.
-type SliceSource struct {
-	trs []emu.Trace
-	i   int
-}
-
-// NewSliceSource returns a pipeline.Source over trs.
-func NewSliceSource(trs []emu.Trace) *SliceSource { return &SliceSource{trs: trs} }
-
-// NextBatch implements pipeline.Source.
-func (s *SliceSource) NextBatch(buf []emu.Trace) (int, error) {
-	n := copy(buf, s.trs[s.i:])
-	s.i += n
-	return n, nil
-}
-
 // RandomTrace generates a well-formed dynamic instruction stream of n
 // instructions: PCs chain through taken branches and jumps, memory
 // operands satisfy EffAddr == Base+Offset under every addressing mode
 // (constant, register+register, and post-increment), and base/index
 // values mix the patterns that drive every predictor outcome — aligned
 // and unaligned bases, small and block-crossing offsets, negative index
-// registers. It replaces the pipeline package's earlier ad-hoc generator,
-// which never produced taken branches, post-increment, or reg+reg
-// traffic.
+// registers. Every trace carries its pre-decode, as the emulator's do.
+// It replaces the pipeline package's earlier ad-hoc generator, which
+// never produced taken branches, post-increment, or reg+reg traffic.
 func RandomTrace(r *rand.Rand, n int) []emu.Trace {
 	g := &traceGen{r: r, pc: 0x00400000}
 	for i := range g.reg {
@@ -44,7 +27,13 @@ func RandomTrace(r *rand.Rand, n int) []emu.Trace {
 	for len(g.trs) < n {
 		g.step()
 	}
-	return g.trs[:n]
+	trs := g.trs[:n]
+	pre := make([]isa.Pre, n)
+	for i := range trs {
+		pre[i] = isa.Predecode(trs[i].Inst)
+		trs[i].Pre = &pre[i]
+	}
+	return trs
 }
 
 type traceGen struct {

@@ -12,7 +12,7 @@ import (
 
 var updateMemGoldens = flag.Bool("update", false, "rewrite memory-domain golden reports")
 
-// TestMemoryDomainCorpus drives the three memory-domain microbenchmarks
+// TestMemoryDomainCorpus drives the four memory-domain microbenchmarks
 // through the full differential oracle (which includes the value-soundness
 // cross-check on every FAC machine), asserts the sharp static claims
 // directly, and pins each program's fac/static/v1 report against a golden
@@ -26,6 +26,12 @@ var updateMemGoldens = flag.Bool("update", false, "rewrite memory-domain golden 
 //   - memescape.s: the negative case; after the slot's address escapes
 //     into a callee that rewrites it, no load may carry a slot claim (the
 //     stale value 5 would be dynamically refuted — the callee stores 6).
+//   - memlate.s: an escape first reached in the pass that settles the
+//     entry facts, after that pass kept the escaped slot across a call;
+//     the analysis must rerun under the grown escape set and a fresh
+//     entry hypothesis, so h's load, indexed by the slot's re-loaded
+//     value, may not claim the stale exact base (the replay refutes the
+//     failing verdict it would prove — the escape rewrites the slot).
 func TestMemoryDomainCorpus(t *testing.T) {
 	for _, tc := range []struct {
 		file   string
@@ -73,6 +79,19 @@ func TestMemoryDomainCorpus(t *testing.T) {
 				if !s.Store && s.CellKind == staticfac.CellStack {
 					t.Errorf("load %#x (%v) claims escaped stack slot %#x = %v; the callee rewrites it",
 						s.PC, s.Inst, s.CellAddr, s.Val)
+				}
+			}
+		}},
+		{"memlate.s", func(t *testing.T, a *staticfac.Analysis) {
+			for i := range a.Sites {
+				s := &a.Sites[i]
+				if !s.Store && s.CellKind == staticfac.CellStack {
+					t.Errorf("load %#x (%v) claims escaped stack slot %#x = %v; f's escape rewrites it",
+						s.PC, s.Inst, s.CellAddr, s.Val)
+				}
+				if s.Func == "h" && (s.Base.IsExact() || s.Verdict != staticfac.VerdictUnknown) {
+					t.Errorf("h's load %#x is %v with base %v; its index is the escaped slot's value, which is unknown",
+						s.PC, s.Verdict, s.Base)
 				}
 			}
 		}},

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/emu"
 	"repro/internal/fac"
 	"repro/internal/isa"
 	"repro/internal/obs"
@@ -96,10 +95,12 @@ func TestFailureCorpus(t *testing.T) {
 					site.PC, site.CanFail, tc.signal)
 			}
 
-			e := emu.New(p)
-			e.MaxInsts = 100_000
+			ref, err := Reference(p, 100_000)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sites := obs.NewSiteCollector()
-			if _, err := pipeline.RunObserved(m.Cfg, emuSource{e}, sites); err != nil {
+			if _, err := pipeline.RunCtx(nil, m.Cfg, pipeline.Replay(ref.Trace, nil), sites); err != nil {
 				t.Fatal(err)
 			}
 			d := sites.Sites[site.PC]

@@ -34,10 +34,9 @@ type Trace struct {
 	PC     uint32
 	Inst   isa.Inst
 	NextPC uint32
-	// Pre points at the pre-decoded form of Inst when the producer holds a
-	// pre-decode table (the emulator shares the program's). The timing
-	// model falls back to isa.Predecode when nil, so hand-built traces stay
-	// valid there; the reference profiler requires it.
+	// Pre points at the pre-decoded form of Inst. Every producer sets it
+	// (the emulator shares the program's table): the timing model reads it
+	// and never Inst, and the reference profiler requires it.
 	Pre *isa.Pre
 	// Memory access operands (valid when Inst.Op.IsMem()):
 	EffAddr     uint32 // the architectural effective address
@@ -178,6 +177,23 @@ func (e *Emulator) Run() error {
 		}
 	}
 	return nil
+}
+
+// Record steps the emulator until it halts, faults or has stepped n
+// instructions (n == 0: no bound but MaxInsts), and returns the traces in
+// program order with the fault that stopped it, if any. The recording
+// grows with the stream; the emulate-ahead ring is the allocation-free
+// path.
+func (e *Emulator) Record(n int) ([]Trace, error) {
+	var trs []Trace
+	for (n == 0 || len(trs) < n) && !e.Halted {
+		//lint:alloc-ok
+		trs = append(trs, Trace{})
+		if err := e.StepInto(&trs[len(trs)-1]); err != nil {
+			return trs[:len(trs)-1], err
+		}
+	}
+	return trs, nil
 }
 
 func (e *Emulator) exec(in isa.Inst, tr *Trace) error {

@@ -451,6 +451,25 @@ func TestInstBudget(t *testing.T) {
 	}
 }
 
+// TestRecord: Record stops at its bound, keeps stepping from where it
+// stopped, and returns the traces before a fault with the fault.
+func TestRecord(t *testing.T) {
+	const src = "main:\n\tli $t0, 5\n\taddi $t0, $t0, -1\n\tdiv $t1, $t0, $zero\n\tjr $ra\n"
+	e := load(t, src)
+	first, err := e.Record(2)
+	if err != nil || len(first) != 2 {
+		t.Fatalf("Record(2) = %d traces, %v", len(first), err)
+	}
+	rest, err := e.Record(0)
+	if err == nil || !strings.Contains(err.Error(), "division by zero") || len(rest) != 0 {
+		t.Fatalf("Record(0) after two = %d traces, %v; want none and the division fault", len(rest), err)
+	}
+	whole, err := New(e.Prog).Record(0)
+	if err == nil || len(whole) != 2 || whole[0] != first[0] || whole[1] != first[1] {
+		t.Fatalf("Record(0) = %d traces, %v; want the two before the fault", len(whole), err)
+	}
+}
+
 func TestPostIncWritesBase(t *testing.T) {
 	e := load(t, `
 main:

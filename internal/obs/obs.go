@@ -7,7 +7,7 @@
 // The event stream costs nothing when disabled: all emission sites are
 // guarded by a nil check on the sink, and an Event is a small value type
 // that never escapes when no sink is attached. Consumers implement Sink
-// and attach it via pipeline.RunObserved / core.RunWithSink; the
+// and attach it via pipeline.RunCtx / core.RunWithSink; the
 // simulator calls Event synchronously, in simulation order, so a sink
 // observes a deterministic sequence for a deterministic run.
 package obs

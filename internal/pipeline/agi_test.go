@@ -57,7 +57,7 @@ func TestAGIRemovesLoadUseHazard(t *testing.T) {
 	for i := 0; i < len(trs); i += 2 {
 		setMem(&trs[i], 0x1000, 0, false)
 	}
-	agiN, err := Run(agiCfg(), &sliceSource{trs: trs})
+	agiN, err := runTraces(agiCfg(), trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,18 +8,18 @@ import (
 	"repro/internal/obs"
 )
 
-// loopSource replays a small hand-built loop body (ALU, load, store,
-// taken branch) for a fixed number of iterations. It allocates nothing
-// per call, so any allocation measured during a run is the simulator's.
-type loopSource struct {
+// loopLender lends a small hand-built loop body (ALU, load, store, taken
+// branch) in place, once per iteration, for a fixed number of iterations.
+// It allocates nothing per call, so any allocation measured during a run
+// is the simulator's.
+type loopLender struct {
 	iters int
 	body  [4]emu.Trace
-	i     int
 }
 
-func newLoopSource(iters int) *loopSource {
+func newLoopLender(iters int) *loopLender {
 	const base = 0x1000
-	s := &loopSource{iters: iters}
+	s := &loopLender{iters: iters}
 	s.body = [4]emu.Trace{
 		{PC: base, Inst: isa.Inst{Op: isa.ADDI, Rd: 1, Rs: 1, Imm: 1}, NextPC: base + 4},
 		{PC: base + 4, Inst: isa.Inst{Op: isa.LW, Rd: 2, Rs: 3, Imm: 0},
@@ -29,32 +29,31 @@ func newLoopSource(iters int) *loopSource {
 		{PC: base + 12, Inst: isa.Inst{Op: isa.BNE, Rs: 1, Rt: 0, Imm: -16},
 			NextPC: base, Taken: true},
 	}
+	predecode(s.body[:])
 	return s
 }
 
-func (s *loopSource) NextBatch(buf []emu.Trace) (int, error) {
-	n := 0
-	for n < len(buf) && s.i < 4*s.iters {
-		buf[n] = s.body[s.i&3]
-		s.i++
-		n++
+func (s *loopLender) Lend() ([]emu.Trace, error) {
+	if s.iters == 0 {
+		return nil, nil
 	}
-	return n, nil
+	s.iters--
+	return s.body[:], nil
 }
 
 // TestSteadyStateZeroAllocs gates the hot loop at zero allocations per
 // cycle in the detached-sink configuration: a run 16x longer must
 // allocate exactly as much as a short one (all allocations are setup —
-// the issue-queue and store-buffer rings, the trace batch, the caches,
-// the BTB). A regression that reintroduces per-cycle or per-instruction
-// heap traffic (queue growth, event boxing, trace copies) fails here.
+// the issue-queue and store-buffer rings, the caches, the BTB). A
+// regression that reintroduces per-cycle or per-instruction heap traffic
+// (queue growth, event boxing, trace copies) fails here.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Predictor = "fac" // cover the predictor path too
 
 	run := func(iters int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Run(cfg, newLoopSource(iters)); err != nil {
+			if _, err := RunCtx(nil, cfg, newLoopLender(iters), nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -79,7 +78,7 @@ func BenchmarkDetachedSink(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Predictor = "fac"
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, newLoopSource(2000)); err != nil {
+		if _, err := RunCtx(nil, cfg, newLoopLender(2000), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +90,7 @@ func BenchmarkAttachedSink(b *testing.B) {
 	cfg.Predictor = "fac"
 	var c obs.Counter
 	for i := 0; i < b.N; i++ {
-		if _, err := RunObserved(cfg, newLoopSource(2000), &c); err != nil {
+		if _, err := RunCtx(nil, cfg, newLoopLender(2000), &c); err != nil {
 			b.Fatal(err)
 		}
 	}

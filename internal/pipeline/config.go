@@ -178,6 +178,9 @@ func (c Config) Validate() error {
 	if c.StoreBufferEntries <= 0 {
 		return fmt.Errorf("pipeline: StoreBufferEntries must be positive")
 	}
+	if n := c.BTBEntries; n <= 0 || n&(n-1) != 0 {
+		return fmt.Errorf("pipeline: BTBEntries %d not a positive power of two", n)
+	}
 	if c.Predictor != "" {
 		if c.AGI {
 			return fmt.Errorf("pipeline: address prediction and AGI are mutually exclusive")

@@ -46,12 +46,12 @@ func TestObservationDoesNotPerturbTiming(t *testing.T) {
 	for _, pred := range []string{"", "fac"} {
 		cfg := DefaultConfig()
 		cfg.Predictor = pred
-		plain, err := Run(cfg, &sliceSource{trs: obsTraces()})
+		plain, err := runTraces(cfg, obsTraces(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sink := &countSink{}
-		observed, err := RunObserved(cfg, &sliceSource{trs: obsTraces()}, sink)
+		observed, err := runTraces(cfg, obsTraces(), sink)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestEventStreamMatchesStats(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Predictor = "fac"
 	sink := &countSink{}
-	st, err := RunObserved(cfg, &sliceSource{trs: obsTraces()}, sink)
+	st, err := runTraces(cfg, obsTraces(), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestLoadLatencyHistogram(t *testing.T) {
 func TestFailureKindCounters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Predictor = "fac"
-	st, err := Run(cfg, &sliceSource{trs: obsTraces()})
+	st, err := runTraces(cfg, obsTraces(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestFailureKindCounters(t *testing.T) {
 	}
 
 	// A non-FAC machine must not emit a FAC section.
-	st2, err := Run(DefaultConfig(), &sliceSource{trs: obsTraces()})
+	st2, err := runTraces(DefaultConfig(), obsTraces(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,48 +12,100 @@ import (
 	"repro/internal/obs"
 )
 
-// endlessSource yields an unbounded straight-line instruction stream, for
+// endless lends an unbounded straight-line instruction stream, for
 // exercising cancellation of a run that would otherwise never finish.
-type endlessSource struct {
-	pc uint32
+type endless struct {
+	pc  uint32
+	pre isa.Pre
+	buf [256]emu.Trace
 }
 
-func (s *endlessSource) NextBatch(buf []emu.Trace) (int, error) {
-	for i := range buf {
-		buf[i] = emu.Trace{
+func newEndless() *endless {
+	return &endless{pc: 0x400000, pre: isa.Predecode(isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs: isa.T1, Rt: isa.T2})}
+}
+
+func (s *endless) Lend() ([]emu.Trace, error) {
+	for i := range s.buf {
+		s.buf[i] = emu.Trace{
 			PC:     s.pc,
 			Inst:   isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs: isa.T1, Rt: isa.T2},
 			NextPC: s.pc + isa.InstBytes,
+			Pre:    &s.pre,
 		}
 		s.pc += isa.InstBytes
 	}
-	return len(buf), nil
+	return s.buf[:], nil
 }
 
-// TestRunCtxNilMatchesRun: a background-style nil context changes nothing
-// about the timing result.
-func TestRunCtxNilMatchesRun(t *testing.T) {
-	trs := seq(
-		isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs: isa.T1, Rt: isa.T2},
-		isa.Inst{Op: isa.LW, Rd: isa.T3, Rs: isa.T0, Imm: 4},
-		isa.Inst{Op: isa.SUB, Rd: isa.T4, Rs: isa.T5, Rt: isa.T3},
-	)
-	setMem(&trs[1], 0x1000, 4, false)
-	base := mustRun(t, fastCfg(), trs)
+// sliceSource is a Source over a recorded stream whose producer faulted
+// after it when err is non-nil: the last batch comes with the fault, as
+// an io.Reader may return n > 0 with an error.
+type sliceSource struct {
+	trs []emu.Trace
+	err error
+}
 
-	trs2 := seq(
-		isa.Inst{Op: isa.ADD, Rd: isa.T0, Rs: isa.T1, Rt: isa.T2},
-		isa.Inst{Op: isa.LW, Rd: isa.T3, Rs: isa.T0, Imm: 4},
-		isa.Inst{Op: isa.SUB, Rd: isa.T4, Rs: isa.T5, Rt: isa.T3},
-	)
-	setMem(&trs2[1], 0x1000, 4, false)
-	got, err := RunCtx(context.Background(), fastCfg(), &batchLender{src: &sliceSource{trs: trs2}}, nil)
+func (s *sliceSource) NextBatch(buf []emu.Trace) (int, error) {
+	n := copy(buf, s.trs)
+	s.trs = s.trs[n:]
+	if len(s.trs) == 0 {
+		return n, s.err
+	}
+	return n, nil
+}
+
+// sourceTraces is a load-use stream longer than batchLender's buffer,
+// with its pre-decodes attached.
+func sourceTraces() []emu.Trace {
+	var insts []isa.Inst
+	for i := 0; i < batchSize+40; i++ {
+		insts = append(insts,
+			isa.Inst{Op: isa.LW, Rd: isa.T0, Rs: isa.T1, Imm: 4},
+			isa.Inst{Op: isa.ADD, Rd: isa.T2, Rs: isa.T0, Rt: isa.T2})
+	}
+	trs := seq(insts...)
+	for i := 0; i < len(trs); i += 2 {
+		setMem(&trs[i], 0x1000+uint32(i)*8, 4, false)
+	}
+	return predecode(trs)
+}
+
+// TestRunCtxNilMatchesRun: RunCtx over a Replay with a live context
+// times a stream exactly as Run does, which feeds the pipeline from a
+// Source through batchLender with cancellation disabled, the path the
+// benchmark module's layer ledger uses.
+func TestRunCtxNilMatchesRun(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Predictor = "fac"
+	trs := sourceTraces()
+	want, err := Run(cfg, &sliceSource{trs: trs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunCtx(context.Background(), cfg, Replay(trs, nil), nil)
 	if err != nil {
 		t.Fatalf("RunCtx: %v", err)
 	}
-	if got.Cycles != base.Cycles || got.Insts != base.Insts {
-		t.Fatalf("RunCtx timing differs: %d cycles/%d insts vs %d/%d",
-			got.Cycles, got.Insts, base.Cycles, base.Insts)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunCtx over a Replay differs from Run over a Source:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestRunSourceFault: a fault that comes with a Source's last batch is
+// returned by Run only after every trace before it has issued.
+func TestRunSourceFault(t *testing.T) {
+	cfg := DefaultConfig()
+	trs := sourceTraces()
+	fault := errors.New("emu: fault")
+	if _, err := Run(cfg, &sliceSource{trs: trs, err: fault}); err != fault {
+		t.Fatalf("Run: err = %v, want the source's fault", err)
+	}
+	var issued obs.Counter
+	if _, err := RunCtx(nil, cfg, &batchLender{src: &sliceSource{trs: trs, err: fault}}, &issued); err != fault {
+		t.Fatalf("RunCtx over batchLender: err = %v, want the source's fault", err)
+	}
+	if n := issued.ByKind[obs.KindIssue]; n != uint64(len(trs)) {
+		t.Fatalf("%d of the %d traces before the fault issued", n, len(trs))
 	}
 }
 
@@ -63,7 +115,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := RunCtx(ctx, fastCfg(), &batchLender{src: &endlessSource{pc: 0x400000}}, nil)
+	_, err := RunCtx(ctx, fastCfg(), newEndless(), nil)
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -82,7 +134,7 @@ func TestRunCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := RunCtx(ctx, fastCfg(), &batchLender{src: &endlessSource{pc: 0x400000}}, nil)
+	_, err := RunCtx(ctx, fastCfg(), newEndless(), nil)
 	if err == nil {
 		t.Fatal("deadline-exceeded run returned nil error")
 	}

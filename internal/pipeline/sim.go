@@ -14,26 +14,44 @@ import (
 	"repro/internal/predict"
 )
 
-// Source supplies the dynamic instruction stream in program order.
-// NextBatch fills buf with as many traces as remain (up to len(buf)) and
-// returns the count, 0 at end of stream. A source whose producer faults
-// returns the traces before the fault together with the fault, as an
-// io.Reader may return n > 0 with an error; the pipeline issues those
-// traces, and drains its store buffer, before it returns the fault.
-// Pulling in bulk amortizes the per-instruction interface call. The
-// stream is trace-driven and replayed as-is, so its producer may run
-// ahead of the timing model.
-type Source interface {
-	NextBatch(buf []emu.Trace) (int, error)
-}
-
-// Lender supplies the stream in place. Lend returns the next traces in
-// the lender's own storage, valid until its next call; an empty slice
-// with a nil error ends the stream, and a fault comes on the call after
-// the traces before it. The pipeline reads each trace where the producer
-// wrote it: core's source lends the chunks of its emulate-ahead ring.
+// Lender supplies the dynamic instruction stream in program order, in
+// place: Lend returns the next traces in the lender's own storage, valid
+// until its next call. An empty slice with a nil error ends the stream; a
+// fault comes on the call after the traces before it, and the pipeline
+// issues those and drains its store buffer before it returns the fault.
+// Every trace carries its pre-decode (emu.Trace.Pre), the only form of
+// the instruction the timing model reads. Core lends the chunks of its
+// emulate-ahead ring, Replay a recorded stream; the stream is replayed
+// as-is, so its producer may run ahead of the timing model.
 type Lender interface {
 	Lend() ([]emu.Trace, error)
+}
+
+// Replay lends a recorded stream in place: trs on the first Lend, then
+// err, the fault that ended the recording (nil ends the stream). The
+// pipeline never writes a trace, so one recording can be replayed under
+// any number of machines, each through a Replay of its own.
+func Replay(trs []emu.Trace, err error) Lender { return &replay{trs, err} }
+
+type replay struct {
+	trs []emu.Trace
+	err error
+}
+
+func (r *replay) Lend() ([]emu.Trace, error) {
+	if trs := r.trs; len(trs) > 0 {
+		r.trs = nil
+		return trs, nil
+	}
+	return nil, r.err
+}
+
+// Source supplies the stream by copy to Run, the entry the benchmark
+// module's layer ledger still uses: NextBatch fills buf with up to
+// len(buf) traces and returns the count, 0 at end of stream, or the
+// traces before a fault with the fault, as an io.Reader may.
+type Source interface {
+	NextBatch(buf []emu.Trace) (int, error)
 }
 
 // batchSize is the length of the buffer through which a Source is lent.
@@ -187,16 +205,9 @@ func (s *sim) sbPop() storeEnt {
 	return e
 }
 
-// Run simulates the instruction stream and returns timing statistics.
+// Run simulates a Source's stream and returns timing statistics.
 func Run(cfg Config, src Source) (Stats, error) {
-	return RunObserved(cfg, src, nil)
-}
-
-// RunObserved simulates the instruction stream with an event sink
-// attached (nil disables the stream at zero cost). The sink receives
-// every pipeline and cache event in simulation order.
-func RunObserved(cfg Config, src Source, sink obs.Sink) (Stats, error) {
-	return RunCtx(nil, cfg, &batchLender{src: src}, sink)
+	return RunCtx(nil, cfg, &batchLender{src: src}, nil)
 }
 
 // ctxCheckInterval spaces out cancellation checks: the context is polled
@@ -205,11 +216,12 @@ func RunObserved(cfg Config, src Source, sink obs.Sink) (Stats, error) {
 // steady-state loop pays one nil comparison per cycle.
 const ctxCheckInterval = 1 << 12
 
-// RunCtx is RunObserved over a lent stream, with cancellation: when ctx
-// is non-nil, its cancellation or deadline aborts the cycle loop promptly
-// (checked every few thousand cycles) and the run returns an error
-// wrapping ctx.Err(). A nil ctx disables the checks entirely; timing is
-// identical either way.
+// RunCtx simulates a lent stream and returns timing statistics. A
+// non-nil sink receives every pipeline and cache event in simulation
+// order (nil disables the stream at zero cost). When ctx is non-nil, its
+// cancellation or deadline aborts the cycle loop promptly (checked every
+// few thousand cycles) and the run returns an error wrapping ctx.Err().
+// A nil ctx disables the checks entirely; timing is identical either way.
 func RunCtx(ctx context.Context, cfg Config, src Lender, sink obs.Sink) (Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
@@ -453,11 +465,7 @@ func (s *sim) fetch(now uint64) {
 		q.isRegOff = tr.IsRegOffset
 		q.memVal, q.hasVal = tr.MemVal, tr.HasMemVal
 		q.earliest = groupReady + 2
-		if tr.Pre != nil {
-			q.pre = *tr.Pre // the producer's pre-decode table (the common case)
-		} else {
-			q.pre = isa.Predecode(tr.Inst) // hand-built trace: decode locally
-		}
+		q.pre = *tr.Pre
 		fetched++
 		expectPC = tr.PC + isa.InstBytes
 

@@ -5,18 +5,8 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/obs"
 )
-
-type sliceSource struct {
-	trs []emu.Trace
-	i   int
-}
-
-func (s *sliceSource) NextBatch(buf []emu.Trace) (int, error) {
-	n := copy(buf, s.trs[s.i:])
-	s.i += n
-	return n, nil
-}
 
 // seq builds a contiguous straight-line trace starting at pc 0x400000.
 func seq(insts ...isa.Inst) []emu.Trace {
@@ -43,9 +33,25 @@ func fastCfg() Config {
 	return cfg
 }
 
+// predecode gives each hand-built trace its pre-decode, as every producer
+// must, and returns trs.
+func predecode(trs []emu.Trace) []emu.Trace {
+	pre := make([]isa.Pre, len(trs))
+	for i := range trs {
+		pre[i] = isa.Predecode(trs[i].Inst)
+		trs[i].Pre = &pre[i]
+	}
+	return trs
+}
+
+// runTraces replays a hand-built stream with sink attached (nil for none).
+func runTraces(cfg Config, trs []emu.Trace, sink obs.Sink) (Stats, error) {
+	return RunCtx(nil, cfg, Replay(predecode(trs), nil), sink)
+}
+
 func mustRun(t *testing.T, cfg Config, trs []emu.Trace) Stats {
 	t.Helper()
-	st, err := Run(cfg, &sliceSource{trs: trs})
+	st, err := runTraces(cfg, trs, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -221,7 +227,7 @@ func TestPostMispredictRule(t *testing.T) {
 	// The load mispredicts at its issue cycle n. The dependent add issues
 	// at n+2 (replay latency), and the second access at n+2 as well — past
 	// the blocked cycle, so it speculates.
-	st, err := Run(cfg, &sliceSource{trs: mk(isa.LW)})
+	st, err := runTraces(cfg, mk(isa.LW), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +251,7 @@ func TestPostMispredictRule(t *testing.T) {
 	}
 	// Both memory ops issue in the same cycle (2 LS units): same-cycle
 	// accesses both speculate (verification is end-of-cycle).
-	st, err = Run(cfg, &sliceSource{trs: mkAdjacent(isa.LW)})
+	st, err = runTraces(cfg, mkAdjacent(isa.LW), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +315,7 @@ func TestBranchMispredictPenalty(t *testing.T) {
 		trs = trs[:len(trs)-2]
 		trs = append(trs, emu.Trace{PC: next, Inst: isa.Inst{Op: isa.J, Imm: int32(loopPC + 4)}, NextPC: loopPC + 4})
 	}
-	st2, err := Run(fastCfg(), &sliceSource{trs: trs})
+	st2, err := runTraces(fastCfg(), trs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,6 +453,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.StoreBufferEntries = 0 },
 		func(c *Config) { c.ICache.BlockSize = 33 },
 		func(c *Config) { c.Predictor = "pcax"; c.PredictorEntries = 1000 },
+		func(c *Config) { c.BTBEntries = 1000 },
+		func(c *Config) { c.BTBEntries = 0 },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig()

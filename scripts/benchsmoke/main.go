@@ -2,7 +2,7 @@
 // builds the root package's test binary twice, once from a base revision
 // and once from the working tree, runs BenchmarkPipeline on the two in
 // back-to-back pairs, and fails when the median of the pairs'
-// change/base throughput ratios falls more than -max-regression below 1.
+// change/base throughput ratios falls more than maxRegression below 1.
 // Both runs of a pair meet the same host load, which on a shared host
 // drifts by up to 40% within minutes, so a pair's ratio compares the
 // code, and no figure committed from another machine enters the gate.
@@ -16,7 +16,7 @@
 // committed files are extracted with git archive under
 // .bench_build/benchsmoke/base; a base that cannot be resolved, extracted
 // or built fails the gate. Every report the change writes must also hold
-// simulated records identical to the committed BENCH_pipeline.json (-ref):
+// simulated records identical to the committed BENCH_pipeline.json (ref):
 // throughput work must never change simulator results.
 package main
 
@@ -36,20 +36,21 @@ import (
 // The gate runs pairs base/change pairs, alternating which side runs
 // first, of benchtime BenchmarkPipeline iterations each. On a shared
 // 2-vCPU host a pair's ratio varies by about 11% (standard deviation);
-// 60 pairs hold the median ratio to about 1.5%.
+// 60 pairs hold the median ratio to about 1.5%. The median ratio may
+// fall at most maxRegression below 1, and the change's records must
+// match ref's.
 const (
-	pairs     = 60
-	benchtime = "20x"
+	pairs         = 60
+	benchtime     = "20x"
+	maxRegression = 0.20
+	ref           = "BENCH_pipeline.json"
 )
 
 func main() {
-	ref := flag.String("ref", "BENCH_pipeline.json", "committed report whose simulated records the change must reproduce")
-	maxReg := flag.Float64("max-regression", 0.20, "maximum tolerated drop of the median change/base throughput ratio")
-	flag.Parse()
-
-	refRep, err := load(*ref)
+	flag.Parse() // the command takes no flags, so any flag given fails
+	refRep, err := load(ref)
 	if err != nil {
-		fatal(fmt.Errorf("ref %s: %w", *ref, err))
+		fatal(fmt.Errorf("ref %s: %w", ref, err))
 	}
 	rev, err := baseRevision()
 	if err != nil {
@@ -91,7 +92,7 @@ func main() {
 					for _, d := range diffs {
 						fmt.Fprintln(os.Stderr, "benchsmoke:", d)
 					}
-					fatal(fmt.Errorf("%d simulated-timing difference(s) vs %s", len(diffs), *ref))
+					fatal(fmt.Errorf("%d simulated-timing difference(s) vs %s", len(diffs), ref))
 				}
 			}
 		}
@@ -102,9 +103,9 @@ func main() {
 	fmt.Printf("benchsmoke: base %s %s Mcycles/s, median %.2f\n", rev, sides[0].list(), median(sides[0].tp))
 	fmt.Printf("benchsmoke: change %s Mcycles/s, median %.2f\n", sides[1].list(), median(sides[1].tp))
 	fmt.Printf("benchsmoke: median change/base ratio of %d pairs %.3f (%+.1f%%)\n", pairs, 1-drop, -100*drop)
-	if drop > *maxReg {
+	if drop > maxRegression {
 		fatal(fmt.Errorf("throughput regressed %.1f%% against %s (median of %d pair ratios; max %.0f%%)",
-			100*drop, rev, pairs, 100**maxReg))
+			100*drop, rev, pairs, 100*maxRegression))
 	}
 }
 
